@@ -9,7 +9,6 @@ package repro
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/area"
 	"repro/internal/config"
@@ -220,47 +219,6 @@ func BenchmarkFig7d(b *testing.B) {
 			imp := runImprovement(b, s, cfg, d, mix.Benchmarks)
 			b.ReportMetric(imp, fmt.Sprintf("%%imp-%s", metricName(d)))
 		}
-	}
-}
-
-// BenchmarkFig7dParallel times the Figure 7d mix on the sequential
-// engine and on the two-shard parallel engine (config.Parallel = 2) and
-// reports the wall-clock ratio as parallel_speedup. The metric is
-// informational and never gated: on a single-CPU host the two shard
-// goroutines time-slice one core and the ratio sits at or below 1, and
-// even on wide hosts the ratio is bounded by the memory-side share of
-// the event load. Byte-identity between the two engines — the property
-// that matters — is gated by the equivalence suite instead.
-func BenchmarkFig7dParallel(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Cores = 4
-	cfg.InstrPerCore = 120_000
-	mix, err := workload.LookupMix("M5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(parallel int) time.Duration {
-		c := cfg
-		c.Parallel = parallel
-		sys, _, err := exp.Build(c, core.DAS, mix.Benchmarks, nil, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := sys.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	var seq, par time.Duration
-	for i := 0; i < b.N; i++ {
-		seq += run(0)
-		par += run(2)
-	}
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "parallel_speedup")
-		b.ReportMetric(par.Seconds()*1e3/float64(b.N), "ms/parallel-run")
-		b.ReportMetric(seq.Seconds()*1e3/float64(b.N), "ms/sequential-run")
 	}
 }
 

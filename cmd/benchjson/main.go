@@ -265,15 +265,6 @@ func compare(cur, base document, minThroughputRatio, maxAllocRatio float64) (rep
 					b.Name, eps, refEPS, 100*eps/refEPS))
 			}
 		}
-		// parallel_speedup (sharded-engine wall ratio) is informational
-		// like events/s: it measures host core availability, not the
-		// simulator, and single-CPU machines legitimately report <= 1.
-		if refSU, ok := ref.Metrics["parallel_speedup"]; ok && refSU > 0 {
-			if su, ok := b.Metrics["parallel_speedup"]; ok {
-				report = append(report, fmt.Sprintf("%s: parallel_speedup %.2f vs baseline %.2f informational",
-					b.Name, su, refSU))
-			}
-		}
 		// pJ/instr is the modeled DRAM energy per simulated instruction —
 		// a property of the energy model, not the host, so it is never
 		// gated; baselines captured before the energy model simply lack it.

@@ -42,52 +42,59 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dasbench: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run parses args and renders the selected figures to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dasbench", flag.ExitOnError)
 	var (
-		figs     = flag.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
-		energyF  = flag.Bool("energy", false, "append the perf-per-watt figure (instructions/uJ, EDP vs Standard, pJ/instr decomposition) to the selected figures")
-		instr    = flag.Uint64("instr", 0, "instructions per core (0 = config default)")
-		cfgPath  = flag.String("config", "", "JSON config file (default: episode-scaled Table 1)")
-		fullScal = flag.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
-		outPath  = flag.String("out", "", "write output to file instead of stdout")
-		seed     = flag.Uint64("seed", 0, "override workload seed")
-		csvDir   = flag.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
-		benchSel = flag.String("benchmarks", "", "comma-separated benchmark subset for single-programmed figures")
-		mixSel   = flag.String("mixes", "", "comma-separated mix subset (M1..M8) for multi-programmed figures")
-		parallel = flag.Int("parallel", 0, "shard each simulated machine across OS threads (0/1 = sequential, >=2 = processor/memory shards; output is byte-identical)")
-		nopool   = flag.Bool("nopool", false, "build a fresh machine per run instead of reusing pooled ones (output is byte-identical either way; this flag exists so scripts can prove it)")
-		parShard = flag.Bool("parshard-report", false, "after the figures, print the parallel engine's per-shard busy/wait/barrier occupancy and pipeline-stall fraction (requires -parallel >= 2)")
+		figs     = fs.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
+		energyF  = fs.Bool("energy", false, "append the perf-per-watt figure (instructions/uJ, EDP vs Standard, pJ/instr decomposition) to the selected figures")
+		instr    = fs.Uint64("instr", 0, "instructions per core (0 = config default)")
+		cfgPath  = fs.String("config", "", "JSON config file (default: episode-scaled Table 1)")
+		fullScal = fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
+		outPath  = fs.String("out", "", "write output to file instead of stdout")
+		seed     = fs.Uint64("seed", 0, "override workload seed")
+		csvDir   = fs.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
+		benchSel = fs.String("benchmarks", "", "comma-separated benchmark subset for single-programmed figures")
+		mixSel   = fs.String("mixes", "", "comma-separated mix subset (M1..M8) for multi-programmed figures")
+		nopool   = fs.Bool("nopool", false, "build a fresh machine per run instead of reusing pooled ones (output is byte-identical either way; this flag exists so scripts can prove it)")
 
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (pprof) covering all selected figures to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (pprof) taken after all figures to this file")
-		traceFile = flag.String("trace", "", "write a runtime execution trace covering all selected figures to this file")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering all selected figures to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile (pprof) taken after all figures to this file")
+		traceFile = fs.String("trace", "", "write a runtime execution trace covering all selected figures to this file")
 
 		// Telemetry (off by default; enabling it never changes figure
 		// output — golden and determinism tests run with it on).
-		metricsOut  = flag.String("metrics-out", "", "write per-run epoch metric timelines to this file (.json = JSON, anything else = CSV)")
-		timelineOut = flag.String("timeline", "", "write simulated DRAM/migration/fault events as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
-		epochMS     = flag.Float64("timeline-interval", 0.1, "metric snapshot epoch in simulated milliseconds")
-		httpAddr    = flag.String("http", "", "serve a debug endpoint (completed-run /metrics, /debug/vars, /debug/pprof) on this address, e.g. :8080")
-		reqTraceN   = flag.Int("reqtrace", 0, "trace one in N measured demand loads per core through the hierarchy (0 = off; never changes figure output)")
-		reqTraceOut = flag.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file (.json = JSON, anything else = CSV)")
-		explainSel  = flag.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
+		metricsOut  = fs.String("metrics-out", "", "write per-run epoch metric timelines to this file (.json = JSON, anything else = CSV)")
+		timelineOut = fs.String("timeline", "", "write simulated DRAM/migration/fault events as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
+		epochMS     = fs.Float64("timeline-interval", 0.1, "metric snapshot epoch in simulated milliseconds")
+		httpAddr    = fs.String("http", "", "serve a debug endpoint (completed-run /metrics, /debug/vars, /debug/pprof) on this address, e.g. :8080")
+		reqTraceN   = fs.Int("reqtrace", 0, "trace one in N measured demand loads per core through the hierarchy (0 = off; never changes figure output)")
+		reqTraceOut = fs.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file (.json = JSON, anything else = CSV)")
+		explainSel  = fs.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
 
 		// Fault injection (DAS management path; all rates zero = perfect
 		// device). The -fig faults sweep varies these itself.
-		faultWeak    = flag.Float64("fault-weak", 0, "fraction of fast-subarray rows that are weak (served at slow timing, never promoted into)")
-		faultMigFail = flag.Float64("fault-migfail", 0, "probability an in-flight migration fails and is retried")
-		faultTag     = flag.Float64("fault-tag", 0, "probability a tag-cache hit is parity-corrupt and re-fetched")
-		faultTable   = flag.Float64("fault-table", 0, "probability a fetched table block fails ECC and is re-fetched")
-		faultRetries = flag.Int("fault-retries", -1, "failed-migration retries before pinning the row slow (-1 = config default)")
-		faultSeed    = flag.Uint64("fault-seed", 0, "fault-stream seed (0 = derive from workload seed)")
-		invariants   = flag.Bool("invariants", true, "verify management invariants after every committed swap")
+		faultWeak    = fs.Float64("fault-weak", 0, "fraction of fast-subarray rows that are weak (served at slow timing, never promoted into)")
+		faultMigFail = fs.Float64("fault-migfail", 0, "probability an in-flight migration fails and is retried")
+		faultTag     = fs.Float64("fault-tag", 0, "probability a tag-cache hit is parity-corrupt and re-fetched")
+		faultTable   = fs.Float64("fault-table", 0, "probability a fetched table block fails ECC and is re-fetched")
+		faultRetries = fs.Int("fault-retries", -1, "failed-migration retries before pinning the row slow (-1 = config default)")
+		faultSeed    = fs.Uint64("fault-seed", 0, "fault-stream seed (0 = derive from workload seed)")
+		invariants   = fs.Bool("invariants", true, "verify management invariants after every committed swap")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// set holds the flags given on the command line: fault and invariant
+	// flags override a -config file only when given, so the file's own
+	// settings survive otherwise.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	cfg := config.Scaled()
 	if *fullScal {
@@ -106,30 +113,39 @@ func run() error {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	cfg.WeakRowRate = *faultWeak
-	cfg.MigFailRate = *faultMigFail
-	cfg.TagCorruptRate = *faultTag
-	cfg.TableCorruptRate = *faultTable
+	if set["fault-weak"] {
+		cfg.WeakRowRate = *faultWeak
+	}
+	if set["fault-migfail"] {
+		cfg.MigFailRate = *faultMigFail
+	}
+	if set["fault-tag"] {
+		cfg.TagCorruptRate = *faultTag
+	}
+	if set["fault-table"] {
+		cfg.TableCorruptRate = *faultTable
+	}
 	if *faultRetries >= 0 {
 		cfg.MigRetries = *faultRetries
 	}
 	if *faultSeed > 0 {
 		cfg.FaultSeed = *faultSeed
 	}
-	cfg.CheckInvariants = *invariants
-	cfg.Parallel = *parallel
+	if set["invariants"] {
+		cfg.CheckInvariants = *invariants
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(stdout, f)
 	}
 
 	if *cpuProf != "" {
@@ -228,13 +244,13 @@ func run() error {
 	} else if *figs == "tables" {
 		wanted = []string{"table1", "table2", "area"}
 	}
-	if *explainSel != "" && !flagVisited("fig") {
+	if *explainSel != "" && !set["fig"] {
 		wanted = nil // -explain alone skips the default tables
 	}
 	if *energyF {
 		// Deliberately not part of "all": the committed results_*.txt
 		// goldens predate the energy model and must stay byte-identical.
-		if !flagVisited("fig") && *explainSel == "" {
+		if !set["fig"] && *explainSel == "" {
 			wanted = nil // -energy alone skips the default tables
 		}
 		wanted = append(wanted, "energy")
@@ -291,20 +307,6 @@ func run() error {
 			}
 		}
 	}
-	if *parShard {
-		// The session folds every parallel run's epoch profile as it
-		// completes, so the report covers all figures above.
-		fig, err := s.ShardReport()
-		if err != nil {
-			return fmt.Errorf("parshard-report: %w", err)
-		}
-		fmt.Fprint(out, fig.Render())
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, fig); err != nil {
-				return err
-			}
-		}
-	}
 	if *csvDir != "" {
 		if err := os.WriteFile(filepath.Join(*csvDir, "perf.csv"), []byte(perfCSV), 0o644); err != nil {
 			return err
@@ -336,17 +338,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// flagVisited reports whether the named flag was set on the command line.
-func flagVisited(name string) bool {
-	seen := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			seen = true
-		}
-	})
-	return seen
 }
 
 // parseExplain parses the -explain "A,B" design pair.

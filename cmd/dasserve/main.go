@@ -63,7 +63,6 @@ func run() error {
 		fullScal = flag.Bool("full-scale", false, "use the full 8 GB Table 1 memory as the base config")
 		instr    = flag.Uint64("instr", 0, "base instructions per core (0 = config default)")
 		seed     = flag.Uint64("seed", 0, "base workload seed override")
-		parallel = flag.Int("parallel", 0, "shard each simulated machine across OS threads (0/1 = sequential, >=2 = processor/memory shards; results are byte-identical and share cache entries)")
 		debugAt  = flag.String("debug", "", "also serve the telemetry debug endpoint (/metrics, /debug/pprof) on this address")
 		logJSON  = flag.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
 		poolMB   = flag.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget, <0 = pooling off)")
@@ -87,7 +86,6 @@ func run() error {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Parallel = *parallel
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -80,14 +80,6 @@ type Config struct {
 	TableCorruptRate float64 `json:"fault_table_corrupt_rate"`
 	// CheckInvariants enables the per-swap runtime invariant checker.
 	CheckInvariants bool `json:"check_invariants"`
-
-	// Parallel selects the execution engine: 0 or 1 runs the sequential
-	// engine; >= 2 shards the machine across OS threads (processor side
-	// and memory side — values above 2 behave identically, the
-	// decomposition has two domains; see DESIGN.md §5.3). Results are
-	// byte-identical either way, so this is an execution knob, not a
-	// model parameter.
-	Parallel int `json:"parallel"`
 }
 
 // Default returns the full-scale Table 1 system: 8 GB of DDR3-1600 on
@@ -149,9 +141,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MigRetries < 0 {
 		return fmt.Errorf("config: fault_mig_retries must be non-negative")
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("config: parallel must be non-negative")
 	}
 	if err := c.Geometry().Validate(); err != nil {
 		return err

@@ -82,10 +82,9 @@ type Manager struct {
 	freeGroups []*group
 
 	// reqFree recycles controller-request slots (see ctlReq). Slots come
-	// back through mc.Request.Release — from the memory-side shard for
-	// posted writes in a parallel run — so the list is lock-protected.
-	// It survives Reset: slots are shape-independent, and reusing them
-	// is what makes a pooled machine's steady-state accesses
+	// back through mc.Request.Release under an uncontended lock. The list
+	// survives Reset: slots are shape-independent, and reusing them is
+	// what makes a pooled machine's steady-state accesses
 	// allocation-free. Requests still queued when a run ends are dropped
 	// by Controller.Reset and simply fall out of circulation.
 	reqFreeMu sync.Mutex
@@ -122,47 +121,7 @@ type Manager struct {
 	// the default; see AttachTelemetry).
 	tel *coreTelemetry
 
-	// shard, when non-nil, is the processor-side shard of a parallel
-	// run: calls into the controller (enqueues, migrations, resets)
-	// cross to the memory side through it (see SetShard).
-	shard *sim.Shard
-
 	Stats Stats
-}
-
-// SetShard marks the manager as running on the processor-side shard of
-// a parallel simulation. Controller calls are posted through s as
-// synchronous cross-shard messages ordered at the calling event's
-// position, which is exactly where the sequential engine ran them.
-func (m *Manager) SetShard(s *sim.Shard) { m.shard = s }
-
-// postEnqueue is the trampoline for crossing Controller.Enqueue.
-func postEnqueue(a, b any) { a.(*mc.Controller).Enqueue(b.(*mc.Request)) }
-
-// migPost carries one Controller.Migrate call across shards. Migrations
-// are rare (thousands per run, not millions), so the allocation is
-// irrelevant.
-type migPost struct {
-	ctl                      *mc.Controller
-	channel, rank, bank, row int
-	done                     func()
-}
-
-func postMigrate(a, _ any) {
-	p := a.(*migPost)
-	p.ctl.Migrate(p.channel, p.rank, p.bank, p.row, p.done)
-}
-
-// migrate routes a promotion swap to the controller, crossing shards in
-// a parallel run.
-func (m *Manager) migrate(channel, rank, bank, row int, done func()) {
-	if m.shard != nil {
-		m.shard.PostSync(postMigrate, &migPost{
-			ctl: m.ctl, channel: channel, rank: rank, bank: bank, row: row, done: done,
-		}, nil)
-		return
-	}
-	m.ctl.Migrate(channel, rank, bank, row, done)
 }
 
 // NewManager builds a manager for design cfg.Design in front of ctl.
@@ -313,11 +272,11 @@ func (m *Manager) ResetStats() {
 // reuse (exp.SystemPool), adopting cfg's management knobs. The design
 // is pinned (the pool keys machines by design), as are the engine,
 // controller, and geometry; everything attached per run — LLC, static
-// assignment, profile, fault injector, telemetry, shard binding —
-// detaches. Touched migration groups return to a freelist (reusable
-// when GroupSize and FastDenom carry over), the tag cache and filter
-// reset in place when their shapes match and rebuild otherwise, and the
-// victim picker re-seeds from cfg.Seed exactly as NewManager would.
+// assignment, profile, fault injector, telemetry — detaches. Touched
+// migration groups return to a freelist (reusable when GroupSize and
+// FastDenom carry over), the tag cache and filter reset in place when
+// their shapes match and rebuild otherwise, and the victim picker
+// re-seeds from cfg.Seed exactly as NewManager would.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -336,7 +295,6 @@ func (m *Manager) Reset(cfg Config) error {
 	m.migBreaker = false
 	m.err = nil
 	m.tel = nil
-	m.shard = nil
 	perCore := m.Stats.PerCorePromotions
 	m.Stats = Stats{}
 	for i := range perCore {
@@ -606,8 +564,8 @@ func (m *Manager) groupFenced(g uint64, grp *group) bool {
 // doneFn/releaseFn method values are bound once when the slot is
 // created, so a recycled slot makes a whole DRAM access allocate
 // nothing. Slots are interchangeable — every field the simulation reads
-// is overwritten at enqueue — so the (racy, lock-ordered) freelist order
-// in a sharded run cannot perturb the command stream.
+// is overwritten at enqueue — so the freelist order cannot perturb the
+// command stream.
 type ctlReq struct {
 	r       mc.Request
 	m       *Manager
@@ -633,11 +591,9 @@ func (q *ctlReq) complete(kind mc.ServiceKind) {
 }
 
 // release returns the slot to the manager's freelist once the
-// controller's last touch has passed (mc.Request.Release). Reads
-// release on the processor-side shard, posted writes on the memory
-// side, hence the lock; uncontended in a sequential run. Stale pointers
-// are cleared so a parked slot pins neither the waiter chain nor a
-// trace span.
+// controller's last touch has passed (mc.Request.Release). Stale
+// pointers are cleared so a parked slot pins neither the waiter chain
+// nor a trace span.
 func (q *ctlReq) release() {
 	q.done = nil
 	q.r.Trace = nil
@@ -685,20 +641,6 @@ func (m *Manager) enqueue(req *mem.Request, coord dram.Coord, cls dram.RowClass,
 	dreq := &q.r
 	dreq.Done = q.doneFn
 	dreq.Release = q.releaseFn
-	if m.shard != nil {
-		// Posted-write acks re-enter the cache hierarchy, which lives on
-		// this shard: fire the ack here (the controller acks writes
-		// synchronously inside Enqueue with ServiceRowBuffer, at this
-		// same global-order position) and hand the controller a Done-less
-		// request.
-		if dreq.Write && dreq.Done != nil {
-			ack := dreq.Done
-			dreq.Done = nil
-			ack(mc.ServiceRowBuffer)
-		}
-		m.shard.PostSync(postEnqueue, m.ctl, dreq)
-		return
-	}
 	// Posted writes complete at enqueue inside the controller.
 	m.ctl.Enqueue(dreq)
 }
@@ -751,7 +693,7 @@ func (m *Manager) considerPromotion(rowID uint64, coreID int) {
 					// uniform: retry on a fresh event.
 					m.eng.Schedule(0, commit)
 				} else {
-					m.migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
+					m.ctl.Migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
 				}
 				return
 			}
@@ -798,7 +740,7 @@ func (m *Manager) considerPromotion(rowID uint64, coreID int) {
 		commit()
 		return
 	}
-	m.migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
+	m.ctl.Migrate(coord.Channel, coord.Rank, coord.Bank, coord.Row, commit)
 }
 
 // writeTableEntries posts updates of the two swapped rows' table entries

@@ -183,22 +183,6 @@ func (d *Device) EnergyModel() *energy.Model { return d.emodel }
 // ClockPeriod returns the DRAM command-clock period.
 func (d *Device) ClockPeriod() sim.Time { return d.slow.TCK }
 
-// MinCrossDomainLatency returns the smallest latency of anything the
-// memory side schedules back toward the processor side: the minimum
-// read-issue→burst-end duration across the two timing classes, clamped
-// by a nonzero migration latency. The parallel engine derives its
-// conservative synchronization window from this bound (sim.ParEngine).
-func (d *Device) MinCrossDomainLatency() sim.Time {
-	min := d.slow.Duration(d.slow.ReadLatency())
-	if f := d.fast.Duration(d.fast.ReadLatency()); f < min {
-		min = f
-	}
-	if d.migrationLatency > 0 && d.migrationLatency < min {
-		min = d.migrationLatency
-	}
-	return min
-}
-
 // Stats aggregates command counts across the whole device. The *Fast
 // fields count the subset of each command that touched a fast-subarray
 // row (the energy model prices the classes differently).

@@ -18,16 +18,7 @@ import (
 // runs runs in parallel rather than serializing on the memo locks.
 func renderFig7a(t *testing.T, par int) string {
 	t.Helper()
-	return renderFig7aCfg(t, par, 0)
-}
-
-// renderFig7aCfg additionally selects the execution engine
-// (config.Parallel: 0 = sequential, >= 2 = sharded).
-func renderFig7aCfg(t *testing.T, par, engineShards int) string {
-	t.Helper()
-	cfg := tinyConfig()
-	cfg.Parallel = engineShards
-	s := NewSession(cfg)
+	s := NewSession(tinyConfig())
 	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
 	if err := s.Prewarm(s.singleSets()); err != nil {
@@ -59,36 +50,5 @@ func TestDeterminismRepeatedSessions(t *testing.T) {
 	b := renderFig7a(t, 1)
 	if a != b {
 		t.Fatalf("figure output differs between identical sessions:\n%s\nvs:\n%s", a, b)
-	}
-}
-
-// TestDeterminismParallelRepeated renders the same figure from
-// repeated sharded-engine sessions: the epoch protocol admits no
-// scheduling freedom, so repeated parallel runs must be byte-identical
-// to each other and to the sequential engine.
-func TestDeterminismParallelRepeated(t *testing.T) {
-	seq := renderFig7aCfg(t, 1, 0)
-	a := renderFig7aCfg(t, 1, 2)
-	b := renderFig7aCfg(t, 1, 2)
-	if a != b {
-		t.Fatalf("sharded-engine output differs between identical sessions:\n%s\nvs:\n%s", a, b)
-	}
-	if a != seq {
-		t.Fatalf("sharded-engine output differs from sequential:\nsequential:\n%s\nsharded:\n%s", seq, a)
-	}
-}
-
-// TestDeterminismParallelAcrossGOMAXPROCS pins the sharded engine
-// against host-scheduling variation: with GOMAXPROCS clamped to 1 the
-// two shard goroutines time-slice one OS thread, with it wide they run
-// truly concurrently; rendered bytes must not notice.
-func TestDeterminismParallelAcrossGOMAXPROCS(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	narrow := renderFig7aCfg(t, 1, 2)
-	runtime.GOMAXPROCS(max(2, prev))
-	wide := renderFig7aCfg(t, 1, 2)
-	runtime.GOMAXPROCS(prev)
-	if narrow != wide {
-		t.Fatalf("sharded-engine output depends on GOMAXPROCS:\nnarrow:\n%s\nwide:\n%s", narrow, wide)
 	}
 }

@@ -31,14 +31,6 @@ type ObserveOptions struct {
 	// Which loads are sampled is derived from the workload seed and the
 	// core id, so sampling is deterministic and never perturbs figures.
 	ReqTraceN int
-	// ShardProf merges the parallel engine's per-shard occupancy
-	// profile (par.up.* / par.down.* wall-clock nanoseconds, epochs and
-	// mailbox-depth counts) into the metrics snapshot. Off by default:
-	// these are host wall-clock values, so enabling them intentionally
-	// gives up the timeline's run-to-run byte identity (figure bytes
-	// are unaffected either way). Requires Metrics; no-op on sequential
-	// runs.
-	ShardProf bool
 }
 
 // DefaultIntervalPS is the default timeline epoch: 100 µs of simulated
@@ -57,27 +49,7 @@ type Observer struct {
 	Timeline *telemetry.Timeline
 	Req      *reqtrace.Recorder
 
-	// RegMC and TraceMC are the memory-side shard's private instruments,
-	// non-nil only when the system runs on the parallel engine: the down
-	// shard fires events on its own OS thread, so the controller and
-	// device must never share mutable instruments with the processor
-	// side. Metric names are disjoint across the two registries and every
-	// snapshot merges them sorted by name (telemetry.SnapshotAll), so
-	// timeline and published output stay byte-identical to a sequential
-	// run. Trace events have no such order-free merge — equal-timestamp
-	// interleaving is an append-order artifact — so TraceMC exports as
-	// its own Perfetto process, labeled "<run>/mc".
-	RegMC   *telemetry.Registry
-	TraceMC *telemetry.TraceRecorder
-
-	shardProf  bool
 	nextSnapPS int64
-	// snapPS is the simulated time the latest snapshot was taken at, set
-	// before polling the registries. Rate-derived samples (background
-	// energy) read it instead of an engine clock so sequential and
-	// parallel runs — whose memory-side engine may sit at a different
-	// point within the same epoch barrier — snapshot identical values.
-	snapPS int64
 }
 
 // newObserver builds the per-run bundle for the session's options. seed
@@ -103,7 +75,6 @@ func newObserver(label string, seed uint64, opt *ObserveOptions) *Observer {
 	if opt.ReqTraceN > 0 {
 		o.Req = reqtrace.NewRecorder(label, opt.ReqTraceN, seed)
 	}
-	o.shardProf = opt.ShardProf
 	return o
 }
 
@@ -114,22 +85,17 @@ func (o *Observer) maybeSnap(nowPS int64) {
 	if o == nil || o.Timeline == nil || nowPS < o.nextSnapPS {
 		return
 	}
-	o.snapPS = nowPS
-	o.Timeline.Snap(nowPS, o.Reg, o.RegMC)
+	o.Timeline.Snap(nowPS, o.Reg)
 	interval := o.Timeline.IntervalPS
 	o.nextSnapPS = (nowPS/interval + 1) * interval
 }
 
 // finish takes the end-of-run snapshot.
 func (o *Observer) finish(nowPS int64) {
-	if o == nil {
+	if o == nil || o.Timeline == nil {
 		return
 	}
-	o.snapPS = nowPS
-	if o.Timeline == nil {
-		return
-	}
-	o.Timeline.Snap(nowPS, o.Reg, o.RegMC)
+	o.Timeline.Snap(nowPS, o.Reg)
 }
 
 // AttachObserver instruments every component of the system with obs
@@ -140,36 +106,17 @@ func (s *System) AttachObserver(obs *Observer) {
 	}
 	s.obs = obs
 	reg := obs.Reg
-	// On the parallel engine the controller and device fire on the down
-	// shard's OS thread: give them a private registry and trace recorder
-	// so no instrument is mutated from two goroutines. Snapshots only
-	// happen at full barriers (System.observe) or after the run, where
-	// the channel handoff orders the down shard's writes before the read.
-	regMC, traceMC := reg, obs.Trace
-	if s.Par != nil {
-		if obs.Reg != nil {
-			obs.RegMC = telemetry.New()
-		}
-		if obs.Trace != nil {
-			obs.TraceMC = telemetry.NewTraceRecorder(obs.Label + "/mc")
-		}
-		regMC, traceMC = obs.RegMC, obs.TraceMC
-	}
-	s.Dev.AttachTelemetry(regMC)
-	s.Ctl.AttachTelemetry(regMC, traceMC)
-	if regMC.Enabled() {
+	s.Dev.AttachTelemetry(reg)
+	s.Ctl.AttachTelemetry(reg, obs.Trace)
+	if reg.Enabled() {
 		// Background/standby energy is a rate (mW x elapsed ns = pJ), not
-		// an event count, so it is derived from the snapshot's timestamp
-		// rather than accumulated per command. The observer's snap clock —
-		// not an engine clock — keeps the value byte-identical between
-		// sequential and parallel runs: at an epoch barrier the memory-side
-		// engine may legitimately sit at a different instant than the
-		// observation point that stamps the timeline row.
+		// an event count, so it is derived from the simulated time at the
+		// snapshot rather than accumulated per command.
 		g := s.Dev.Geometry()
 		ranks := g.Channels * g.Ranks
 		em := s.Dev.EnergyModel()
-		regMC.Sample("dram.energy_pj.background", func() int64 {
-			return em.BackgroundPJ(ranks, obs.snapPS/int64(sim.Nanosecond))
+		reg.Sample("dram.energy_pj.background", func() int64 {
+			return em.BackgroundPJ(ranks, int64(s.Eng.Now()/sim.Nanosecond))
 		})
 	}
 	s.Mgr.AttachTelemetry(reg, obs.Trace)
@@ -184,27 +131,7 @@ func (s *System) AttachObserver(obs *Observer) {
 		c.AttachTelemetry(reg)
 	}
 	if reg.Enabled() {
-		if par := s.Par; par != nil {
-			reg.Sample("sim.events_executed", func() int64 { return int64(par.Executed()) })
-		} else {
-			reg.Sample("sim.events_executed", func() int64 { return int64(s.Eng.Executed()) })
-		}
-	}
-	if par := s.Par; par != nil && obs.shardProf && reg.Enabled() {
-		// Epoch-profiler occupancy, polled at snapshot time. Both shards'
-		// profiles are safe to read from the host goroutine here:
-		// snapshots happen at full epoch barriers or after the run, where
-		// the barrier's channel receive orders the down shard's writes
-		// before the read. Registered on the up-shard registry — sample
-		// functions run on the host goroutine, never on the down shard's
-		// OS thread.
-		for i, side := range []string{"up", "down"} {
-			i := i
-			reg.Sample("par."+side+".busy_ns", func() int64 { return par.Prof(i).BusyNS })
-			reg.Sample("par."+side+".wait_ns", func() int64 { return par.Prof(i).WaitNS })
-			reg.Sample("par."+side+".barrier_ns", func() int64 { return par.Prof(i).BarrierNS })
-			reg.Sample("par."+side+".epochs", func() int64 { return int64(par.Prof(i).Epochs) })
-		}
+		reg.Sample("sim.events_executed", func() int64 { return int64(s.Eng.Executed()) })
 	}
 	if obs.Req != nil {
 		if obs.Trace != nil {
@@ -278,9 +205,6 @@ func (s *Session) WriteTrace(w io.Writer) error {
 		if o.Trace != nil {
 			recs = append(recs, o.Trace)
 		}
-		if o.TraceMC != nil {
-			recs = append(recs, o.TraceMC)
-		}
 	}
 	return telemetry.EncodeTrace(w, recs)
 }
@@ -309,11 +233,14 @@ func (s *Session) WriteReqTraceJSON(w io.Writer) error {
 }
 
 // PublishTo pushes every observed run's final snapshot into p (the
-// debug HTTP endpoint's store).
+// debug HTTP endpoint's store). The snapshot is the timeline's last
+// epoch, recorded when the run finished: re-polling the registry here
+// would read sampled values from a machine the pool may since have
+// rewound for another run.
 func (s *Session) PublishTo(p *telemetry.Publisher) {
 	for _, o := range s.Observers() {
-		if o.Reg != nil {
-			p.Publish(o.Label, telemetry.SnapshotAll(nil, o.Reg, o.RegMC))
+		if eps := o.Timeline.Epochs(); len(eps) > 0 {
+			p.Publish(o.Label, eps[len(eps)-1].Metrics)
 		}
 	}
 }

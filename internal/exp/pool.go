@@ -13,12 +13,10 @@ import (
 // measurement protocol, seeds, fault injection), all of which Reset
 // re-applies. Design is part of the key because the manager's design is
 // structural (dynamic designs carry layout/tag-cache/filter state that
-// static ones never allocate), as is the execution engine choice (a
-// parallel machine owns a second engine and the shard coupling).
+// static ones never allocate).
 type poolKey struct {
-	design   core.Design
-	cores    int
-	parallel bool
+	design core.Design
+	cores  int
 
 	channels, ranks, banks, rows, columns, blockSize int
 
@@ -34,7 +32,6 @@ func keyFor(cfg *config.Config, design core.Design) poolKey {
 	return poolKey{
 		design:   design,
 		cores:    cfg.Cores,
-		parallel: cfg.Parallel >= 2,
 		channels: cfg.Channels, ranks: cfg.Ranks, banks: cfg.Banks,
 		rows: cfg.RowsPerBank, columns: cfg.Columns, blockSize: cfg.BlockSize,
 		cpuGHz: cfg.CPUGHz, width: cfg.Width, rob: cfg.ROB, storeBuffer: cfg.StoreBuffer,

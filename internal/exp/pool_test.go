@@ -2,124 +2,68 @@ package exp
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // The pooled-machine byte-identity suite: a machine checked out of a
 // SystemPool and rewound with System.Reset must be observationally
 // indistinguishable from a fresh Build — same DRAM command stream (the
 // strongest observable), same figure bytes, across all six designs,
-// open and closed page, multicore mixes, and both execution engines.
-
-// caseConfig builds the run configuration for a stream case, matching
-// streamDigest exactly so pooled digests compare against the committed
-// fresh-run goldens.
-func caseConfig(sc streamCase, parallel int) config.Config {
-	cfg := tinyConfig()
-	cfg.InstrPerCore = 60_000
-	cfg.Cores = len(sc.benchmarks)
-	cfg.Seed = sc.seed
-	cfg.ClosedPage = sc.closedPage
-	cfg.Parallel = parallel
-	return cfg
-}
-
-// caseStatic computes the static assignment a case needs (nil for
-// dynamic designs).
-func caseStatic(t *testing.T, cfg config.Config, sc streamCase) *core.StaticAssignment {
-	t.Helper()
-	if !sc.design.Static() {
-		return nil
-	}
-	prof, err := ProfilePass(cfg, sc.benchmarks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.BuildStaticAssignment(prof, cfg.Geometry(), cfg.FastDenom)
-}
-
-// digestRun attaches a command log to sys, runs it, and returns the
-// command count and FNV-1a digest over the raw tuple stream (same
-// encoding as streamDigest).
-func digestRun(t *testing.T, sys *System, name string) (uint64, uint64) {
-	t.Helper()
-	h := fnv.New64a()
-	var buf [48]byte
-	var count uint64
-	sys.Dev.SetCommandLog(func(at sim.Time, kind dram.CommandKind, channel, rank, bank, row int) {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(at))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(kind))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(int64(channel)))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(int64(rank)))
-		binary.LittleEndian.PutUint64(buf[32:], uint64(int64(bank)))
-		binary.LittleEndian.PutUint64(buf[40:], uint64(int64(row)))
-		h.Write(buf[:])
-		count++
-	})
-	if _, err := sys.Run(); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return count, h.Sum64()
-}
+// open and closed page, and multicore mixes.
 
 // TestPooledRunsByteIdentical is the tentpole's non-negotiable: for
-// every stream case (all six designs, closed-page, a multicore mix) and
-// both execution engines, a machine that already ran a *different*
-// sweep point — different seed, flipped page policy, perturbed
-// migration latency — then went through Put/Get/Reset must replay the
-// target point with the exact command count and FNV-1a stream digest a
-// fresh Build produces.
+// every stream case (all six designs, closed-page, a multicore mix), a
+// machine that already ran a *different* sweep point — different seed,
+// flipped page policy, perturbed migration latency — then went through
+// Put/Get/Reset must replay the target point with the exact command
+// count and FNV-1a stream digest a fresh Build produces.
 func TestPooledRunsByteIdentical(t *testing.T) {
 	for _, sc := range streamCases() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			for _, parallel := range []int{0, 2} {
-				freshN, freshSum := streamDigest(t, sc, parallel)
+			freshN, freshSum := streamDigest(t, sc)
 
-				// Dirty the machine with a same-shape sweep variant so Reset
-				// must scrub real state, not a pristine build.
-				dirty := caseConfig(sc, parallel)
-				dirty.Seed = sc.seed + 1
-				dirty.ClosedPage = !sc.closedPage
-				dirty.MigrationLatencyNS += 20
-				pool := NewSystemPool(0)
-				sys, _, err := Build(dirty, sc.design, sc.benchmarks, caseStatic(t, dirty, sc), false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.pool = pool // keep engines attached across the run
-				if _, err := sys.Run(); err != nil {
-					t.Fatalf("dirty run: %v", err)
-				}
-				pool.Put(sys)
-
-				cfg := caseConfig(sc, parallel)
-				got := pool.Get(&cfg, sc.design)
-				if got == nil {
-					t.Fatalf("parallel=%d: pool miss for same-shape config", parallel)
-				}
-				if got != sys {
-					t.Fatalf("parallel=%d: pool returned a different machine", parallel)
-				}
-				if _, err := got.Reset(cfg, sc.design, sc.benchmarks, caseStatic(t, cfg, sc), false); err != nil {
-					t.Fatalf("parallel=%d: Reset: %v", parallel, err)
-				}
-				n, sum := digestRun(t, got, sc.name)
-				if n != freshN || sum != freshSum {
-					t.Errorf("parallel=%d: pooled run diverged: commands=%d fnv64a=%016x, fresh commands=%d fnv64a=%016x",
-						parallel, n, sum, freshN, freshSum)
-				}
-				pool.Drain()
+			// Dirty the machine with a same-shape sweep variant so Reset
+			// must scrub real state, not a pristine build.
+			dirty := caseConfig(sc)
+			dirty.Seed = sc.seed + 1
+			dirty.ClosedPage = !sc.closedPage
+			dirty.MigrationLatencyNS += 20
+			pool := NewSystemPool(0)
+			sys, _, err := Build(dirty, sc.design, sc.benchmarks, caseStatic(t, dirty, sc), false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sys.pool = pool // keep the engine attached across the run
+			if _, err := sys.Run(); err != nil {
+				t.Fatalf("dirty run: %v", err)
+			}
+			pool.Put(sys)
+
+			cfg := caseConfig(sc)
+			got := pool.Get(&cfg, sc.design)
+			if got == nil {
+				t.Fatal("pool miss for same-shape config")
+			}
+			if got != sys {
+				t.Fatal("pool returned a different machine")
+			}
+			if _, err := got.Reset(cfg, sc.design, sc.benchmarks, caseStatic(t, cfg, sc), false); err != nil {
+				t.Fatalf("Reset: %v", err)
+			}
+			n, sum := digestRun(t, got, sc.name)
+			if n != freshN || sum != freshSum {
+				t.Errorf("pooled run diverged: commands=%d fnv64a=%016x, fresh commands=%d fnv64a=%016x",
+					n, sum, freshN, freshSum)
+			}
+			pool.Drain()
 		})
 	}
 }
@@ -199,6 +143,61 @@ func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 		t.Errorf("pooled trace JSON differs from fresh (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 	}
 	pool.Drain()
+}
+
+// TestPooledPublishMatchesFinalEpoch pins what the debug endpoint
+// (dasbench -http) serves for runs on recycled machines: every run's
+// published snapshot is its own final timeline epoch, even after the
+// pool rewound its machine for a later run. Sampled metrics read live
+// machine state, so re-polling them at publish time would report the
+// later run's numbers.
+func TestPooledPublishMatchesFinalEpoch(t *testing.T) {
+	s := NewSession(tinyConfig())
+	s.Parallelism = 1
+	s.Pool = NewSystemPool(0)
+	s.Observe = &ObserveOptions{Metrics: true}
+	for _, b := range []string{"mcf", "libquantum"} {
+		if _, err := s.Baseline([]string{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Pool.Stats(); st.Hits == 0 {
+		t.Fatalf("second run never reused the first run's machine: %+v", st)
+	}
+
+	pub := telemetry.NewPublisher()
+	s.PublishTo(pub)
+	rec := httptest.NewRecorder()
+	pub.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var runs []struct {
+		Run     string             `json:"run"`
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &runs); err != nil {
+		t.Fatalf("/metrics: %v\n%s", err, rec.Body.String())
+	}
+	published := make(map[string]map[string]float64)
+	for _, r := range runs {
+		published[r.Run] = r.Metrics
+	}
+	obs := s.Observers()
+	if len(obs) != 2 || len(published) != 2 {
+		t.Fatalf("%d observers, %d published runs; want 2 each", len(obs), len(published))
+	}
+	for _, o := range obs {
+		eps := o.Timeline.Epochs()
+		final := eps[len(eps)-1].Metrics
+		got := published[o.Label]
+		if len(got) != len(final) {
+			t.Errorf("%s: published %d metrics, final epoch holds %d", o.Label, len(got), len(final))
+		}
+		for _, m := range final {
+			if v, ok := got[m.Name]; !ok || v != m.Value {
+				t.Errorf("%s: published %s = %v, final epoch holds %v", o.Label, m.Name, v, m.Value)
+			}
+		}
+	}
+	s.Pool.Drain()
 }
 
 // TestPoolCapFallback pins the bounded-pool degradation path: with a

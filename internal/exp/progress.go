@@ -1,24 +1,21 @@
 package exp
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Live progress: the session's in-flight counters. The existing
 // events/instrs totals (EventsExecuted, InstrsRetired) are fed by
 // countRun at run *end* — the benchmark suite depends on that
 // end-of-run semantic — so streaming consumers get their own counters,
-// advanced from the host observation points only: the sequential run
-// loop's observeEvery stride and the parallel engine's full epoch
-// barriers. No engine event ever touches them, so a subscribed
-// progress stream cannot perturb simulation ordering (the same
-// argument as the telemetry registry, enforced end to end by the
-// byte-identity gates in check.sh).
+// advanced from the host observation points only: the run loop's
+// observeEvery stride and the end of the run. No engine event ever
+// touches them, so a subscribed progress stream cannot perturb
+// simulation ordering (the same argument as the telemetry registry,
+// enforced end to end by the byte-identity gates in check.sh).
 type liveProgress struct {
 	events atomic.Uint64
 	instrs atomic.Uint64
@@ -43,17 +40,13 @@ func (s *System) attachLive(lp *liveProgress) { s.live = lp }
 
 // syncLive folds this system's progress since the last observation into
 // the session-wide live counters. Called from the host observation
-// points only (never from engine events). Cores and engines are safe to
-// read here: sequentially we are between events, in parallel we are at
-// a full epoch barrier.
+// points only (never from engine events), so cores and the engine are
+// read between events.
 func (s *System) syncLive(now sim.Time) {
 	if s.live == nil {
 		return
 	}
 	ev := s.Eng.Executed()
-	if s.Par != nil {
-		ev = s.Par.Executed()
-	}
 	var in uint64
 	for _, c := range s.Cores {
 		in += c.RetiredTotal()
@@ -120,121 +113,4 @@ func (s *Session) DesignInstrHorizon(design core.Design, benchmarks []string) ui
 		return quota
 	}
 	return 2 * quota // baseline + design
-}
-
-// ShardUsage aggregates sim.ShardProf occupancy across a session's
-// parallel runs. The telescoping invariant survives aggregation:
-// BusyNS + WaitNS + BarrierNS == WallNS, exactly.
-type ShardUsage struct {
-	BusyNS    int64
-	WaitNS    int64
-	BarrierNS int64
-	WallNS    int64
-	Epochs    uint64
-	Mbox      [sim.MboxDepthBuckets]uint64
-}
-
-func (u *ShardUsage) add(p sim.ShardProf) {
-	u.BusyNS += p.BusyNS
-	u.WaitNS += p.WaitNS
-	u.BarrierNS += p.BarrierNS
-	u.WallNS += p.WallNS
-	u.Epochs += p.Epochs
-	for i, c := range p.Mbox {
-		u.Mbox[i] += c
-	}
-}
-
-// StallFraction is the share of the shard's wall time not spent
-// executing events: mailbox waits plus barrier drains. This is the
-// number that explains a sub-1x parallel speedup.
-func (u ShardUsage) StallFraction() float64 {
-	if u.WallNS == 0 {
-		return 0
-	}
-	return float64(u.WaitNS+u.BarrierNS) / float64(u.WallNS)
-}
-
-// ParProfile is the session-wide epoch-profiler aggregate.
-type ParProfile struct {
-	Runs int // parallel runs folded in
-	Up   ShardUsage
-	Down ShardUsage
-}
-
-// ShardProfile returns the aggregated occupancy profile of every
-// parallel run this session completed (zero value when the session ran
-// sequentially).
-func (s *Session) ShardProfile() ParProfile {
-	s.parMu.Lock()
-	defer s.parMu.Unlock()
-	return s.parProf
-}
-
-// foldPar accumulates a finished system's shard profiles into the
-// session aggregate (no-op for sequential systems).
-func (s *Session) foldPar(sys *System) {
-	if sys.Par == nil {
-		return
-	}
-	s.parMu.Lock()
-	defer s.parMu.Unlock()
-	s.parProf.Runs++
-	s.parProf.Up.add(sys.Par.Prof(0))
-	s.parProf.Down.add(sys.Par.Prof(1))
-}
-
-// ShardReport renders the session's aggregated epoch profile as a
-// figure (dasbench -parshard-report). Nanosecond columns are exact
-// accumulator values, so busy+wait+barrier can be checked against wall
-// by eye or by script; percentages are derived. Returns an error when
-// no parallel run contributed (the report would be vacuous).
-func (s *Session) ShardReport() (*Figure, error) {
-	p := s.ShardProfile()
-	if p.Runs == 0 {
-		return nil, fmt.Errorf("exp: no parallel runs profiled (need -parallel >= 2)")
-	}
-	tbl := &stats.Table{
-		Title:  "Parallel-engine shard occupancy",
-		Header: []string{"shard", "busy_ns", "wait_ns", "barrier_ns", "wall_ns", "busy", "stall", "epochs"},
-	}
-	pct := func(num, den int64) string {
-		if den == 0 {
-			return stats.Percent(0)
-		}
-		return stats.Percent(float64(num) / float64(den))
-	}
-	for _, row := range []struct {
-		name string
-		u    ShardUsage
-	}{{"up (cores/caches/mgr)", p.Up}, {"down (mc/dram)", p.Down}} {
-		u := row.u
-		tbl.AddRow(row.name,
-			fmt.Sprintf("%d", u.BusyNS), fmt.Sprintf("%d", u.WaitNS),
-			fmt.Sprintf("%d", u.BarrierNS), fmt.Sprintf("%d", u.WallNS),
-			pct(u.BusyNS, u.WallNS), stats.Percent(u.StallFraction()),
-			fmt.Sprintf("%d", u.Epochs))
-	}
-	mbox := &stats.Table{
-		Title:  "Outbound mailbox depth at epoch send",
-		Header: []string{"shard", "depth 0", "depth 1", "depth 2+"},
-	}
-	for _, row := range []struct {
-		name string
-		u    ShardUsage
-	}{{"up", p.Up}, {"down", p.Down}} {
-		var tail uint64
-		for _, c := range row.u.Mbox[2:] {
-			tail += c
-		}
-		mbox.AddRow(row.name,
-			fmt.Sprintf("%d", row.u.Mbox[0]), fmt.Sprintf("%d", row.u.Mbox[1]),
-			fmt.Sprintf("%d", tail))
-	}
-	tbl.Caption = fmt.Sprintf(
-		"Across %d parallel run(s): busy+wait+barrier sums exactly to wall per shard (telescoping laps). "+
-			"Pipeline-stall fraction (up shard wait+barrier over wall): %s.",
-		p.Runs, stats.Percent(p.Up.StallFraction()))
-	mbox.Caption = "Depth 2 (full, cap-2 channel) at send means the peer is the bottleneck; depth 0 means this shard is."
-	return &Figure{ID: "ParShard", Title: "Epoch profiler", Tables: []*stats.Table{tbl, mbox}}, nil
 }

@@ -39,63 +39,6 @@ func TestLiveProgressTracksRun(t *testing.T) {
 	}
 }
 
-// TestLiveProgressParallelMatchesSequential runs the same design
-// sequentially and on the parallel engine: final live totals must be
-// identical (the parallel engine's barrier observations feed the same
-// counters), and the parallel session must hold a shard profile whose
-// components telescope.
-func TestLiveProgressParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full runs")
-	}
-	seqCfg := tinyConfig()
-	seq := NewSession(seqCfg)
-	if _, err := seq.Run(seqCfg, core.DAS, []string{"mcf"}); err != nil {
-		t.Fatal(err)
-	}
-
-	parCfg := tinyConfig()
-	parCfg.Parallel = 2
-	par := NewSession(parCfg)
-	if _, err := par.Run(parCfg, core.DAS, []string{"mcf"}); err != nil {
-		t.Fatal(err)
-	}
-
-	if seq.LiveEvents() != par.LiveEvents() {
-		t.Fatalf("live events diverge: sequential %d, parallel %d", seq.LiveEvents(), par.LiveEvents())
-	}
-	if seq.LiveInstrs() != par.LiveInstrs() {
-		t.Fatalf("live instrs diverge: sequential %d, parallel %d", seq.LiveInstrs(), par.LiveInstrs())
-	}
-
-	if p := seq.ShardProfile(); p.Runs != 0 {
-		t.Fatalf("sequential session recorded %d parallel runs", p.Runs)
-	}
-	p := par.ShardProfile()
-	if p.Runs != 1 {
-		t.Fatalf("parallel session recorded %d runs, want 1", p.Runs)
-	}
-	for _, u := range []ShardUsage{p.Up, p.Down} {
-		if u.Epochs == 0 || u.WallNS <= 0 {
-			t.Fatalf("empty shard usage: %+v", u)
-		}
-		if sum := u.BusyNS + u.WaitNS + u.BarrierNS; sum != u.WallNS {
-			t.Fatalf("shard usage does not telescope: busy %d + wait %d + barrier %d != wall %d",
-				u.BusyNS, u.WaitNS, u.BarrierNS, u.WallNS)
-		}
-	}
-	fig, err := par.ShardReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Render() == "" {
-		t.Fatal("empty shard report")
-	}
-	if _, err := seq.ShardReport(); err == nil {
-		t.Fatal("ShardReport on a sequential session should error")
-	}
-}
-
 // TestInstrHorizonEstimates sanity-checks the ETA denominators: known
 // figures scale with the session's workload lists and quota; static
 // tables are free; design runs count baseline + design.

@@ -80,11 +80,6 @@ type Session struct {
 	// while runs are in flight (see progress.go). events/instrs above
 	// keep their end-of-run semantics; live serves watchdogs and SSE.
 	live liveProgress
-
-	// parProf aggregates the parallel engine's per-shard occupancy
-	// profiles across this session's runs (see progress.go).
-	parMu   sync.Mutex
-	parProf ParProfile
 }
 
 type resultEntry struct {
@@ -241,7 +236,6 @@ func (s *Session) Baseline(benchmarks []string) (*Result, error) {
 		e.res, e.err = sys.RunContext(s.context())
 		if e.err == nil {
 			s.observers.add(obs)
-			s.foldPar(sys)
 		}
 		s.finishRun(sys, e.err)
 		s.countRun(e.res)
@@ -301,7 +295,6 @@ func (s *Session) Run(cfg config.Config, design core.Design, benchmarks []string
 	res, err := sys.RunContext(s.context())
 	if err == nil {
 		s.observers.add(obs)
-		s.foldPar(sys)
 	}
 	s.finishRun(sys, err)
 	s.countRun(res)

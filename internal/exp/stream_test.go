@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/sim"
@@ -45,32 +46,34 @@ func streamCases() []streamCase {
 	}
 }
 
-// streamDigest runs one case with a command log attached and returns the
-// command count and the FNV-1a digest over the raw tuple stream.
-// parallel selects the execution engine (0 = sequential); the digest
-// must not depend on it (TestParallelEquivalence).
-func streamDigest(t *testing.T, sc streamCase, parallel int) (uint64, uint64) {
-	t.Helper()
+// caseConfig builds the run configuration for a stream case.
+func caseConfig(sc streamCase) config.Config {
 	cfg := tinyConfig()
 	cfg.InstrPerCore = 60_000
 	cfg.Cores = len(sc.benchmarks)
 	cfg.Seed = sc.seed
 	cfg.ClosedPage = sc.closedPage
-	cfg.Parallel = parallel
+	return cfg
+}
 
-	var static *core.StaticAssignment
-	if sc.design.Static() {
-		prof, err := ProfilePass(cfg, sc.benchmarks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		static = core.BuildStaticAssignment(prof, cfg.Geometry(), cfg.FastDenom)
+// caseStatic computes the static assignment a case needs (nil for
+// dynamic designs).
+func caseStatic(t *testing.T, cfg config.Config, sc streamCase) *core.StaticAssignment {
+	t.Helper()
+	if !sc.design.Static() {
+		return nil
 	}
-	sys, _, err := Build(cfg, sc.design, sc.benchmarks, static, false)
+	prof, err := ProfilePass(cfg, sc.benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return core.BuildStaticAssignment(prof, cfg.Geometry(), cfg.FastDenom)
+}
 
+// digestRun attaches a command log to sys, runs it, and returns the
+// command count and FNV-1a digest over the raw tuple stream.
+func digestRun(t *testing.T, sys *System, name string) (uint64, uint64) {
+	t.Helper()
 	h := fnv.New64a()
 	var buf [48]byte
 	var count uint64
@@ -85,9 +88,22 @@ func streamDigest(t *testing.T, sc streamCase, parallel int) (uint64, uint64) {
 		count++
 	})
 	if _, err := sys.Run(); err != nil {
-		t.Fatalf("%s: %v", sc.name, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	return count, h.Sum64()
+}
+
+// streamDigest builds one case fresh, runs it with a command log
+// attached and returns the command count and the FNV-1a digest over the
+// raw tuple stream.
+func streamDigest(t *testing.T, sc streamCase) (uint64, uint64) {
+	t.Helper()
+	cfg := caseConfig(sc)
+	sys, _, err := Build(cfg, sc.design, sc.benchmarks, caseStatic(t, cfg, sc), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestRun(t, sys, sc.name)
 }
 
 // TestGoldenCommandStreams pins the command-stream digest of every
@@ -96,7 +112,7 @@ func streamDigest(t *testing.T, sc streamCase, parallel int) (uint64, uint64) {
 func TestGoldenCommandStreams(t *testing.T) {
 	var b strings.Builder
 	for _, sc := range streamCases() {
-		n, sum := streamDigest(t, sc, 0)
+		n, sum := streamDigest(t, sc)
 		fmt.Fprintf(&b, "%-18s commands=%-7d fnv64a=%016x\n", sc.name, n, sum)
 	}
 	goldenCompare(t, "golden_streams.txt", b.String())

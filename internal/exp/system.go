@@ -25,12 +25,6 @@ type System struct {
 	Cfg    config.Config
 	Design core.Design
 	Eng    *sim.Engine
-	// EngMC and Par are set on parallel runs (Cfg.Parallel >= 2): the
-	// controller and device live on EngMC (the memory-side shard) and
-	// Par couples the two engines; Eng then holds only the processor
-	// side. Both are nil on sequential runs.
-	EngMC  *sim.Engine
-	Par    *sim.ParEngine
 	Cores  []*cpu.Core
 	L1s    []*cache.Cache
 	L2s    []*cache.Cache
@@ -58,8 +52,8 @@ type System struct {
 	promSnap [][2]uint64
 
 	// pool, when non-nil, owns this machine's memory lifecycle: RunContext
-	// leaves the engines attached (instead of releasing their storage to
-	// the sim pools) so the whole system can be checked back in and reused
+	// leaves the engine attached (instead of releasing its storage to the
+	// sim pools) so the whole system can be checked back in and reused
 	// via Reset.
 	pool *SystemPool
 }
@@ -82,27 +76,14 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	if err != nil {
 		return nil, nil, err
 	}
-	// On a parallel run the memory side (controller + device timing)
-	// gets its own engine; everything the processor side schedules stays
-	// on eng. Values above 2 behave identically: the decomposition has
-	// exactly two domains (see sim/par_engine.go).
-	engMC := eng
-	var par *sim.ParEngine
-	if cfg.Parallel >= 2 {
-		engMC = sim.NewEngine()
-	}
 	mcCfg := mc.Config{
 		WindowSize: cfg.WindowSize, WriteHigh: cfg.WriteHigh, WriteLow: cfg.WriteLow,
 		StarvationLimit: sim.FromNS(cfg.StarvationLimitNS),
 		ClosedPage:      cfg.ClosedPage,
 	}
-	ctl, err := mc.New(mcCfg, engMC, dev, cfg.Cores)
+	ctl, err := mc.New(mcCfg, eng, dev, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Parallel >= 2 {
-		par = sim.NewParEngine(eng, engMC, dev.MinCrossDomainLatency()/2)
-		ctl.SetShard(par.Shard(1))
 	}
 	mgrCfg, err := cfg.ManagerConfig(design)
 	if err != nil {
@@ -111,9 +92,6 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	mgr, err := core.NewManager(mgrCfg, eng, ctl, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
-	}
-	if par != nil {
-		mgr.SetShard(par.Shard(0))
 	}
 	if static != nil {
 		mgr.SetStaticAssignment(static)
@@ -145,15 +123,11 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	sys := &System{
 		Cfg: cfg, Design: design, Eng: eng,
 		LLC: llc, Mgr: mgr, Ctl: ctl, Dev: dev,
-		Par: par,
 		names:     benchmarks,
 		remaining: cfg.Cores,
 		warmupsTo: cfg.Cores,
 		missSnap:  make([][2]uint64, cfg.Cores),
 		promSnap:  make([][2]uint64, cfg.Cores),
-	}
-	if par != nil {
-		sys.EngMC = engMC
 	}
 	coreCfg := cpu.Config{
 		ClockHz: cfg.CPUGHz * 1e9, Width: cfg.Width,
@@ -192,14 +166,14 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 }
 
 // Reset rewinds a previously run system to the just-built state for
-// cfg/design/benchmarks, reusing every retained allocation: engines
-// rewind in place, the DRAM arrays, controller queues, caches, manager
+// cfg/design/benchmarks, reusing every retained allocation: the engine
+// rewinds in place, the DRAM arrays, controller queues, caches, manager
 // tables, and core structures all zero without reallocating. The
 // machine shape — design, core count, geometry, cache organization,
-// CPU pipeline, parallel mode — is pinned; Reset returns an error when
-// cfg departs from it (the SystemPool keys checkouts so this does not
-// happen on the pooled path). Sweepable knobs (timing sets, migration
-// latency, management parameters, page policy, workloads, seeds, fault
+// CPU pipeline — is pinned; Reset returns an error when cfg departs
+// from it (the SystemPool keys checkouts so this does not happen on the
+// pooled path). Sweepable knobs (timing sets, migration latency,
+// management parameters, page policy, workloads, seeds, fault
 // injection) all take effect exactly as a fresh Build would apply them.
 // Per-run attachments (observer, live progress) are dropped; re-attach
 // before running. Byte-identity with a fresh Build of the same
@@ -220,9 +194,6 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	if cfg.Cores != len(s.Cores) {
 		return nil, fmt.Errorf("exp: reset to %d cores on a %d-core system", cfg.Cores, len(s.Cores))
 	}
-	if (cfg.Parallel >= 2) != (s.Par != nil) {
-		return nil, fmt.Errorf("exp: reset cannot change the execution engine (parallel %d on a machine built otherwise)", cfg.Parallel)
-	}
 	cpuPeriod := sim.NewClockHz(cfg.CPUGHz * 1e9).Period()
 	if got, want := s.LLC.Config(), (cache.Config{
 		Name: "LLC", SizeBytes: cfg.LLCKB << 10, Assoc: cfg.LLCAssoc,
@@ -232,9 +203,6 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 		return nil, fmt.Errorf("exp: reset cannot resize the cache hierarchy (LLC %+v -> %+v)", got, want)
 	}
 	s.Eng.Reset()
-	if s.EngMC != nil {
-		s.EngMC.Reset()
-	}
 	if err := s.Dev.Reset(cfg.DRAMConfig(design)); err != nil {
 		return nil, err
 	}
@@ -245,21 +213,12 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	}); err != nil {
 		return nil, err
 	}
-	if s.Par != nil {
-		// The synchronization window derives from timing the reset may have
-		// changed (migration-latency sweeps shrink it).
-		s.Par.Reset(s.Dev.MinCrossDomainLatency() / 2)
-		s.Ctl.SetShard(s.Par.Shard(1))
-	}
 	mgrCfg, err := cfg.ManagerConfig(design)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.Mgr.Reset(mgrCfg); err != nil {
 		return nil, err
-	}
-	if s.Par != nil {
-		s.Mgr.SetShard(s.Par.Shard(0))
 	}
 	if static != nil {
 		s.Mgr.SetStaticAssignment(static)
@@ -303,16 +262,13 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	return prof, nil
 }
 
-// free returns the engines' storage to the sim pools and severs the
+// free returns the engine's storage to the sim pools and severs the
 // system from any machine pool. The system must not be run afterwards;
 // use it on machines that will not be checked back in (failed runs,
 // over-budget checkins).
 func (s *System) free() {
 	s.pool = nil
 	s.Eng.Release()
-	if s.EngMC != nil {
-		s.EngMC.Release()
-	}
 }
 
 // onWarmup snapshots per-core counters and, once every core has crossed
@@ -330,15 +286,8 @@ func (s *System) onWarmup(id int) {
 		}
 		s.LLC.ResetStats()
 		copy(s.LLC.Stats.PerCoreMisses, base) // keep per-core continuity
-		if s.Par != nil {
-			// The controller and device live on the memory-side shard;
-			// cross the reset like any other controller call so it lands
-			// at this exact position in the global event order.
-			s.Par.Shard(0).PostSync(postResetMC, s.Ctl, s.Dev)
-		} else {
-			s.Ctl.ResetStats()
-			s.Dev.ResetStats()
-		}
+		s.Ctl.ResetStats()
+		s.Dev.ResetStats()
 		promBase := make([]uint64, len(s.Cores))
 		for i := range promBase {
 			promBase[i] = perCorePromotion(s.Mgr, i)
@@ -346,13 +295,6 @@ func (s *System) onWarmup(id int) {
 		s.Mgr.ResetStats()
 		copy(s.Mgr.Stats.PerCorePromotions, promBase)
 	}
-}
-
-// postResetMC is the trampoline crossing the warm-up statistics reset
-// to the memory-side shard.
-func postResetMC(a, b any) {
-	a.(*mc.Controller).ResetStats()
-	b.(*dram.Device).ResetStats()
 }
 
 func perCorePromotion(m *core.Manager, id int) uint64 {
@@ -403,13 +345,6 @@ func (s *System) watchdog() *sim.Watchdog {
 // so this keeps the overhead unmeasurable).
 const observeEvery = 1 << 12
 
-// parCheckEvery is how many epochs pass between full-barrier
-// observations of a parallel run. Each barrier drains the two-epoch
-// pipeline, so it trades observation latency against parallelism; at 64
-// epochs (~0.5 µs simulated) observation wall-clock granularity is
-// comparable to the sequential stride.
-const parCheckEvery = 64
-
 // Run executes the measurement protocol and collects results. It fails
 // fast — with a structured error rather than corrupted results — on
 // assembly mistakes (CheckReady), invariant violations recorded by the
@@ -428,14 +363,11 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	if err := s.Mgr.CheckReady(); err != nil {
 		return nil, err
 	}
-	// Unpooled machines recycle their event queues' backing arrays into
-	// the next run's engines; a pooled machine keeps its engines attached
+	// Unpooled machines recycle their event queue's backing arrays into
+	// the next run's engine; a pooled machine keeps its engine attached
 	// so the whole system can be checked back in and rewound with Reset.
 	if s.pool == nil {
 		defer s.Eng.Release()
-		if s.EngMC != nil {
-			defer s.EngMC.Release()
-		}
 	}
 	warmup := uint64(float64(s.Cfg.InstrPerCore) * s.Cfg.WarmupFrac)
 	for _, c := range s.Cores {
@@ -448,30 +380,17 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	// long before this.
 	limit := sim.Time(s.Cfg.InstrPerCore) * 50 * sim.Nanosecond
 	wd := s.watchdog()
-	if s.Par != nil {
-		stopped, err := s.Par.Run(
-			func() bool { return s.remaining == 0 },
-			func(now sim.Time) error { return s.observe(ctx, now, wd, limit) },
-			parCheckEvery)
-		if err != nil {
-			return nil, err
-		}
-		if !stopped {
+	steps := 0
+	for s.remaining > 0 {
+		if !s.Eng.Step() {
 			return nil, s.deadlockErr()
 		}
-	} else {
-		steps := 0
-		for s.remaining > 0 {
-			if !s.Eng.Step() {
-				return nil, s.deadlockErr()
-			}
-			steps++
-			if steps&(observeEvery-1) != 0 {
-				continue
-			}
-			if err := s.observe(ctx, s.Eng.Now(), wd, limit); err != nil {
-				return nil, err
-			}
+		steps++
+		if steps&(observeEvery-1) != 0 {
+			continue
+		}
+		if err := s.observe(ctx, s.Eng.Now(), wd, limit); err != nil {
+			return nil, err
 		}
 	}
 	if err := s.Mgr.Err(); err != nil {
@@ -483,10 +402,9 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // observe is one host-driven observation: telemetry snapshot,
-// cancellation, manager failure, watchdog and the hard time ceiling. On
-// sequential runs it fires every observeEvery engine steps; on parallel
-// runs, at every full epoch barrier (both shards quiescent, so reading
-// any simulation state is safe).
+// cancellation, manager failure, watchdog and the hard time ceiling. It
+// fires every observeEvery engine steps, between events, so reading any
+// simulation state is safe.
 func (s *System) observe(ctx context.Context, now sim.Time, wd *sim.Watchdog, limit sim.Time) error {
 	s.syncLive(now)
 	s.obs.maybeSnap(int64(now))
@@ -605,9 +523,6 @@ func (s *System) collect() *Result {
 		r.DevStats.EnergyCounts(), g.Channels*g.Ranks, int64(s.Eng.Now()/sim.Nanosecond))
 	r.SimulatedNS = s.Eng.Now().NS()
 	r.Events = s.Eng.Executed()
-	if s.Par != nil {
-		r.Events = s.Par.Executed()
-	}
 	r.Faults = s.Mgr.Stats.Faults
 	if inj := s.Mgr.Faults(); inj != nil {
 		r.Injected = inj.Stats

@@ -82,12 +82,6 @@ type Controller struct {
 	// scheduler (empty for the mc_polltick polling build).
 	sched ctlSched
 
-	// shard, when non-nil, is the memory-side shard of a parallel run:
-	// completions crossing back to the processor side (read Done events,
-	// migration commits) are posted through it instead of scheduled on
-	// the local engine (see SetShard).
-	shard *sim.Shard
-
 	Stats Stats
 }
 
@@ -129,15 +123,13 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 // with their backing arrays kept (entries zeroed so released requests
 // are collectable), the per-bank window indexes and reservations clear,
 // and both per-build-tag tick schedulers re-initialize exactly as New
-// left them. Telemetry and any parallel-shard binding detach; re-attach
-// per run.
+// left them. Telemetry detaches; re-attach per run.
 func (c *Controller) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	c.cfg = cfg
 	c.tel = nil
-	c.shard = nil
 	perCore := c.Stats.PerCore
 	c.Stats = Stats{}
 	for i := range perCore {
@@ -176,17 +168,6 @@ func clearPtrs[T any](q *[]*T) {
 	clear(*q)
 	*q = (*q)[:0]
 }
-
-// SetShard marks the controller as running on the memory-side shard of
-// a parallel simulation. Everything the controller schedules for itself
-// (channel ticks, refresh) stays on its own engine; only the events it
-// owes the processor side — read completions and migration commits —
-// are posted through s so they cross domains with the sender-ordered
-// key the sequential engine would have assigned.
-func (c *Controller) SetShard(s *sim.Shard) { c.shard = s }
-
-// callFunc is the trampoline for posting a plain func() across shards.
-func callFunc(a, _ any) { a.(func())() }
 
 // Enqueue adds a translated request to its channel's queue. Writes are
 // posted: Done fires immediately.
@@ -518,11 +499,7 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			cc.unreserve(op)
 			done := op.done
 			if done != nil {
-				if sh := cc.ctl.shard; sh != nil {
-					sh.PostCall(end, callFunc, done, nil)
-				} else {
-					cc.ctl.eng.ScheduleAt(end, done)
-				}
+				cc.ctl.eng.ScheduleAt(end, done)
 			}
 			return true
 		}
@@ -790,11 +767,7 @@ func (cc *chanCtl) completeRead(req *Request, end sim.Time) {
 	}
 	if req.Done != nil {
 		req.doneKind = cc.serviceKind(req)
-		if sh := cc.ctl.shard; sh != nil {
-			sh.PostCall(end, fireDone, req, nil)
-		} else {
-			cc.ctl.eng.ScheduleCallAt(end, fireDone, req, nil)
-		}
+		cc.ctl.eng.ScheduleCallAt(end, fireDone, req, nil)
 	} else if req.Release != nil {
 		// No completion to wait for: the slot is free as soon as the
 		// column command issues.

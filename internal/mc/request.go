@@ -51,9 +51,7 @@ type Request struct {
 	// request — after Done for reads, at write issue for posted writes —
 	// so a producer recycling request storage knows exactly when reuse is
 	// safe. May be nil. Like Done it must be bound once per pooled slot,
-	// never allocated per request, or the recycling saves nothing. In a
-	// sharded run writes release on the memory-side shard while reads
-	// release on the processor side; a shared freelist needs a lock.
+	// never allocated per request, or the recycling saves nothing.
 	Release func()
 	// Trace carries the sampled flight-recorder span across the
 	// translation boundary; nil means untraced.

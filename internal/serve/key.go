@@ -134,14 +134,7 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 	if err := j.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Parallel is an execution knob, not a simulation parameter: the
-	// sharded engine produces byte-identical results (gated by the
-	// parallel equivalence suite), so requests differing only in it must
-	// share one cache entry. It stays in j.Cfg — the run honors it — but
-	// is normalized out of the identity.
-	keyCfg := j.Cfg
-	keyCfg.Parallel = 0
-	cfgJSON, err := json.Marshal(keyCfg)
+	cfgJSON, err := json.Marshal(j.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}

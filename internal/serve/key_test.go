@@ -69,15 +69,12 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatal("figure-name case/space split the cache")
 	}
 
-	// The parallel-engine knob changes execution, never results (the
-	// equivalence suite gates byte-identity), so it must not split the
-	// cache — but the job must still carry it for the run.
+	// A request from an older client may still carry the retired
+	// "parallel" execution knob; unknown config fields are ignored, so it
+	// must land on the same cache entry.
 	par := mustJob(t, Request{Figure: "7a", Config: json.RawMessage(`{"parallel":2}`)})
 	if par.Key != base.Key || par.Hash != base.Hash {
-		t.Fatalf("parallel knob split the cache:\n  %s\nvs\n  %s", par.Key, base.Key)
-	}
-	if par.Cfg.Parallel != 2 {
-		t.Fatalf("parallel knob lost in canonicalization: %d", par.Cfg.Parallel)
+		t.Fatalf("retired parallel knob split the cache:\n  %s\nvs\n  %s", par.Key, base.Key)
 	}
 }
 

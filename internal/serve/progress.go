@@ -7,9 +7,8 @@ import (
 
 // ProgressSource is what a running job exposes for streaming progress:
 // monotonic counters advanced at the simulation's host observation
-// points (the sequential observation stride and the parallel engine's
-// full epoch barriers — never engine events, so a subscribed stream
-// cannot perturb results). exp.Session implements it.
+// points (the run loop's observation stride — never engine events, so a
+// subscribed stream cannot perturb results). exp.Session implements it.
 type ProgressSource interface {
 	LiveEvents() uint64
 	LiveInstrs() uint64

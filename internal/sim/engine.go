@@ -6,7 +6,8 @@
 // bit-reproducible for a given seed.
 //
 // Determinism contract: the firing order is the strict total order
-// (at, seq), where seq is the engine-unique scheduling sequence number.
+// (at, seq), where seq is a per-engine counter incremented at every
+// schedule.
 // It is independent of the queue's internal layout, so any conforming
 // queue implementation (the default timing wheel with 4-ary overflow
 // heap, or the container/heap reference selected by the sim_refheap
@@ -42,33 +43,12 @@ func FromNS(ns float64) Time {
 // NS reports t in nanoseconds as a float.
 func (t Time) NS() float64 { return float64(t) / 1000 }
 
-// Sequence numbers encode the scheduling instant in their high bits and
-// a per-instant FIFO counter in the low bits:
-//
-//	seq = uint64(scheduling-time) << seqCounterBits | counter
-//
-// Engine time never decreases between schedules, so this order is
-// exactly the old global-counter FIFO order — goldens are unaffected —
-// while making the scheduling instant recoverable from the sequence
-// number alone. The parallel engine depends on that: a cross-shard
-// message ordered by its sender-side sequence number interleaves with a
-// receiver's local events precisely where the sequential engine would
-// have fired it, because both shards' high bits live on the same global
-// picosecond clock (see par_engine.go).
-const (
-	seqCounterBits = 20
-	seqCounterMax  = 1<<seqCounterBits - 1
-	// maxSeqInstant bounds schedulable time to 2^44 ps (~17.6 s of
-	// simulated time, ~35x the experiment watchdog ceiling).
-	maxSeqInstant = Time(1)<<(64-seqCounterBits) - 1
-)
-
 // entry is a single scheduled callback, stored by value inside the
 // event queue: scheduling allocates no per-event heap node. Exactly one
 // of fn (closure form) and cfn (bound-call form) is set.
 type entry struct {
 	at  Time
-	seq uint64 // (instant, counter) tie-break for equal timestamps; see above
+	seq uint64 // FIFO tie-break for equal timestamps
 	fn  func()
 	cfn func(a, b any)
 	a   any
@@ -95,11 +75,9 @@ func (e *entry) fire() {
 // Engine is a discrete-event simulator. The zero value is ready to use;
 // NewEngine additionally recycles queue storage from earlier engines.
 type Engine struct {
-	now    Time
-	seqAt  Time   // instant the per-instant counter belongs to
-	seqCtr uint64 // next counter value at seqAt
-	cur    uint64 // sequence number of the event currently firing
-	q      eventQueue
+	now Time
+	seq uint64 // last sequence number handed out
+	q   eventQueue
 	// Executed counts events that have fired; useful for diagnostics.
 	executed uint64
 }
@@ -129,46 +107,6 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending reports how many events are waiting to fire.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// allocSeq hands out the next sequence number: the current instant in
-// the high bits, a per-instant FIFO counter in the low bits.
-func (e *Engine) allocSeq() uint64 {
-	if e.now != e.seqAt {
-		e.seqAt, e.seqCtr = e.now, 0
-	}
-	c := e.seqCtr
-	if c > seqCounterMax {
-		panic(fmt.Sprintf("sim: more than %d events scheduled at t=%d", seqCounterMax+1, e.now))
-	}
-	if e.now > maxSeqInstant {
-		panic(fmt.Sprintf("sim: schedule beyond representable time (t=%d > %d)", e.now, maxSeqInstant))
-	}
-	e.seqCtr++
-	return uint64(e.now)<<seqCounterBits | c
-}
-
-// nextAt returns the timestamp of the earliest pending event.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.q.len() == 0 {
-		return 0, false
-	}
-	return e.q.minAt(), true
-}
-
-// peekNext exposes the (at, seq) key of the earliest pending event
-// without removing it. The parallel engine's shard loop uses this to
-// merge cross-shard messages against the local queue. The peek must be
-// non-destructive: a pop-and-restash would advance the timing wheel's
-// window base past the current time, and callbacks of messages
-// delivered before the stash fires would then push below base — the
-// exact base-retreat stranding the wheel's push comment rules out.
-func (e *Engine) peekNext() (Time, uint64, bool) {
-	if e.q.len() == 0 {
-		return 0, 0, false
-	}
-	at, seq := e.q.minKey()
-	return at, seq, true
-}
-
 // Schedule runs fn after delay.
 //
 // Invariant: delay must be non-negative. A violation panics rather than
@@ -196,7 +134,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	e.q.push(entry{at: at, seq: e.allocSeq(), fn: fn})
+	e.seq++
+	e.q.push(entry{at: at, seq: e.seq, fn: fn})
 }
 
 // ScheduleCall runs fn(a, b) after delay. This is the allocation-free
@@ -219,7 +158,8 @@ func (e *Engine) ScheduleCallAt(at Time, fn func(a, b any), a, b any) {
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	e.q.push(entry{at: at, seq: e.allocSeq(), cfn: fn, a: a, b: b})
+	e.seq++
+	e.q.push(entry{at: at, seq: e.seq, cfn: fn, a: a, b: b})
 }
 
 // Step fires the single earliest pending event and reports whether one
@@ -230,30 +170,9 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.q.pop()
 	e.now = ev.at
-	e.cur = ev.seq
 	e.executed++
 	ev.fire()
 	return true
-}
-
-// deliver executes a cross-shard message as if it were a locally
-// scheduled event: the clock advances to the delivery instant and the
-// message's sender-side key becomes the current sequence number, so any
-// events (or further messages) it schedules order exactly as they would
-// have in a sequential run. Synchronous-call messages (exec false) were
-// never engine events sequentially, so only scheduled-event messages
-// count toward Executed.
-func (e *Engine) deliver(m *xmsg) {
-	if m.at < e.now {
-		panic(fmt.Sprintf("sim: cross-shard delivery at past time %d (now %d, sent at %d)",
-			m.at, e.now, m.key>>seqCounterBits))
-	}
-	e.now = m.at
-	e.cur = m.key
-	if m.exec {
-		e.executed++
-	}
-	m.fire()
 }
 
 // RunUntil fires events in timestamp order until the queue is empty or the
@@ -261,11 +180,7 @@ func (e *Engine) deliver(m *xmsg) {
 // its current value and the last fired event (it is NOT advanced to the
 // deadline so that callers can continue running afterwards).
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		at, ok := e.nextAt()
-		if !ok || at > deadline {
-			return
-		}
+	for e.q.len() > 0 && e.q.minAt() <= deadline {
 		e.Step()
 	}
 }
@@ -282,7 +197,7 @@ func (e *Engine) Run() {
 func (e *Engine) Drain() { e.q.reset() }
 
 // Reset rewinds a retained engine to time zero for in-place reuse:
-// pending events are discarded, the clock, sequence counters and the
+// pending events are discarded, the clock, sequence counter and the
 // executed count return to their initial state, and the queue keeps its
 // backing storage attached. After Reset the engine is indistinguishable
 // from a fresh NewEngine, which is what lets a pooled system (exp
@@ -290,7 +205,7 @@ func (e *Engine) Drain() { e.q.reset() }
 func (e *Engine) Reset() {
 	e.q.reset()
 	e.q.attachPooled()
-	e.now, e.seqAt, e.seqCtr, e.cur, e.executed = 0, 0, 0, 0, 0
+	e.now, e.seq, e.executed = 0, 0, 0
 }
 
 // Release discards any pending events, returns the queue's backing

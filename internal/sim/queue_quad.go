@@ -143,24 +143,6 @@ func (q *eventQueue) minAt() Time {
 	return at
 }
 
-// minKey returns the (at, seq) key of the earliest entry without
-// removing it (queue must be non-empty). Unlike pop it leaves base
-// untouched, which matters: base advances only at real pops, keeping
-// the invariant base <= now>>wheelShift that makes every callback push
-// (at >= now) land at or above the window start. A peek that popped and
-// re-pushed would advance base past now and break that.
-func (q *eventQueue) minKey() (Time, uint64) {
-	bkt, idx, ok := q.findWheelMin()
-	if !ok {
-		return q.es[0].at, q.es[0].seq
-	}
-	e := &q.w.buckets[bkt][idx]
-	if len(q.es) > 0 && q.es[0].before(e) {
-		return q.es[0].at, q.es[0].seq
-	}
-	return e.at, e.seq
-}
-
 // push inserts e: into its wheel bucket when at falls inside the
 // sliding window, else into the overflow heap.
 //

@@ -40,8 +40,6 @@ func (q *eventQueue) len() int { return len(q.h) }
 
 func (q *eventQueue) minAt() Time { return q.h[0].at }
 
-func (q *eventQueue) minKey() (Time, uint64) { return q.h[0].at, q.h[0].seq }
-
 func (q *eventQueue) push(e entry) {
 	n := new(entry)
 	*n = e

@@ -41,9 +41,8 @@ func EncodePrometheus(w io.Writer, regs ...*Registry) error {
 	var fams []promFamily
 	seen := make(map[string]bool)
 	add := func(f promFamily) {
-		// Disjoint-name registries are the norm (the parallel engine's
-		// per-shard split); on a collision the first family wins so the
-		// output stays valid exposition format.
+		// Registries normally carry disjoint names; on a collision the
+		// first family wins so the output stays valid exposition format.
 		if seen[f.name] {
 			return
 		}

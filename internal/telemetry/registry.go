@@ -225,21 +225,6 @@ func (r *Registry) Snapshot(dst []Metric) []Metric {
 	return dst
 }
 
-// SnapshotAll appends a merged snapshot of every registry (nil entries
-// are skipped) to dst, sorted by name across all of them. The parallel
-// engine gives each shard a private registry so instruments never cross
-// goroutines; components register disjoint metric names, so the merged
-// snapshot is byte-identical to the single-registry sequential one.
-func SnapshotAll(dst []Metric, regs ...*Registry) []Metric {
-	start := len(dst)
-	for _, r := range regs {
-		dst = r.Snapshot(dst)
-	}
-	s := dst[start:]
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
-	return dst
-}
-
 // Counter is a monotonic event counter. All methods are safe on a nil
 // receiver (the disabled instrument) and allocate nothing.
 type Counter struct {

@@ -31,14 +31,12 @@ type Epoch struct {
 	Metrics []Metric
 }
 
-// Snap appends a snapshot of the given registries (merged and sorted by
-// metric name; see SnapshotAll) at simulated time atPS. Sharded runs
-// pass one registry per shard.
-func (t *Timeline) Snap(atPS int64, regs ...*Registry) {
+// Snap appends a snapshot of reg at simulated time atPS.
+func (t *Timeline) Snap(atPS int64, reg *Registry) {
 	if t == nil {
 		return
 	}
-	t.epochs = append(t.epochs, Epoch{AtPS: atPS, Metrics: SnapshotAll(nil, regs...)})
+	t.epochs = append(t.epochs, Epoch{AtPS: atPS, Metrics: reg.Snapshot(nil)})
 }
 
 // Epochs returns the recorded snapshots in simulated-time order.

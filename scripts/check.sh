@@ -50,17 +50,6 @@ cmp "$tmp_quad" "$tmp_ref"
 go run -tags mc_polltick ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_ref" 2>/dev/null
 cmp "$tmp_quad" "$tmp_ref"
 
-echo "== parallel-engine byte identity: sequential vs sharded machine"
-# The same figure once more on the channel-sharded parallel engine (two
-# OS threads under the conservative epoch protocol): rendered bytes must
-# match the sequential run exactly, at 2 and at 4 requested shards. The
-# command-stream digests behind this identity are gated per design by
-# TestParallelEquivalence in the suite above.
-go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 -parallel 2 >"$tmp_ref" 2>/dev/null
-cmp "$tmp_quad" "$tmp_ref"
-go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 -parallel 4 >"$tmp_ref" 2>/dev/null
-cmp "$tmp_quad" "$tmp_ref"
-
 echo "== machine-pool byte identity: pooled vs fresh-build machines"
 # The baseline run above reused pooled machines (the default); the same
 # figure with -nopool builds every machine from scratch. Byte-equal
@@ -109,14 +98,11 @@ awk -F',' 'NR == 1 { next }
 rm -f "$tmp_sink.req"
 
 echo "== energy report (dasbench -energy): perf-per-watt across all designs"
-# The perf-per-watt report must render deterministically (sequential vs
-# two-shard parallel engine), and enabling it alongside a figure must
-# leave that figure's bytes untouched — energy metering is pure
-# accounting, never a timing input.
+# The perf-per-watt report must render, and enabling it alongside a
+# figure must leave that figure's bytes untouched — energy metering is
+# pure accounting, never a timing input.
 go run ./cmd/dasbench -energy -benchmarks mcf -instr 200000 >"$tmp_ref" 2>/dev/null
 grep -q "Perf/watt: instructions per microjoule" "$tmp_ref"
-go run ./cmd/dasbench -energy -benchmarks mcf -instr 200000 -parallel 2 >"$tmp_obs" 2>/dev/null
-cmp "$tmp_ref" "$tmp_obs"
 go run ./cmd/dasbench -fig 7a -energy -benchmarks mcf,soplex -instr 200000 >"$tmp_obs" 2>/dev/null
 head -n "$(wc -l <"$tmp_quad")" "$tmp_obs" | cmp - "$tmp_quad"
 grep -q "Perf/watt: instructions per microjoule" "$tmp_obs"
@@ -129,11 +115,19 @@ go run ./cmd/dasbench -explain standard,das -benchmarks mcf -instr 200000 >/dev/
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
-go test -run '^$' -fuzz FuzzEpochBarrier -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... >/dev/null
+
+echo "== repository benchmark smoke (bench module tests)"
+# bench/ is a nested module (repro/bench), so the root go test ./...
+# never builds it. Its smoke suite runs every workload briefly against
+# the library API it depends on (exp.Build, exp.NewSession,
+# exp.NewSystemPool, exp.Result, the component constructors), so a
+# signature change there fails here instead of only when the benchmark
+# runs.
+(cd bench && go test ./...)
 
 echo "== bench regression gate (benchjson -compare vs BENCH_baseline.json)"
 # BenchmarkFig7a and its pooled-sweep variant at the baseline's
@@ -154,21 +148,6 @@ echo "== fault-sweep smoke (dasbench -fig faults)"
 # armed, in well under a minute.
 go run ./cmd/dasbench -fig faults -benchmarks mcf -instr 200000 >/dev/null
 
-echo "== parshard smoke (dasbench -parshard-report: epoch profiler)"
-# A two-shard run must produce the shard-occupancy report, and its
-# busy/wait/barrier columns must telescope exactly to wall per shard
-# (DESIGN.md §5.3, "Epoch profiler").
-go run ./cmd/dasbench -fig 7b -benchmarks mcf -instr 200000 \
-    -parallel 2 -parshard-report >"$tmp_sink.parshard"
-grep -q "Parallel-engine shard occupancy" "$tmp_sink.parshard"
-# Occupancy rows: shard (label)  busy_ns wait_ns barrier_ns wall_ns ...
-awk '/\(cores\/caches\/mgr\)|\(mc\/dram\)/ {
-        rows++; if ($6 + 0 == 0 || $3 + $4 + $5 != $6) bad = 1
-     }
-     END { exit (bad || rows != 2) }' "$tmp_sink.parshard" ||
-    { echo "parshard: busy+wait+barrier != wall"; exit 1; }
-rm -f "$tmp_sink.parshard"
-
 echo "== server smoke (dasserve + dasload: dedup, exactness, streaming, drain)"
 # Start dasserve on an ephemeral port, fire a duplicate-heavy dasload
 # burst, then assert the robustness contract end to end: at least one
@@ -179,8 +158,8 @@ echo "== server smoke (dasserve + dasload: dedup, exactness, streaming, drain)"
 # /metrics endpoint passes the self-contained exposition validator
 # (-check-metrics), and SIGTERM drains cleanly (dasserve exits 0). The
 # server binary is built with the race detector so the smoke also
-# covers the worker pool, the SSE subscriber paths and the parallel
-# engine's shard goroutines under real HTTP traffic.
+# covers the worker pool and the SSE subscriber paths under real HTTP
+# traffic.
 go build -race -o "$tmp_sink.serve" ./cmd/dasserve
 go build -o "$tmp_sink.load" ./cmd/dasload
 rm -f "$tmp_sink.addr"
