@@ -2,10 +2,12 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/reqtrace"
 )
 
@@ -45,13 +47,13 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 		key := resultKey(s.cfgFor(set), d, set)
 		for _, o := range s.Observers() {
 			if o.Label == key && o.Req != nil {
-				if v := o.Req.Violations(); v > 0 {
+				if l := o.Req.Latency(); l.Violations() > 0 {
 					return nil, fmt.Errorf("exp: %s: %d attribution invariant violation(s); first: %s",
-						key, v, o.Req.FirstViolation())
+						key, l.Violations(), l.FirstViolation())
 				}
-				if v := o.Req.EnergyViolations(); v > 0 {
+				if l := o.Req.Energy(); l.Violations() > 0 {
 					return nil, fmt.Errorf("exp: %s: %d energy attribution violation(s); first: %s",
-						key, v, o.Req.FirstEnergyViolation())
+						key, l.Violations(), l.FirstViolation())
 				}
 				return o.Req, nil
 			}
@@ -74,40 +76,15 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 		Title:  fmt.Sprintf("Mean per-request energy attribution (pJ): %v vs %v", a, b),
 		Header: []string{"workload", "design", "total", "conflict", "service", "refresh", "migration"},
 	}
+	latencyComps := make([]reqtrace.Component, reqtrace.NumComponents)
+	for i := range latencyComps {
+		latencyComps[i] = reqtrace.Component(i)
+	}
 	energyComps := []reqtrace.Component{
 		reqtrace.CompConflict, reqtrace.CompService, reqtrace.CompRefresh, reqtrace.CompMigration,
 	}
 	var aggA, aggB reqtrace.Aggregate
-	meanRow := func(name string, d core.Design, r *reqtrace.Recorder) {
-		row := []string{name, fmt.Sprintf("%v", d),
-			fmt.Sprintf("%d", r.Requests()), fmt.Sprintf("%.1f", r.TotalMeanNS())}
-		for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-			row = append(row, fmt.Sprintf("%.1f", r.ComponentMeanNS(c)))
-		}
-		waterfall.AddRow(row...)
-	}
-	deltaRow := func(name string, ra, rb *reqtrace.Recorder) {
-		row := []string{name, "Δ", "",
-			fmt.Sprintf("%+.1f", rb.TotalMeanNS()-ra.TotalMeanNS())}
-		for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-			row = append(row, fmt.Sprintf("%+.1f", rb.ComponentMeanNS(c)-ra.ComponentMeanNS(c)))
-		}
-		waterfall.AddRow(row...)
-	}
-	energyRow := func(name string, d core.Design, r *reqtrace.Recorder) {
-		row := []string{name, fmt.Sprintf("%v", d), fmt.Sprintf("%.1f", r.EnergyMeanPJ())}
-		for _, c := range energyComps {
-			row = append(row, fmt.Sprintf("%.1f", r.ComponentEnergyMeanPJ(c)))
-		}
-		ewaterfall.AddRow(row...)
-	}
-	energyDeltaRow := func(name string, ra, rb *reqtrace.Recorder) {
-		row := []string{name, "Δ", fmt.Sprintf("%+.1f", rb.EnergyMeanPJ()-ra.EnergyMeanPJ())}
-		for _, c := range energyComps {
-			row = append(row, fmt.Sprintf("%+.1f", rb.ComponentEnergyMeanPJ(c)-ra.ComponentEnergyMeanPJ(c)))
-		}
-		ewaterfall.AddRow(row...)
-	}
+	da, db := fmt.Sprintf("%v", a), fmt.Sprintf("%v", b)
 	for i, set := range sets {
 		ra, err := recorder(a, set)
 		if err != nil {
@@ -117,26 +94,27 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		meanRow(names[i], a, ra)
-		meanRow(names[i], b, rb)
-		deltaRow(names[i], ra, rb)
-		energyRow(names[i], a, ra)
-		energyRow(names[i], b, rb)
-		energyDeltaRow(names[i], ra, rb)
+		la, lb, ea, eb := ra.Latency(), rb.Latency(), ra.Energy(), rb.Energy()
+		waterfall.AddRow(meanRow("%.1f", la, nil, latencyComps, names[i], da, fmt.Sprintf("%d", la.Count()))...)
+		waterfall.AddRow(meanRow("%.1f", lb, nil, latencyComps, names[i], db, fmt.Sprintf("%d", lb.Count()))...)
+		waterfall.AddRow(meanRow("%+.1f", lb, la, latencyComps, names[i], "Δ", "")...)
+		ewaterfall.AddRow(meanRow("%.1f", ea, nil, energyComps, names[i], da)...)
+		ewaterfall.AddRow(meanRow("%.1f", eb, nil, energyComps, names[i], db)...)
+		ewaterfall.AddRow(meanRow("%+.1f", eb, ea, energyComps, names[i], "Δ")...)
 		ra.AddTo(&aggA)
 		rb.AddTo(&aggB)
-		quantiles.AddRow(names[i], fmt.Sprintf("%v", a),
-			fmt.Sprintf("%d", ra.TotalQuantileNS(0.50)), fmt.Sprintf("%d", ra.TotalQuantileNS(0.95)), fmt.Sprintf("%d", ra.TotalQuantileNS(0.99)))
-		quantiles.AddRow(names[i], fmt.Sprintf("%v", b),
-			fmt.Sprintf("%d", rb.TotalQuantileNS(0.50)), fmt.Sprintf("%d", rb.TotalQuantileNS(0.95)), fmt.Sprintf("%d", rb.TotalQuantileNS(0.99)))
+		quantiles.AddRow(names[i], da,
+			fmt.Sprintf("%d", la.Quantile(0.50)), fmt.Sprintf("%d", la.Quantile(0.95)), fmt.Sprintf("%d", la.Quantile(0.99)))
+		quantiles.AddRow(names[i], db,
+			fmt.Sprintf("%d", lb.Quantile(0.50)), fmt.Sprintf("%d", lb.Quantile(0.95)), fmt.Sprintf("%d", lb.Quantile(0.99)))
 	}
 	waterfall.Caption = fmt.Sprintf(
 		"Sampled 1-in-%d demand loads per core; components sum exactly to total (verified per request).",
 		s.Observe.ReqTraceN)
 	ewaterfall.Caption = "Integer-picojoule ledger per sampled request; component energies sum exactly to the request total (verified per request)."
 
-	drivers, headline := rankDrivers(a, b, &aggA, &aggB)
-	edrivers := rankEnergyDrivers(a, b, &aggA, &aggB, energyComps)
+	drivers, headline := rankDrivers(a, b, &aggA.Latency, &aggB.Latency, latencyComps)
+	edrivers := rankEnergyDrivers(a, b, &aggA.Energy, &aggB.Energy, energyComps)
 	fig := &Figure{
 		ID:    "Explain",
 		Title: fmt.Sprintf("Why %v ≠ %v: per-request latency attribution", a, b),
@@ -148,32 +126,46 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	return fig, nil
 }
 
-// rankDrivers builds the ranked component-diff table over the aggregated
-// attribution vectors and a one-line headline for the figure title.
-func rankDrivers(a, b core.Design, aggA, aggB *reqtrace.Aggregate) (*stats.Table, string) {
-	type driver struct {
-		comp         reqtrace.Component
-		meanA, meanB float64
+// meanRow returns the lead cells followed by l's mean total per record
+// and its mean for each of comps, formatted with verb. Given a base
+// ledger, each mean is instead l's minus base's (the Δ rows).
+func meanRow(verb string, l, base *telemetry.Ledger, comps []reqtrace.Component, lead ...string) []string {
+	row := append(lead, fmt.Sprintf(verb, l.Mean()-base.Mean()))
+	for _, c := range comps {
+		row = append(row, fmt.Sprintf(verb, l.PartMean(int(c))-base.PartMean(int(c))))
 	}
-	ds := make([]driver, 0, reqtrace.NumComponents)
-	for c := reqtrace.Component(0); c < reqtrace.NumComponents; c++ {
-		ds = append(ds, driver{comp: c, meanA: aggA.ComponentMeanNS(c), meanB: aggB.ComponentMeanNS(c)})
-	}
-	abs := func(f float64) float64 {
-		if f < 0 {
-			return -f
-		}
-		return f
+	return row
+}
+
+// driver is one component's mean per request under designs a and b.
+type driver struct {
+	comp         reqtrace.Component
+	meanA, meanB float64
+}
+
+// rank orders comps by how far their per-request means differ between
+// the aggregated ledgers la and lb, largest first, ties in component
+// order.
+func rank(la, lb *telemetry.Ledger, comps []reqtrace.Component) []driver {
+	ds := make([]driver, 0, len(comps))
+	for _, c := range comps {
+		ds = append(ds, driver{comp: c, meanA: la.PartMean(int(c)), meanB: lb.PartMean(int(c))})
 	}
 	sort.SliceStable(ds, func(i, j int) bool {
-		di, dj := abs(ds[i].meanB-ds[i].meanA), abs(ds[j].meanB-ds[j].meanA)
+		di, dj := math.Abs(ds[i].meanB-ds[i].meanA), math.Abs(ds[j].meanB-ds[j].meanA)
 		if di != dj {
 			return di > dj
 		}
 		return ds[i].comp < ds[j].comp
 	})
+	return ds
+}
 
-	totalA, totalB := aggA.TotalMeanNS(), aggB.TotalMeanNS()
+// rankDrivers builds the ranked component-diff table over the aggregated
+// latency ledgers and a one-line headline for the figure title.
+func rankDrivers(a, b core.Design, la, lb *telemetry.Ledger, comps []reqtrace.Component) (*stats.Table, string) {
+	ds := rank(la, lb, comps)
+	totalA, totalB := la.Mean(), lb.Mean()
 	tbl := &stats.Table{
 		Title:  fmt.Sprintf("Ranked drivers of the %v−%v difference (all workloads)", b, a),
 		Header: []string{"rank", "component", fmt.Sprintf("%v ns/req", a), fmt.Sprintf("%v ns/req", b), "Δ ns/req", "Δ% of total", fmt.Sprintf("%v share", a), fmt.Sprintf("%v share", b)},
@@ -206,32 +198,12 @@ func rankDrivers(a, b core.Design, aggA, aggB *reqtrace.Aggregate) (*stats.Table
 	return tbl, headline
 }
 
-// rankEnergyDrivers mirrors rankDrivers over the attributed-energy axis:
-// which DRAM-command components drive the per-request energy difference
-// between the two designs.
-func rankEnergyDrivers(a, b core.Design, aggA, aggB *reqtrace.Aggregate, comps []reqtrace.Component) *stats.Table {
-	type driver struct {
-		comp         reqtrace.Component
-		meanA, meanB float64
-	}
-	ds := make([]driver, 0, len(comps))
-	for _, c := range comps {
-		ds = append(ds, driver{comp: c, meanA: aggA.ComponentEnergyMeanPJ(c), meanB: aggB.ComponentEnergyMeanPJ(c)})
-	}
-	abs := func(f float64) float64 {
-		if f < 0 {
-			return -f
-		}
-		return f
-	}
-	sort.SliceStable(ds, func(i, j int) bool {
-		di, dj := abs(ds[i].meanB-ds[i].meanA), abs(ds[j].meanB-ds[j].meanA)
-		if di != dj {
-			return di > dj
-		}
-		return ds[i].comp < ds[j].comp
-	})
-	totalA, totalB := aggA.EnergyMeanPJ(), aggB.EnergyMeanPJ()
+// rankEnergyDrivers mirrors rankDrivers over the attributed-energy
+// ledgers: which DRAM-command components drive the per-request energy
+// difference between the two designs.
+func rankEnergyDrivers(a, b core.Design, ea, eb *telemetry.Ledger, comps []reqtrace.Component) *stats.Table {
+	ds := rank(ea, eb, comps)
+	totalA, totalB := ea.Mean(), eb.Mean()
 	tbl := &stats.Table{
 		Title:  fmt.Sprintf("Ranked energy drivers of the %v−%v difference (all workloads)", b, a),
 		Header: []string{"rank", "component", fmt.Sprintf("%v pJ/req", a), fmt.Sprintf("%v pJ/req", b), "Δ pJ/req", "Δ% of total"},

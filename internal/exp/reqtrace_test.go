@@ -36,16 +36,16 @@ func TestExplainInvariantHoldsOnRealRuns(t *testing.T) {
 			continue
 		}
 		recorders++
-		if o.Req.Requests() == 0 {
+		if o.Req.Latency().Count() == 0 {
 			t.Errorf("%s: recorder saw no requests", o.Label)
 		}
-		if v := o.Req.Violations(); v != 0 {
-			t.Errorf("%s: %d invariant violation(s); first: %s", o.Label, v, o.Req.FirstViolation())
+		if v := o.Req.Latency().Violations(); v != 0 {
+			t.Errorf("%s: %d invariant violation(s); first: %s", o.Label, v, o.Req.Latency().FirstViolation())
 		}
-		if v := o.Req.EnergyViolations(); v != 0 {
-			t.Errorf("%s: %d energy violation(s); first: %s", o.Label, v, o.Req.FirstEnergyViolation())
+		if v := o.Req.Energy().Violations(); v != 0 {
+			t.Errorf("%s: %d energy violation(s); first: %s", o.Label, v, o.Req.Energy().FirstViolation())
 		}
-		if o.Req.EnergySumPJ() <= 0 {
+		if o.Req.Energy().Sum() <= 0 {
 			t.Errorf("%s: no energy attributed to traced requests", o.Label)
 		}
 	}
@@ -138,10 +138,10 @@ func TestSamplingStrideReducesRequests(t *testing.T) {
 			if o.Req == nil {
 				t.Fatalf("run with ReqTraceN=%d has no recorder", n)
 			}
-			if v := o.Req.Violations(); v != 0 {
-				t.Fatalf("ReqTraceN=%d: %d violation(s): %s", n, v, o.Req.FirstViolation())
+			if v := o.Req.Latency().Violations(); v != 0 {
+				t.Fatalf("ReqTraceN=%d: %d violation(s): %s", n, v, o.Req.Latency().FirstViolation())
 			}
-			total += o.Req.Requests()
+			total += o.Req.Latency().Count()
 		}
 		return total
 	}

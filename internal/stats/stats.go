@@ -192,8 +192,8 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// CSV returns the table in RFC-4180-ish CSV form (fields quoted when
-// they contain commas or quotes).
+// CSV returns the table in RFC-4180-ish CSV form (each field through
+// CSVField).
 func (t *Table) CSV() string {
 	var b strings.Builder
 	row := func(cells []string) {
@@ -201,13 +201,7 @@ func (t *Table) CSV() string {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
+			b.WriteString(CSVField(c))
 		}
 		b.WriteByte('\n')
 	}
@@ -216,6 +210,16 @@ func (t *Table) CSV() string {
 		row(r)
 	}
 	return b.String()
+}
+
+// CSVField quotes one CSV field the RFC-4180 way when it contains a
+// comma, a double quote or a newline (doubling inner quotes), and
+// returns it unchanged otherwise.
+func CSVField(s string) string {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
 // SortedKeys returns map keys in sorted order (deterministic output).

@@ -1,9 +1,10 @@
 // Package jobtrace records service-level lifecycle spans: one span per
 // dasserve job, decomposed into canonicalize → cache probe → queue wait
 // → worker run → render with telescoping timestamps. It is the service
-// twin of internal/mc/reqtrace — the same invariant discipline (phase
-// components sum exactly to the span total, enforced at Finish) applied
-// to wall-clock job time instead of simulated request time.
+// twin of internal/telemetry/reqtrace — the same invariant discipline
+// (phase components sum exactly to the span total, checked at Finish by
+// the same telemetry.Ledger) applied to wall-clock job time instead of
+// simulated request time.
 //
 // Unlike the simulation-side telemetry (single-threaded by contract),
 // the recorder is shared across HTTP handler and worker goroutines, so
@@ -19,6 +20,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // DefaultDepth is the completed-span ring capacity used by NewRecorder
@@ -39,7 +42,7 @@ type Recorder struct {
 	last map[string]*Span // most recent completed span per key hash
 	done []*Span          // completed ring, oldest first, len <= depth
 
-	violations uint64
+	ledger telemetry.Ledger // completed spans' phases in ns; only Violations is read
 }
 
 // NewRecorder returns an enabled recorder keeping the last depth
@@ -79,7 +82,7 @@ func (r *Recorder) Violations() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.violations
+	return r.ledger.Violations()
 }
 
 // Begin starts a span at the moment the request was received. The span
@@ -171,16 +174,11 @@ func (s *Span) Finish(outcome string, bytes int) {
 	defer r.mu.Unlock()
 	s.done = r.clock()
 	s.outcome, s.bytes = outcome, bytes
-	var sum time.Duration
-	for _, d := range s.phases() {
-		if d < 0 {
-			r.violations++
-		}
-		sum += d
+	var ns [len(PhaseNames)]int64
+	for i, d := range s.phases() {
+		ns[i] = int64(d)
 	}
-	if sum != s.done.Sub(s.recv) {
-		r.violations++
-	}
+	r.ledger.Add(int(s.seq), ns[:], int64(s.done.Sub(s.recv)))
 	if r.live[s.key] == s {
 		delete(r.live, s.key)
 	}

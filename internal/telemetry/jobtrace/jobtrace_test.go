@@ -220,3 +220,27 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("completed %d spans, want 16", got)
 	}
 }
+
+// TestViolationsCountSpans: Violations counts spans, not phases. The
+// clock steps back twice inside one span, making two phases negative
+// while they still sum to the total; that is one violating span.
+func TestViolationsCountSpans(t *testing.T) {
+	// Clock reads in ms: SetClock's epoch, then recv, canon, admit,
+	// start, run and done.
+	reads := []int{0, 0, 10, 5, 2, 20, 30}
+	r := NewRecorder(8)
+	r.SetClock(func() time.Time {
+		ms := reads[0]
+		reads = reads[1:]
+		return time.Unix(1_000_000, 0).Add(time.Duration(ms) * time.Millisecond)
+	})
+	sp := r.Begin()
+	sp.StampCanon("k", "figure:7a")
+	sp.StampAdmit()
+	sp.StampStart()
+	sp.StampRun()
+	sp.Finish("done", 1)
+	if v := r.Violations(); v != 1 {
+		t.Fatalf("violations = %d, want 1 (one span with two negative phases)", v)
+	}
+}

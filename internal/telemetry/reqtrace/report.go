@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -15,79 +15,16 @@ import (
 // merges every workload of a design into one vector). The zero value is
 // ready to use.
 type Aggregate struct {
-	Requests         uint64
-	Violations       uint64
-	EnergyViolations uint64
-	totalSumPS       int64
-	compSumPS        [NumComponents]int64
-	totalHist        telemetry.Histogram
-	energySumPJ      int64
-	energyCompSumPJ  [NumComponents]int64
+	Latency, Energy telemetry.Ledger
 }
 
-// AddTo merges this recorder's aggregation into a.
+// AddTo merges this recorder's ledgers into a.
 func (r *Recorder) AddTo(a *Aggregate) {
 	if r == nil || a == nil {
 		return
 	}
-	a.Requests += r.count
-	a.Violations += r.violations
-	a.EnergyViolations += r.energyViolations
-	a.totalSumPS += r.totalSumPS
-	a.energySumPJ += r.energySumPJ
-	for i := range r.compSumPS {
-		a.compSumPS[i] += r.compSumPS[i]
-		a.energyCompSumPJ[i] += r.energyCompSumPJ[i]
-	}
-	a.totalHist.Merge(&r.totalHist)
-}
-
-// TotalMeanNS returns the mean end-to-end latency in nanoseconds.
-func (a *Aggregate) TotalMeanNS() float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.totalSumPS) / float64(a.Requests) / psPerNS
-}
-
-// ComponentMeanNS returns component c's mean per request (ns).
-func (a *Aggregate) ComponentMeanNS(c Component) float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.compSumPS[c]) / float64(a.Requests) / psPerNS
-}
-
-// TotalQuantileNS returns the merged q-quantile of end-to-end latency
-// in nanoseconds.
-func (a *Aggregate) TotalQuantileNS(q float64) uint64 {
-	return a.totalHist.Quantile(q)
-}
-
-// EnergyMeanPJ returns the mean attributed energy per request (pJ).
-func (a *Aggregate) EnergyMeanPJ() float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.energySumPJ) / float64(a.Requests)
-}
-
-// ComponentEnergyMeanPJ returns component c's mean attributed energy
-// per request (pJ).
-func (a *Aggregate) ComponentEnergyMeanPJ(c Component) float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.energyCompSumPJ[c]) / float64(a.Requests)
-}
-
-// EnergySumPJ returns the merged attributed energy (exact integer pJ).
-func (a *Aggregate) EnergySumPJ() int64 { return a.energySumPJ }
-
-// ComponentEnergySumPJ returns component c's merged attributed energy
-// (exact integer pJ).
-func (a *Aggregate) ComponentEnergySumPJ(c Component) int64 {
-	return a.energyCompSumPJ[c]
+	a.Latency.Merge(&r.lat)
+	a.Energy.Merge(&r.energy)
 }
 
 // EncodeCSV writes every recorder's waterfall as long-form CSV:
@@ -103,22 +40,12 @@ func EncodeCSV(w io.Writer, recs []*Recorder) error {
 		return err
 	}
 	for _, r := range sortedLive(recs) {
-		totalSum := float64(r.totalSumPS) / psPerNS
-		fmt.Fprintf(bw, "%s,%d,%d,%d,total,%.3f,%.3f,100.00,%d,%d,%d,%d,%.1f\n",
-			csvField(r.label), r.count, r.violations, r.energyViolations,
-			totalSum, r.TotalMeanNS(),
-			r.totalHist.Quantile(0.50), r.totalHist.Quantile(0.95), r.totalHist.Quantile(0.99),
-			r.energySumPJ, r.EnergyMeanPJ())
-		for c := Component(0); c < NumComponents; c++ {
-			share := 0.0
-			if totalSum > 0 {
-				share = 100 * r.ComponentSumNS(c) / totalSum
-			}
-			fmt.Fprintf(bw, "%s,%d,%d,%d,%v,%.3f,%.3f,%.2f,%d,%d,%d,%d,%.1f\n",
-				csvField(r.label), r.count, r.violations, r.energyViolations, c,
-				r.ComponentSumNS(c), r.ComponentMeanNS(c), share,
-				r.compHist[c].Quantile(0.50), r.compHist[c].Quantile(0.95), r.compHist[c].Quantile(0.99),
-				r.energyCompSumPJ[c], r.ComponentEnergyMeanPJ(c))
+		label := stats.CSVField(r.label)
+		for _, c := range waterfall(r) {
+			fmt.Fprintf(bw, "%s,%d,%d,%d,%s,%.3f,%.3f,%.2f,%d,%d,%d,%d,%.1f\n",
+				label, r.lat.Count(), r.lat.Violations(), r.energy.Violations(), c.Name,
+				c.SumNS, c.MeanNS, c.SharePct, c.P50NS, c.P95NS, c.P99NS,
+				c.EnergyPJ, c.EnergyMeanPJ)
 		}
 	}
 	return bw.Flush()
@@ -152,28 +79,12 @@ type runJSON struct {
 func EncodeJSON(w io.Writer, recs []*Recorder) error {
 	out := make([]runJSON, 0, len(recs))
 	for _, r := range sortedLive(recs) {
-		totalSum := float64(r.totalSumPS) / psPerNS
-		doc := runJSON{
-			Run: r.label, Requests: r.count, Violations: r.violations,
-			EnergyViolations: r.energyViolations,
-			Total: componentJSON{
-				Name: "total", SumNS: totalSum, MeanNS: r.TotalMeanNS(), SharePct: 100,
-				P50NS: r.totalHist.Quantile(0.50), P95NS: r.totalHist.Quantile(0.95), P99NS: r.totalHist.Quantile(0.99),
-				EnergyPJ: r.energySumPJ, EnergyMeanPJ: r.EnergyMeanPJ(),
-			},
-		}
-		for c := Component(0); c < NumComponents; c++ {
-			share := 0.0
-			if totalSum > 0 {
-				share = 100 * r.ComponentSumNS(c) / totalSum
-			}
-			doc.Components = append(doc.Components, componentJSON{
-				Name: c.String(), SumNS: r.ComponentSumNS(c), MeanNS: r.ComponentMeanNS(c), SharePct: share,
-				P50NS: r.compHist[c].Quantile(0.50), P95NS: r.compHist[c].Quantile(0.95), P99NS: r.compHist[c].Quantile(0.99),
-				EnergyPJ: r.energyCompSumPJ[c], EnergyMeanPJ: r.ComponentEnergyMeanPJ(c),
-			})
-		}
-		out = append(out, doc)
+		rows := waterfall(r)
+		out = append(out, runJSON{
+			Run: r.label, Requests: r.lat.Count(), Violations: r.lat.Violations(),
+			EnergyViolations: r.energy.Violations(),
+			Total:            rows[0], Components: rows[1:],
+		})
 	}
 	enc, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -182,6 +93,32 @@ func EncodeJSON(w io.Writer, recs []*Recorder) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
+}
+
+// waterfall returns r's attribution rows: the total, then one row per
+// component.
+func waterfall(r *Recorder) []componentJSON {
+	lat, en := &r.lat, &r.energy
+	totalSum := float64(lat.Sum()) / psPerNS
+	rows := []componentJSON{{
+		Name: "total", SumNS: totalSum, MeanNS: lat.Mean(), SharePct: 100,
+		P50NS: lat.Quantile(0.50), P95NS: lat.Quantile(0.95), P99NS: lat.Quantile(0.99),
+		EnergyPJ: en.Sum(), EnergyMeanPJ: en.Mean(),
+	}}
+	for c := Component(0); c < NumComponents; c++ {
+		i := int(c)
+		sum := float64(lat.PartSum(i)) / psPerNS
+		share := 0.0
+		if totalSum > 0 {
+			share = 100 * sum / totalSum
+		}
+		rows = append(rows, componentJSON{
+			Name: c.String(), SumNS: sum, MeanNS: lat.PartMean(i), SharePct: share,
+			P50NS: lat.PartQuantile(i, 0.50), P95NS: lat.PartQuantile(i, 0.95), P99NS: lat.PartQuantile(i, 0.99),
+			EnergyPJ: en.PartSum(i), EnergyMeanPJ: en.PartMean(i),
+		})
+	}
+	return rows
 }
 
 // sortedLive returns the non-nil recorders sorted by label.
@@ -194,13 +131,4 @@ func sortedLive(recs []*Recorder) []*Recorder {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].label < live[j].label })
 	return live
-}
-
-// csvField quotes a CSV field when it needs it (labels may contain
-// commas from sweep keys).
-func csvField(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }

@@ -24,9 +24,9 @@
 // Alongside latency, every stamp that corresponds to a DRAM command
 // carries that command's energy in integer picojoules (priced by
 // internal/energy through the device). The span accumulates the energy
-// twice — once into the per-component ledger and once into an
-// independent running total — and Finish checks the two agree exactly,
-// mirroring the latency telescoping invariant: a new stamp site that
+// twice — once into its component and once into an independent running
+// total — and Finish checks the two agree exactly through the same
+// telemetry.Ledger primitive as the latency: a new stamp site that
 // updates one side but not the other is caught as a counted violation
 // rather than a silent attribution hole. Blocking commands (refresh,
 // migration) attribute their full command energy to each sampled
@@ -113,15 +113,14 @@ type Span struct {
 	migCredit sim.Time // migration windows overlapping the queue wait
 	bankTID   int      // serving bank's trace track (-1 until the burst)
 
-	// Energy ledger (integer picojoules). Each stamp adds its command's
-	// energy to the matching component field AND to eTotalPJ; Finish
-	// verifies the component sum equals eTotalPJ exactly.
-	ePrePJ   int64 // conflict precharges issued for this request
-	eActPJ   int64 // activations issued for this request
-	eRdPJ    int64 // the column read burst
-	eRefPJ   int64 // refresh commands that blocked this request
-	eMigPJ   int64 // migration swaps that blocked this request
-	eTotalPJ int64 // independent running total of all of the above
+	// Energy ledger (integer picojoules) over the latency component
+	// axis. Only DRAM-command components carry energy: conflict is the
+	// closing precharges, service the activations plus the burst,
+	// refresh/migration the blocking commands credited to the wait. Each
+	// stamp adds its command's energy to its component AND to eTotalPJ;
+	// Finish verifies the component sum equals eTotalPJ exactly.
+	ePJ      [NumComponents]int64
+	eTotalPJ int64
 }
 
 // reset re-arms a pooled span for a new request.
@@ -167,7 +166,7 @@ func (sp *Span) StampPre(t sim.Time, pj int64) {
 	if sp.preAt == unset {
 		sp.preAt = t
 	}
-	sp.ePrePJ += pj
+	sp.ePJ[CompConflict] += pj
 	sp.eTotalPJ += pj
 }
 
@@ -178,7 +177,7 @@ func (sp *Span) StampPre(t sim.Time, pj int64) {
 func (sp *Span) StampAct(t sim.Time, pj int64) {
 	if sp != nil {
 		sp.actAt = t
-		sp.eActPJ += pj
+		sp.ePJ[CompService] += pj
 		sp.eTotalPJ += pj
 	}
 }
@@ -189,7 +188,7 @@ func (sp *Span) StampRead(t, end sim.Time, pj int64) {
 	if sp != nil && sp.rdAt == unset {
 		sp.rdAt = t
 		sp.burstEnd = end
-		sp.eRdPJ += pj
+		sp.ePJ[CompService] += pj
 		sp.eTotalPJ += pj
 	}
 }
@@ -199,7 +198,7 @@ func (sp *Span) StampRead(t, end sim.Time, pj int64) {
 func (sp *Span) CreditRefresh(d sim.Time, pj int64) {
 	if sp != nil {
 		sp.refCredit += d
-		sp.eRefPJ += pj
+		sp.ePJ[CompRefresh] += pj
 		sp.eTotalPJ += pj
 	}
 }
@@ -209,7 +208,7 @@ func (sp *Span) CreditRefresh(d sim.Time, pj int64) {
 func (sp *Span) CreditMigration(d sim.Time, pj int64) {
 	if sp != nil {
 		sp.migCredit += d
-		sp.eMigPJ += pj
+		sp.ePJ[CompMigration] += pj
 		sp.eTotalPJ += pj
 	}
 }
@@ -230,9 +229,9 @@ func (sp *Span) SetBankTID(tid int) {
 	}
 }
 
-// breakdown decomposes the span's end-to-end latency. The decomposition
-// telescopes over the stamped transitions, so the components sum to
-// done-issued exactly:
+// breakdown decomposes the span's end-to-end latency in picoseconds.
+// The decomposition telescopes over the stamped transitions, so the
+// components sum to done-issued exactly:
 //
 //	hit/merged:  cache = merged-issued, fill = done-merged
 //	serviced:    cache|xlat up to enqueue, queue/refresh/migration up to
@@ -245,20 +244,20 @@ func (sp *Span) SetBankTID(tid int) {
 // clamp is defensive: if an attribution bug ever over-credits, the
 // credits are reduced deterministically rather than driving the queue
 // component negative.
-func (sp *Span) breakdown(done sim.Time) (comps [NumComponents]sim.Time, total sim.Time) {
-	total = done - sp.issued
+func (sp *Span) breakdown(done sim.Time) (comps [NumComponents]int64, total int64) {
+	total = int64(done - sp.issued)
 	switch {
 	case sp.mergedAt != unset:
-		comps[CompCache] = sp.mergedAt - sp.issued
-		comps[CompFill] = done - sp.mergedAt
+		comps[CompCache] = int64(sp.mergedAt - sp.issued)
+		comps[CompFill] = int64(done - sp.mergedAt)
 	case sp.enqAt == unset:
 		comps[CompCache] = total
 	default:
 		if sp.xlatAt != unset {
-			comps[CompCache] = sp.xlatAt - sp.issued
-			comps[CompXlat] = sp.enqAt - sp.xlatAt
+			comps[CompCache] = int64(sp.xlatAt - sp.issued)
+			comps[CompXlat] = int64(sp.enqAt - sp.xlatAt)
 		} else {
-			comps[CompCache] = sp.enqAt - sp.issued
+			comps[CompCache] = int64(sp.enqAt - sp.issued)
 		}
 		first, open := sp.rdAt, sp.rdAt
 		if sp.actAt != unset {
@@ -266,7 +265,7 @@ func (sp *Span) breakdown(done sim.Time) (comps [NumComponents]sim.Time, total s
 		}
 		if sp.preAt != unset {
 			first = sp.preAt
-			comps[CompConflict] = open - sp.preAt
+			comps[CompConflict] = int64(open - sp.preAt)
 		}
 		wait := first - sp.enqAt
 		ref, mig := sp.refCredit, sp.migCredit
@@ -276,34 +275,18 @@ func (sp *Span) breakdown(done sim.Time) (comps [NumComponents]sim.Time, total s
 		if mig > wait-ref {
 			mig = wait - ref
 		}
-		comps[CompRefresh] = ref
-		comps[CompMigration] = mig
-		comps[CompQueue] = wait - ref - mig
-		comps[CompService] = sp.burstEnd - open
-		comps[CompFill] = done - sp.burstEnd
+		comps[CompRefresh] = int64(ref)
+		comps[CompMigration] = int64(mig)
+		comps[CompQueue] = int64(wait - ref - mig)
+		comps[CompService] = int64(sp.burstEnd - open)
+		comps[CompFill] = int64(done - sp.burstEnd)
 	}
 	return comps, total
 }
 
-// energyBreakdown decomposes the span's DRAM energy over the same
-// component axis as the latency decomposition. Only components that
-// correspond to DRAM commands carry energy (cache/xlat/queue/fill are
-// SRAM/bookkeeping time the model does not price, so they are zero):
-// conflict is the closing precharges, service is the activation plus
-// the burst, refresh/migration are the blocking commands credited to
-// the wait.
-func (sp *Span) energyBreakdown() (comps [NumComponents]int64, total int64) {
-	comps[CompConflict] = sp.ePrePJ
-	comps[CompService] = sp.eActPJ + sp.eRdPJ
-	comps[CompRefresh] = sp.eRefPJ
-	comps[CompMigration] = sp.eMigPJ
-	return comps, sp.eTotalPJ
-}
-
 // Recorder owns one run's spans: the pool, the sampling parameters, and
-// the per-component aggregation the waterfall reports render. Like a
-// Registry it belongs to one single-threaded simulated system and needs
-// no locking.
+// the two ledgers the waterfall reports render. Like a Registry it
+// belongs to one single-threaded simulated system and needs no locking.
 type Recorder struct {
 	label   string
 	sampleN uint64
@@ -315,21 +298,8 @@ type Recorder struct {
 
 	pool []*Span
 
-	count      uint64
-	totalSumPS int64
-	compSumPS  [NumComponents]int64
-	totalHist  telemetry.Histogram
-	compHist   [NumComponents]telemetry.Histogram
-	violations uint64
-	firstBad   string
-
-	// Energy aggregation (integer picojoules) over the same component
-	// axis, with its own violation counter for the ledger-vs-total check.
-	energySumPJ      int64
-	energyCompSumPJ  [NumComponents]int64
-	energyHist       telemetry.Histogram
-	energyViolations uint64
-	firstBadEnergy   string
+	lat    telemetry.Ledger // end-to-end latency over the components (ps, reported in ns)
+	energy telemetry.Ledger // attributed DRAM energy over the same axis (pJ)
 }
 
 // NewRecorder builds a recorder tracing one in sampleN demand loads per
@@ -340,7 +310,11 @@ func NewRecorder(label string, sampleN int, seed uint64) *Recorder {
 	if sampleN < 1 {
 		sampleN = 1
 	}
-	return &Recorder{label: label, sampleN: uint64(sampleN), seed: seed}
+	return &Recorder{
+		label: label, sampleN: uint64(sampleN), seed: seed,
+		lat:    telemetry.Ledger{Src: "core", Unit: "ps", Div: psPerNS},
+		energy: telemetry.Ledger{Src: "core", Unit: "pJ"},
+	}
 }
 
 // Label returns the run label.
@@ -385,68 +359,17 @@ func (r *Recorder) Begin(core int, at sim.Time) *Span {
 	return sp
 }
 
-// Finish completes a span at time done: the latency is decomposed,
-// verified against the sum invariant, aggregated, emitted to the trace,
-// and the record returned to the pool. The caller must drop its span
-// pointer afterwards.
+// Finish completes a span at time done: its latency and energy
+// decompositions are checked and aggregated by the two ledgers, the
+// request is emitted to the trace, and the record returns to the pool.
+// The caller must drop its span pointer afterwards.
 func (r *Recorder) Finish(sp *Span, done sim.Time) {
 	comps, total := sp.breakdown(done)
-	var sum sim.Time
-	bad := false
-	for _, c := range comps {
-		sum += c
-		if c < 0 {
-			bad = true
-		}
-	}
-	if sum != total {
-		bad = true
-	}
-	if bad {
-		r.violations++
-		if r.firstBad == "" {
-			r.firstBad = fmt.Sprintf(
-				"core %d issued=%dps done=%dps total=%dps sum=%dps components=%v",
-				sp.core, int64(sp.issued), int64(done), int64(total), int64(sum), comps)
-		}
-	}
-	ecomps, etotal := sp.energyBreakdown()
-	var esum int64
-	ebad := false
-	for _, e := range ecomps {
-		esum += e
-		if e < 0 {
-			ebad = true
-		}
-	}
-	if esum != etotal || etotal < 0 {
-		ebad = true
-	}
-	if ebad {
-		r.energyViolations++
-		if r.firstBadEnergy == "" {
-			r.firstBadEnergy = fmt.Sprintf(
-				"core %d total=%dpJ sum=%dpJ components=%v",
-				sp.core, etotal, esum, ecomps)
-		}
-	}
-	r.count++
-	r.totalSumPS += int64(total)
-	r.totalHist.Observe(nonNegNS(total))
-	for i := range comps {
-		r.compSumPS[i] += int64(comps[i])
-		r.compHist[i].Observe(nonNegNS(comps[i]))
-	}
-	r.energySumPJ += etotal
-	if etotal >= 0 {
-		r.energyHist.Observe(uint64(etotal))
-	}
-	for i, e := range ecomps {
-		r.energyCompSumPJ[i] += e
-	}
+	r.lat.Add(sp.core, comps[:], total)
+	r.energy.Add(sp.core, sp.ePJ[:], sp.eTotalPJ)
 	if r.trace != nil {
 		tid := r.trackBase + sp.core
-		r.trace.Duration("REQ", int64(sp.issued), int64(done-sp.issued), tid, -1)
+		r.trace.Duration("REQ", int64(sp.issued), total, tid, -1)
 		if sp.rdAt != unset && sp.bankTID >= 0 {
 			r.flowSeq++
 			r.trace.FlowStart("req", int64(sp.rdAt), tid, r.flowSeq)
@@ -456,141 +379,23 @@ func (r *Recorder) Finish(sp *Span, done sim.Time) {
 	r.pool = append(r.pool, sp)
 }
 
-// nonNegNS converts a component to whole nanoseconds, clamping the
-// (violation-counted) negative case so histogram buckets stay sane.
-func nonNegNS(t sim.Time) uint64 {
-	if t < 0 {
-		return 0
-	}
-	return uint64(t / sim.Nanosecond)
-}
-
-// Requests reports finished spans.
-func (r *Recorder) Requests() uint64 {
+// Latency returns the per-request latency ledger: components recorded
+// in picoseconds, means and quantiles reported in nanoseconds. It is nil
+// on a nil recorder, and every Ledger accessor is nil-safe.
+func (r *Recorder) Latency() *telemetry.Ledger {
 	if r == nil {
-		return 0
+		return nil
 	}
-	return r.count
+	return &r.lat
 }
 
-// Violations reports spans whose components failed the sum invariant.
-func (r *Recorder) Violations() uint64 {
+// Energy returns the per-request attributed-energy ledger in integer
+// picojoules (nil on a nil recorder).
+func (r *Recorder) Energy() *telemetry.Ledger {
 	if r == nil {
-		return 0
+		return nil
 	}
-	return r.violations
-}
-
-// FirstViolation describes the first invariant failure ("" when none).
-func (r *Recorder) FirstViolation() string {
-	if r == nil {
-		return ""
-	}
-	return r.firstBad
-}
-
-// EnergyViolations reports spans whose energy ledger disagreed with the
-// independently accumulated energy total.
-func (r *Recorder) EnergyViolations() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyViolations
-}
-
-// FirstEnergyViolation describes the first energy-invariant failure
-// ("" when none).
-func (r *Recorder) FirstEnergyViolation() string {
-	if r == nil {
-		return ""
-	}
-	return r.firstBadEnergy
-}
-
-// EnergySumPJ returns the total attributed energy across finished spans
-// in exact integer picojoules.
-func (r *Recorder) EnergySumPJ() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.energySumPJ
-}
-
-// EnergyMeanPJ returns the mean attributed energy per request (pJ).
-func (r *Recorder) EnergyMeanPJ() float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.energySumPJ) / float64(r.count)
-}
-
-// ComponentEnergySumPJ returns component c's attributed energy across
-// finished spans in exact integer picojoules.
-func (r *Recorder) ComponentEnergySumPJ(c Component) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyCompSumPJ[c]
-}
-
-// ComponentEnergyMeanPJ returns component c's mean attributed energy
-// per request (pJ).
-func (r *Recorder) ComponentEnergyMeanPJ(c Component) float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.energyCompSumPJ[c]) / float64(r.count)
-}
-
-// EnergyQuantilePJ returns the q-quantile of per-request attributed
-// energy in picojoules (log2-bucket upper bound).
-func (r *Recorder) EnergyQuantilePJ(q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.energyHist.Quantile(q)
-}
-
-// TotalMeanNS returns the mean end-to-end latency in nanoseconds.
-func (r *Recorder) TotalMeanNS() float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.totalSumPS) / float64(r.count) / psPerNS
-}
-
-// ComponentMeanNS returns component c's mean contribution per request
-// in nanoseconds.
-func (r *Recorder) ComponentMeanNS(c Component) float64 {
-	if r == nil || r.count == 0 {
-		return 0
-	}
-	return float64(r.compSumPS[c]) / float64(r.count) / psPerNS
-}
-
-// ComponentSumNS returns component c's total across requests (ns).
-func (r *Recorder) ComponentSumNS(c Component) float64 {
-	if r == nil {
-		return 0
-	}
-	return float64(r.compSumPS[c]) / psPerNS
-}
-
-// TotalQuantileNS returns the q-quantile of end-to-end latency in
-// nanoseconds (log2-bucket upper bound; see telemetry.Histogram).
-func (r *Recorder) TotalQuantileNS(q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.totalHist.Quantile(q)
-}
-
-// ComponentQuantileNS returns the q-quantile of component c (ns).
-func (r *Recorder) ComponentQuantileNS(c Component, q float64) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.compHist[c].Quantile(q)
+	return &r.energy
 }
 
 const psPerNS = 1000

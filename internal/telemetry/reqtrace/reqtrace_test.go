@@ -8,13 +8,19 @@ import (
 	"repro/internal/telemetry"
 )
 
+// componentNS returns component c's latency sum across r's requests in
+// nanoseconds.
+func componentNS(r *Recorder, c Component) float64 {
+	return float64(r.Latency().PartSum(int(c))) / psPerNS
+}
+
 // finishAndCheck finishes sp and asserts the sum invariant held.
 func finishAndCheck(t *testing.T, r *Recorder, sp *Span, done sim.Time) {
 	t.Helper()
-	before := r.Violations()
+	before := r.Latency().Violations()
 	r.Finish(sp, done)
-	if r.Violations() != before {
-		t.Fatalf("invariant violation: %s", r.FirstViolation())
+	if r.Latency().Violations() != before {
+		t.Fatalf("invariant violation: %s", r.Latency().FirstViolation())
 	}
 }
 
@@ -23,10 +29,10 @@ func TestBreakdownCacheHit(t *testing.T) {
 	sp := r.Begin(0, sim.FromNS(100))
 	// No stamps at all: the request hit a cache level.
 	finishAndCheck(t, r, sp, sim.FromNS(104))
-	if got := r.ComponentSumNS(CompCache); got != 4 {
+	if got := componentNS(r, CompCache); got != 4 {
 		t.Fatalf("cache hit: cache component = %v ns, want 4", got)
 	}
-	if got := r.TotalMeanNS(); got != 4 {
+	if got := r.Latency().Mean(); got != 4 {
 		t.Fatalf("total mean = %v ns, want 4", got)
 	}
 }
@@ -37,7 +43,7 @@ func TestBreakdownCoalesced(t *testing.T) {
 	sp.StampMerge(sim.FromNS(10))
 	sp.StampMerge(sim.FromNS(25)) // second merge must not win
 	finishAndCheck(t, r, sp, sim.FromNS(80))
-	if c, f := r.ComponentSumNS(CompCache), r.ComponentSumNS(CompFill); c != 10 || f != 70 {
+	if c, f := componentNS(r, CompCache), componentNS(r, CompFill); c != 10 || f != 70 {
 		t.Fatalf("coalesced: cache=%v fill=%v, want 10/70", c, f)
 	}
 }
@@ -65,7 +71,7 @@ func TestBreakdownFullServicePath(t *testing.T) {
 	}
 	var sum float64
 	for c, w := range want {
-		if got := r.ComponentSumNS(c); got != w {
+		if got := componentNS(r, c); got != w {
 			t.Fatalf("%v = %v ns, want %v", c, got, w)
 		}
 		sum += w
@@ -75,8 +81,8 @@ func TestBreakdownFullServicePath(t *testing.T) {
 	}
 	// The energy ledger must telescope too: per-component sums reproduce
 	// the independently accumulated total, with zero violations.
-	if r.EnergyViolations() != 0 {
-		t.Fatalf("energy violation: %s", r.FirstEnergyViolation())
+	if r.Energy().Violations() != 0 {
+		t.Fatalf("energy violation: %s", r.Energy().FirstViolation())
 	}
 	wantE := map[Component]int64{
 		CompConflict:  75,
@@ -86,15 +92,15 @@ func TestBreakdownFullServicePath(t *testing.T) {
 	}
 	var esum int64
 	for c := Component(0); c < NumComponents; c++ {
-		if got := r.ComponentEnergySumPJ(c); got != wantE[c] {
+		if got := r.Energy().PartSum(int(c)); got != wantE[c] {
 			t.Fatalf("%v energy = %d pJ, want %d", c, got, wantE[c])
 		}
-		esum += r.ComponentEnergySumPJ(c)
+		esum += r.Energy().PartSum(int(c))
 	}
-	if esum != r.EnergySumPJ() || r.EnergySumPJ() != 1435 {
-		t.Fatalf("energy sum = %d pJ, total = %d pJ, want both 1435", esum, r.EnergySumPJ())
+	if esum != r.Energy().Sum() || r.Energy().Sum() != 1435 {
+		t.Fatalf("energy sum = %d pJ, total = %d pJ, want both 1435", esum, r.Energy().Sum())
 	}
-	if got := r.EnergyMeanPJ(); got != 1435 {
+	if got := r.Energy().Mean(); got != 1435 {
 		t.Fatalf("energy mean = %v pJ, want 1435", got)
 	}
 }
@@ -106,10 +112,10 @@ func TestBreakdownRowHit(t *testing.T) {
 	// Row already open: straight to the column read, no PRE/ACT.
 	sp.StampRead(sim.FromNS(40), sim.FromNS(55), 110)
 	finishAndCheck(t, r, sp, sim.FromNS(60))
-	if q, s := r.ComponentSumNS(CompQueue), r.ComponentSumNS(CompService); q != 30 || s != 15 {
+	if q, s := componentNS(r, CompQueue), componentNS(r, CompService); q != 30 || s != 15 {
 		t.Fatalf("row hit: queue=%v service=%v, want 30/15", q, s)
 	}
-	if c := r.ComponentSumNS(CompConflict); c != 0 {
+	if c := componentNS(r, CompConflict); c != 0 {
 		t.Fatalf("row hit: conflict=%v, want 0", c)
 	}
 }
@@ -125,19 +131,19 @@ func TestBreakdownLastActWins(t *testing.T) {
 	sp.StampRead(sim.FromNS(90), sim.FromNS(100), 110)
 	finishAndCheck(t, r, sp, sim.FromNS(100))
 	// Conflict extends from the first PRE to the final ACT.
-	if c := r.ComponentSumNS(CompConflict); c != 70 {
+	if c := componentNS(r, CompConflict); c != 70 {
 		t.Fatalf("conflict = %v ns, want 70", c)
 	}
-	if s := r.ComponentSumNS(CompService); s != 20 {
+	if s := componentNS(r, CompService); s != 20 {
 		t.Fatalf("service = %v ns, want 20", s)
 	}
 	// Both activations' energy accumulates even though only the last ACT
 	// time wins.
-	if got := r.ComponentEnergySumPJ(CompService); got != 410 {
+	if got := r.Energy().PartSum(int(CompService)); got != 410 {
 		t.Fatalf("service energy = %d pJ, want 410 (two ACTs + RD)", got)
 	}
-	if r.EnergyViolations() != 0 {
-		t.Fatalf("energy violation: %s", r.FirstEnergyViolation())
+	if r.Energy().Violations() != 0 {
+		t.Fatalf("energy violation: %s", r.Energy().FirstViolation())
 	}
 }
 
@@ -150,22 +156,22 @@ func TestCreditClampKeepsQueueNonNegative(t *testing.T) {
 	sp.CreditMigration(sim.FromNS(500), 300)
 	sp.StampRead(sim.FromNS(50), sim.FromNS(60), 110)
 	finishAndCheck(t, r, sp, sim.FromNS(60))
-	if q := r.ComponentSumNS(CompQueue); q != 0 {
+	if q := componentNS(r, CompQueue); q != 0 {
 		t.Fatalf("queue = %v ns, want 0 after clamp", q)
 	}
-	if ref := r.ComponentSumNS(CompRefresh); ref != 40 {
+	if ref := componentNS(r, CompRefresh); ref != 40 {
 		t.Fatalf("refresh clamped to %v ns, want 40 (the whole wait)", ref)
 	}
-	if mig := r.ComponentSumNS(CompMigration); mig != 0 {
+	if mig := componentNS(r, CompMigration); mig != 0 {
 		t.Fatalf("migration = %v ns, want 0 (refresh consumed the wait)", mig)
 	}
 	// Time credits clamp; energy does not (the blocking commands really
 	// did spend those joules), so the ledger still telescopes.
-	if ref, mig := r.ComponentEnergySumPJ(CompRefresh), r.ComponentEnergySumPJ(CompMigration); ref != 800 || mig != 300 {
+	if ref, mig := r.Energy().PartSum(int(CompRefresh)), r.Energy().PartSum(int(CompMigration)); ref != 800 || mig != 300 {
 		t.Fatalf("credit energy = %d/%d pJ, want 800/300 (unclamped)", ref, mig)
 	}
-	if r.EnergyViolations() != 0 {
-		t.Fatalf("energy violation: %s", r.FirstEnergyViolation())
+	if r.Energy().Violations() != 0 {
+		t.Fatalf("energy violation: %s", r.Energy().FirstViolation())
 	}
 }
 
@@ -174,11 +180,11 @@ func TestViolationCountedNotPanicked(t *testing.T) {
 	sp := r.Begin(0, sim.FromNS(100))
 	// done before issue: impossible, must be flagged.
 	r.Finish(sp, sim.FromNS(50))
-	if r.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1", r.Violations())
+	if r.Latency().Violations() != 1 {
+		t.Fatalf("violations = %d, want 1", r.Latency().Violations())
 	}
-	if r.FirstViolation() == "" || !strings.Contains(r.FirstViolation(), "core 0") {
-		t.Fatalf("first violation = %q", r.FirstViolation())
+	if r.Latency().FirstViolation() == "" || !strings.Contains(r.Latency().FirstViolation(), "core 0") {
+		t.Fatalf("first violation = %q", r.Latency().FirstViolation())
 	}
 }
 
@@ -220,8 +226,37 @@ func TestSpanPoolRecycles(t *testing.T) {
 		t.Fatal("recycled span still looks enqueued")
 	}
 	finishAndCheck(t, r, sp2, sim.FromNS(30))
-	if r.Requests() != 2 {
-		t.Fatalf("requests = %d, want 2", r.Requests())
+	if r.Latency().Count() != 2 {
+		t.Fatalf("requests = %d, want 2", r.Latency().Count())
+	}
+}
+
+// TestTracedRequestAllocatesNothing holds DESIGN.md §8's promise that
+// steady-state tracing allocates nothing: with the span pool warm and no
+// trace attached, a request stamped at every site and finished costs
+// zero allocations. The ledgers must not make Finish's component array
+// escape.
+func TestTracedRequestAllocatesNothing(t *testing.T) {
+	r := NewRecorder("run", 1, 42)
+	request := func() {
+		sp := r.Begin(0, sim.FromNS(0))
+		sp.StampMerge(sim.FromNS(5))
+		sp.StampXlat(sim.FromNS(20))
+		sp.StampEnqueue(sim.FromNS(50))
+		sp.CreditRefresh(sim.FromNS(30), 800)
+		sp.CreditMigration(sim.FromNS(10), 300)
+		sp.StampPre(sim.FromNS(150), 75)
+		sp.StampAct(sim.FromNS(165), 150)
+		sp.StampRead(sim.FromNS(180), sim.FromNS(195), 110)
+		sp.SetBankTID(7)
+		r.Finish(sp, sim.FromNS(200))
+	}
+	request() // warm the span pool and size the ledgers
+	if allocs := testing.AllocsPerRun(100, request); allocs != 0 {
+		t.Fatalf("traced request allocates %v objects, want 0", allocs)
+	}
+	if v := r.Latency().Violations() + r.Energy().Violations(); v != 0 {
+		t.Fatalf("%d violation(s): %s %s", v, r.Latency().FirstViolation(), r.Energy().FirstViolation())
 	}
 }
 
@@ -317,22 +352,22 @@ func TestAggregateMerges(t *testing.T) {
 	var agg Aggregate
 	r1.AddTo(&agg)
 	r2.AddTo(&agg)
-	if agg.Requests != 2 {
-		t.Fatalf("requests = %d, want 2", agg.Requests)
+	if agg.Latency.Count() != 2 {
+		t.Fatalf("requests = %d, want 2", agg.Latency.Count())
 	}
-	if got := agg.TotalMeanNS(); got != 20 {
+	if got := agg.Latency.Mean(); got != 20 {
 		t.Fatalf("merged mean = %v ns, want 20", got)
 	}
-	if got := agg.EnergySumPJ(); got != 110 {
+	if got := agg.Energy.Sum(); got != 110 {
 		t.Fatalf("merged energy = %d pJ, want 110", got)
 	}
-	if got := agg.ComponentEnergySumPJ(CompService); got != 110 {
+	if got := agg.Energy.PartSum(int(CompService)); got != 110 {
 		t.Fatalf("merged service energy = %d pJ, want 110", got)
 	}
-	if got := agg.EnergyMeanPJ(); got != 55 {
+	if got := agg.Energy.Mean(); got != 55 {
 		t.Fatalf("merged energy mean = %v pJ, want 55", got)
 	}
-	if got := agg.ComponentEnergyMeanPJ(CompService); got != 55 {
+	if got := agg.Energy.PartMean(int(CompService)); got != 55 {
 		t.Fatalf("merged service energy mean = %v pJ, want 55", got)
 	}
 }
@@ -346,15 +381,15 @@ func TestEnergyViolationCounted(t *testing.T) {
 	// attributing the energy to any component: the ledger must catch it.
 	sp.eTotalPJ += 7
 	r.Finish(sp, sim.FromNS(25))
-	if r.EnergyViolations() != 1 {
-		t.Fatalf("energy violations = %d, want 1", r.EnergyViolations())
+	if r.Energy().Violations() != 1 {
+		t.Fatalf("energy violations = %d, want 1", r.Energy().Violations())
 	}
-	if msg := r.FirstEnergyViolation(); !strings.Contains(msg, "total=117pJ") || !strings.Contains(msg, "sum=110pJ") {
+	if msg := r.Energy().FirstViolation(); !strings.Contains(msg, "total=117pJ") || !strings.Contains(msg, "sum=110pJ") {
 		t.Fatalf("first energy violation = %q", msg)
 	}
 	// The latency decomposition is independent and must still hold.
-	if r.Violations() != 0 {
-		t.Fatalf("latency violations = %d, want 0", r.Violations())
+	if r.Latency().Violations() != 0 {
+		t.Fatalf("latency violations = %d, want 0", r.Latency().Violations())
 	}
 }
 
@@ -372,11 +407,11 @@ func TestSpanPoolResetsEnergyLedger(t *testing.T) {
 	}
 	finishAndCheck(t, r, sp2, sim.FromNS(12))
 	// The recycled span was a pure cache hit: no stale energy may leak.
-	if got := r.EnergySumPJ(); got != 335 {
+	if got := r.Energy().Sum(); got != 335 {
 		t.Fatalf("energy after recycle = %d pJ, want 335 (first span only)", got)
 	}
-	if r.EnergyViolations() != 0 {
-		t.Fatalf("energy violation: %s", r.FirstEnergyViolation())
+	if r.Energy().Violations() != 0 {
+		t.Fatalf("energy violation: %s", r.Energy().FirstViolation())
 	}
 }
 
@@ -388,11 +423,11 @@ func TestEnergyQuantile(t *testing.T) {
 		sp.StampRead(sim.FromNS(2), sim.FromNS(3), 100)
 		r.Finish(sp, sim.FromNS(4))
 	}
-	if q := r.EnergyQuantilePJ(0.5); q < 100 || q > 256 {
+	if q := r.Energy().Quantile(0.5); q < 100 || q > 256 {
 		t.Fatalf("p50 energy = %d pJ, want within [100,256] (log2 bucket bound)", q)
 	}
 	var nilRec *Recorder
-	if nilRec.EnergyQuantilePJ(0.5) != 0 || nilRec.EnergySumPJ() != 0 || nilRec.EnergyViolations() != 0 {
+	if nilRec.Energy().Quantile(0.5) != 0 || nilRec.Energy().Sum() != 0 || nilRec.Energy().Violations() != 0 {
 		t.Fatal("nil recorder energy accessors must be zero")
 	}
 }

@@ -71,6 +71,8 @@ func TestTimelineJSONRoundTrips(t *testing.T) {
 	}
 }
 
+// TestCSVFieldQuoting checks that timeline CSV quotes run labels and
+// metric names the RFC-4180 way (through stats.CSVField).
 func TestCSVFieldQuoting(t *testing.T) {
 	cases := map[string]string{
 		"plain":      "plain",
@@ -79,8 +81,17 @@ func TestCSVFieldQuoting(t *testing.T) {
 		"line\nfeed": "\"line\nfeed\"",
 	}
 	for in, want := range cases {
-		if got := csvField(in); got != want {
-			t.Errorf("csvField(%q) = %q, want %q", in, got, want)
+		tl := &Timeline{Label: in, IntervalPS: 1_000_000}
+		r := New()
+		r.Counter(in).Inc()
+		tl.Snap(1_000_000, r)
+		var buf bytes.Buffer
+		if err := EncodeTimelinesCSV(&buf, []*Timeline{tl}); err != nil {
+			t.Fatal(err)
+		}
+		row := want + ",1000," + want + ",1\n"
+		if got := strings.TrimPrefix(buf.String(), "run,epoch_ns,metric,value\n"); got != row {
+			t.Errorf("label and metric %q: row %q, want %q", in, got, row)
 		}
 	}
 }

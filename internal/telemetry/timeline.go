@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Timeline records per-epoch snapshots of one run's registry. The host
@@ -69,7 +71,7 @@ func EncodeTimelinesCSV(w io.Writer, ts []*Timeline) error {
 	}
 	var b strings.Builder
 	for _, t := range sortTimelines(ts) {
-		label := csvField(t.Label)
+		label := stats.CSVField(t.Label)
 		for _, e := range t.epochs {
 			ns := formatPSinNS(e.AtPS)
 			for _, m := range e.Metrics {
@@ -78,7 +80,7 @@ func EncodeTimelinesCSV(w io.Writer, ts []*Timeline) error {
 				b.WriteByte(',')
 				b.WriteString(ns)
 				b.WriteByte(',')
-				b.WriteString(csvField(m.Name))
+				b.WriteString(stats.CSVField(m.Name))
 				b.WriteByte(',')
 				b.WriteString(formatValue(m.Value))
 				b.WriteByte('\n')
@@ -147,13 +149,4 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', 10, 64)
-}
-
-// csvField quotes a CSV field when needed (RFC-4180-ish, matching
-// stats.Table.CSV).
-func csvField(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 }

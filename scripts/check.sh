@@ -79,22 +79,25 @@ go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 \
 cmp "$tmp_quad" "$tmp_obs"
 test -s "$tmp_sink.req"
 
-echo "== energy conservation: attributed picojoules telescope per run"
-# The attribution CSV carries an integer-picojoule double-entry ledger:
-# for every traced run the component rows' energy_pj must sum to the
-# total row's energy_pj with exact integer ==, and the per-request
-# energy_violations counter must be zero. Trailing-field offsets are
-# used because run labels may be quoted and contain commas.
+echo "== attribution conservation: latency and energy telescope per run"
+# The attribution CSV carries two exact ledgers per traced run. In each,
+# the component rows must sum to the total row with integer ==: sum_ns
+# compared in picoseconds (it is printed in ns with three decimals, so
+# int(x*1000+0.5) recovers the recorded ps) and energy_pj in picojoules.
+# The per-request violations and energy_violations counters must both
+# be zero. Trailing-field offsets are used because run labels may be
+# quoted and contain commas.
 awk -F',' 'NR == 1 { next }
+    { ps = int($(NF-7) * 1000 + 0.5) }
     $(NF-8) == "total" {
-        if (seen && sum != total) bad = 1
-        if ($(NF-9) + 0 != 0) bad = 1
-        total = $(NF-1) + 0; sum = 0; seen++
+        if (seen && (sum != total || pssum != pstotal)) bad = 1
+        if ($(NF-10) + 0 != 0 || $(NF-9) + 0 != 0) bad = 1
+        total = $(NF-1) + 0; sum = 0; pstotal = ps; pssum = 0; seen++
         next
     }
-    { sum += $(NF-1) }
-    END { if (seen == 0 || sum != total) bad = 1; exit bad }' "$tmp_sink.req" ||
-    { echo "reqtrace: component energy_pj rows do not sum to total (or energy violations > 0)"; exit 1; }
+    { sum += $(NF-1); pssum += ps }
+    END { if (seen == 0 || sum != total || pssum != pstotal) bad = 1; exit bad }' "$tmp_sink.req" ||
+    { echo "reqtrace: component sum_ns or energy_pj rows do not sum to total (or violations > 0)"; exit 1; }
 rm -f "$tmp_sink.req"
 
 echo "== energy report (dasbench -energy): perf-per-watt across all designs"
