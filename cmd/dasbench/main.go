@@ -256,20 +256,34 @@ func run(args []string, stdout io.Writer) error {
 		wanted = append(wanted, "energy")
 	}
 
-	perfCSV := "figure,wall_seconds,events,events_per_sec,alloc_bytes,alloc_objects\n"
+	// The figures render in order, then the -explain report; each goes
+	// through the same render, CSV, perf and publish steps.
+	type report struct {
+		name   string
+		render func() (*exp.Figure, error)
+	}
+	var reports []report
 	for _, name := range wanted {
+		name = strings.TrimSpace(strings.ToLower(name))
+		reports = append(reports, report{name, func() (*exp.Figure, error) { return s.Figure(name) }})
+	}
+	if *explainSel != "" {
+		reports = append(reports, report{"explain", func() (*exp.Figure, error) { return s.Explain(explainA, explainB) }})
+	}
+
+	perfCSV := "figure,wall_seconds,events,events_per_sec,alloc_bytes,alloc_objects\n"
+	for _, r := range reports {
 		if ctx.Err() != nil {
 			log.Print("interrupted; flushing sinks")
 			break
 		}
-		name = strings.TrimSpace(strings.ToLower(name))
-		fig, err := s.Measured(func() (*exp.Figure, error) { return s.Figure(name) })
+		fig, err := s.Measured(r.render)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				log.Printf("%s: interrupted mid-figure; flushing sinks", name)
+				log.Printf("%s: interrupted mid-figure; flushing sinks", r.name)
 				break
 			}
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
 		fmt.Fprint(out, fig.Render())
 		if *csvDir != "" {
@@ -283,28 +297,6 @@ func run(args []string, stdout io.Writer) error {
 			fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
 		if pub != nil {
 			s.PublishTo(pub)
-		}
-	}
-	if *explainSel != "" && ctx.Err() == nil {
-		fig, err := s.Measured(func() (*exp.Figure, error) { return s.Explain(explainA, explainB) })
-		if err != nil && errors.Is(err, context.Canceled) {
-			log.Print("explain: interrupted; flushing sinks")
-		} else if err != nil {
-			return fmt.Errorf("explain: %w", err)
-		} else {
-			fmt.Fprint(out, fig.Render())
-			if *csvDir != "" {
-				if err := writeCSVs(*csvDir, fig); err != nil {
-					return err
-				}
-			}
-			log.Printf("%s: %s", fig.ID, fig.Perf)
-			perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
-				fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
-				fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-			if pub != nil {
-				s.PublishTo(pub)
-			}
 		}
 	}
 	if *csvDir != "" {

@@ -47,11 +47,7 @@ func (m *Manager) AttachTelemetry(reg *telemetry.Registry, trace *telemetry.Trac
 		}
 	}
 	if trace != nil {
-		// The faults track is numbered after the controller's bank and
-		// rank tracks (banks + one refresh track per rank).
-		tid := m.geom.Channels * m.geom.Ranks * (m.geom.Banks + 1)
-		trace.DefineTrack(tid, "faults")
-		m.tel = &coreTelemetry{trace: trace, faultsTID: tid}
+		m.tel = &coreTelemetry{trace: trace, faultsTID: trace.Track("faults")}
 	}
 }
 

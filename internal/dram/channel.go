@@ -91,7 +91,7 @@ func (ch *Channel) Activate(t sim.Time, rank, bank, row int, cls RowClass) {
 	r.banks[bank].activate(t, row, cls, p)
 	r.recordAct(t, p.Duration(p.TRRD))
 	if tel := ch.dev.tel; tel != nil {
-		tel.noteActivate(cls, p.Duration(p.TRCD))
+		tel.noteActivate(t, ch.idx, rank, bank, row, cls, p.Duration(p.TRCD))
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdActivate, ch.idx, rank, bank, row)
@@ -116,7 +116,7 @@ func (ch *Channel) Read(t sim.Time, rank, bank int) sim.Time {
 	end := b.read(t)
 	ch.claimBus(end, rank, busRead)
 	if tel := ch.dev.tel; tel != nil {
-		tel.noteRead(b.openCls, end-t)
+		tel.noteRead(t, ch.idx, rank, bank, row, b.openCls, end-t)
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdRead, ch.idx, rank, bank, row)
@@ -145,7 +145,7 @@ func (ch *Channel) Write(t sim.Time, rank, bank int) sim.Time {
 	r.noteWriteBurst(end, p.Duration(p.TWTR))
 	ch.claimBus(end, rank, busWrite)
 	if tel := ch.dev.tel; tel != nil {
-		tel.noteWrite(b.openCls, end-t)
+		tel.noteWrite(t, ch.idx, rank, bank, row, b.openCls, end-t)
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdWrite, ch.idx, rank, bank, row)
@@ -165,7 +165,7 @@ func (ch *Channel) Precharge(t sim.Time, rank, bank int) {
 	b.precharge(t)
 	if tel := ch.dev.tel; tel != nil {
 		p := b.rowPar
-		tel.notePrecharge(b.openCls, p.Duration(p.TRP))
+		tel.notePrecharge(t, ch.idx, rank, bank, b.openCls, p.Duration(p.TRP))
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdPrecharge, ch.idx, rank, bank, row)
@@ -187,7 +187,7 @@ func (ch *Channel) Refresh(t sim.Time, rank int) {
 	p := &ch.dev.slow
 	ch.ranks[rank].refresh(t, p.Duration(p.TRFC), p.Duration(p.TREFI))
 	if tel := ch.dev.tel; tel != nil {
-		tel.noteRefresh(p.Duration(p.TRFC))
+		tel.noteRefresh(t, ch.idx, rank, p.Duration(p.TRFC))
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdRefresh, ch.idx, rank, -1, -1)
@@ -201,13 +201,14 @@ func (ch *Channel) CanMigrate(t sim.Time, rank, bank, srcRow int) bool {
 	return t >= r.refreshBusyUntil && r.banks[bank].canMigrate(t, srcRow)
 }
 
-// Migrate starts a migration occupying (rank, bank) for the device's
-// configured migration latency and returns its completion time.
-func (ch *Channel) Migrate(t sim.Time, rank, bank int) sim.Time {
+// Migrate starts a migration of srcRow occupying (rank, bank) for the
+// device's configured migration latency and returns its completion
+// time. srcRow labels the trace slice only; the command log reports -1.
+func (ch *Channel) Migrate(t sim.Time, rank, bank, srcRow int) sim.Time {
 	b := ch.ranks[rank].banks[bank]
 	b.migrate(t, ch.dev.migrationLatency)
 	if tel := ch.dev.tel; tel != nil {
-		tel.noteMigrate(ch.dev.migrationLatency)
+		tel.noteMigrate(t, ch.idx, rank, bank, srcRow, ch.dev.migrationLatency)
 	}
 	if log := ch.dev.cmdLog; log != nil {
 		log(t, CmdMigrate, ch.idx, rank, bank, -1)

@@ -53,8 +53,9 @@ type Device struct {
 
 	// cmdLog, when non-nil, observes every command at issue time (nil =
 	// off, the default; see SetCommandLog). Rank/bank/row are -1 where a
-	// command has no such coordinate (REF covers a whole rank, MIG's row
-	// pair is controller-side state).
+	// command has no such coordinate (REF covers a whole rank). MIG also
+	// reports row -1: the committed golden command-stream digests hash
+	// that value, so the source row reaches only the trace slice.
 	cmdLog func(t sim.Time, kind CommandKind, channel, rank, bank, row int)
 }
 

@@ -221,7 +221,7 @@ func TestMigrationIdleStart(t *testing.T) {
 	if !ch.CanMigrate(0, 0, 0, 7) {
 		t.Fatal("idle bank refused migration")
 	}
-	end := ch.Migrate(0, 0, 0)
+	end := ch.Migrate(0, 0, 0, 7)
 	if end != ns(146.25) {
 		t.Fatalf("migration end %d, want %d", end, ns(146.25))
 	}
@@ -253,7 +253,7 @@ func TestMigrationActiveStartServesOpenRow(t *testing.T) {
 	if ch.CanMigrate(at, 0, 0, 8) {
 		t.Fatal("migration of a different row allowed while row 7 open")
 	}
-	end := ch.Migrate(at, 0, 0)
+	end := ch.Migrate(at, 0, 0, 7)
 	// Reads to the open source row keep flowing during the swap.
 	if !ch.CanRead(at+p.Duration(p.TCCD), 0, 0) {
 		t.Fatal("read to migrating row refused")

@@ -105,7 +105,7 @@ func earliestWalk(t *testing.T, seed uint64, migLat sim.Time) {
 			if eM != Never && migLat > 0 && rng.Intn(4) == 0 {
 				cands = append(cands, candidate{eM,
 					func(at sim.Time) bool { return ch.CanMigrate(at, 0, bk, srcRow) },
-					func(at sim.Time) { ch.Migrate(at, 0, bk) }})
+					func(at sim.Time) { ch.Migrate(at, 0, bk, srcRow) }})
 			}
 		}
 		eF := ch.EarliestRefresh(now, 0)

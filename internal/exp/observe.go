@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
@@ -106,8 +105,8 @@ func (s *System) AttachObserver(obs *Observer) {
 	}
 	s.obs = obs
 	reg := obs.Reg
-	s.Dev.AttachTelemetry(reg)
-	s.Ctl.AttachTelemetry(reg, obs.Trace)
+	s.Dev.AttachTelemetry(reg, obs.Trace)
+	s.Ctl.AttachTelemetry(reg)
 	if reg.Enabled() {
 		// Background/standby energy is a rate (mW x elapsed ns = pJ), not
 		// an event count, so it is derived from the simulated time at the
@@ -134,17 +133,7 @@ func (s *System) AttachObserver(obs *Observer) {
 		reg.Sample("sim.events_executed", func() int64 { return int64(s.Eng.Executed()) })
 	}
 	if obs.Req != nil {
-		if obs.Trace != nil {
-			// Core request tracks are numbered after the controller's bank,
-			// rank-refresh and cumulative-energy tracks (see mc's
-			// bankTID/rankTID/energyTID).
-			g := s.Dev.Geometry()
-			base := g.Channels*g.Ranks*g.Banks + g.Channels*g.Ranks + 1
-			obs.Req.AttachTrace(obs.Trace, base)
-			for i := range s.Cores {
-				obs.Trace.DefineTrack(base+i, fmt.Sprintf("core%d req", i))
-			}
-		}
+		obs.Req.AttachTrace(obs.Trace, len(s.Cores))
 		for _, c := range s.Cores {
 			c.AttachReqTrace(obs.Req)
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -140,4 +141,98 @@ func TestTraceExportIsValidTraceEventJSON(t *testing.T) {
 		t.Error("no cumulative-energy counter events emitted")
 	}
 	_ = instant // fault events only appear on faulty-device runs
+}
+
+// TestTraceTracksHaveOneOwner runs a faulty, fully observed session and
+// checks that every trace track has one name and every event sits on a
+// track of its own kind. The device's energy counter, the manager's
+// fault instants, reqtrace's REQ slices and the flow ends on the bank
+// tracks come from different emitters, so two emitters claiming one
+// track id show up here as a twice-named track or a misplaced event.
+func TestTraceTracksHaveOneOwner(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.WeakRowRate = 0.2
+	cfg.MigFailRate = 0.1
+	render := func(obs *ObserveOptions) (*Session, string) {
+		s := NewSession(cfg)
+		s.Benchmarks = []string{"mcf"}
+		s.Observe = obs
+		f, err := s.Fig7a()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, f.Render()
+	}
+	_, plain := render(nil)
+	s, observed := render(&ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3})
+	if observed != plain {
+		t.Fatalf("telemetry perturbed the faulty figure:\nplain:\n%s\nobserved:\n%s", plain, observed)
+	}
+
+	var buf bytes.Buffer
+	if err := s.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid trace JSON: %v", err)
+	}
+	type track struct{ pid, tid int }
+	names := map[track]string{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "M" || e.Name != "thread_name" {
+			continue
+		}
+		k := track{e.Pid, e.Tid}
+		if prev, dup := names[k]; dup {
+			t.Errorf("pid %d tid %d named twice: %q and %q", e.Pid, e.Tid, prev, e.Args.Name)
+		}
+		names[k] = e.Args.Name
+	}
+
+	bankTrack := regexp.MustCompile(`^ch\d+/rk\d+/bk\d+$`)
+	coreTrack := regexp.MustCompile(`^core\d+ req$`)
+	counts := map[string]int{}
+	misplaced := 0
+	for _, e := range doc.TraceEvents {
+		on := names[track{e.Pid, e.Tid}]
+		var kind string
+		var ok bool
+		switch {
+		case e.Ph == "i":
+			kind, ok = "fault instant", on == "faults"
+		case e.Ph == "C" && e.Name == "energy_pj":
+			kind, ok = "energy sample", on == "DRAM energy (cumulative pJ)"
+		case e.Ph == "X" && e.Name == "REQ":
+			kind, ok = "REQ slice", coreTrack.MatchString(on)
+		case e.Ph == "f":
+			kind, ok = "flow end", bankTrack.MatchString(on)
+		default:
+			continue
+		}
+		counts[kind]++
+		if !ok {
+			if misplaced++; misplaced <= 5 {
+				t.Errorf("%s %q (pid %d tid %d) on track %q", kind, e.Name, e.Pid, e.Tid, on)
+			}
+		}
+	}
+	if misplaced > 5 {
+		t.Errorf("... %d misplaced events in all", misplaced)
+	}
+	for _, kind := range []string{"fault instant", "energy sample", "REQ slice", "flow end"} {
+		if counts[kind] == 0 {
+			t.Errorf("no %s recorded; the run must exercise every emitter", kind)
+		}
+	}
 }

@@ -102,10 +102,10 @@ func TestPooledFigureBytesMatchFresh(t *testing.T) {
 }
 
 // TestPooledTelemetryTimelineMatchesFresh closes the third identity
-// surface the tentpole names: the merged metrics timeline and trace
-// export of a run on a recycled machine must be byte-identical to a
-// fresh build's — Registry.Reset and the reqtrace rings leave no
-// residue.
+// surface: the merged metrics timeline and trace export of a run on a
+// recycled machine must be byte-identical to a fresh build's. Every run
+// attaches a fresh observer and System.Reset detaches the last one, so
+// nothing carries over.
 func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 	run := func(s *Session) (csv, trace string) {
 		s.Benchmarks = []string{"mcf"}

@@ -420,11 +420,7 @@ func (cc *chanCtl) closeIdleRows(t sim.Time) bool {
 				continue
 			}
 			if cc.ch.CanPrecharge(t, r, b) {
-				cls := bank.OpenClass()
 				cc.ch.Precharge(t, r, b)
-				if tel := cc.ctl.tel; tel != nil {
-					tel.notePRE(t, cc.idx, r, b, cls, false)
-				}
 				return true
 			}
 		}
@@ -446,9 +442,6 @@ func (cc *chanCtl) issueRefresh(t sim.Time) bool {
 		if cc.ch.CanRefresh(t, r) {
 			cc.ch.Refresh(t, r)
 			cc.refreshPending[r] = false
-			if tel := cc.ctl.tel; tel != nil {
-				tel.noteREF(t, cc.idx, r)
-			}
 			if len(cc.traced) > 0 {
 				p := cc.ctl.dev.SlowParams()
 				cc.creditBlocked(r, -1, p.Duration(p.TRFC), true)
@@ -458,11 +451,7 @@ func (cc *chanCtl) issueRefresh(t sim.Time) bool {
 		for b := 0; b < cc.ctl.dev.Geometry().Banks; b++ {
 			bank := cc.ch.Rank(r).Bank(b)
 			if bank.HasOpenRow() && cc.ch.CanPrecharge(t, r, b) {
-				cls := bank.OpenClass()
 				cc.ch.Precharge(t, r, b)
-				if tel := cc.ctl.tel; tel != nil {
-					tel.notePRE(t, cc.idx, r, b, cls, false)
-				}
 				return true
 			}
 		}
@@ -486,15 +475,12 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			continue
 		}
 		if cc.ch.CanMigrate(t, op.rank, op.bank, op.row) {
-			end := cc.ch.Migrate(t, op.rank, op.bank)
+			end := cc.ch.Migrate(t, op.rank, op.bank, op.row)
 			if len(cc.traced) > 0 {
 				cc.creditBlocked(op.rank, op.bank, end-t, false)
 			}
 			cc.ctl.Stats.Migrations++
 			cc.ctl.Stats.MigWaitSum += t - op.enqueued
-			if tel := cc.ctl.tel; tel != nil {
-				tel.noteMIG(t, end, cc.idx, op.rank, op.bank, op.row)
-			}
 			cc.migQ = append(cc.migQ[:qi], cc.migQ[qi+1:]...)
 			cc.unreserve(op)
 			done := op.done
@@ -510,11 +496,7 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			if t-op.enqueued < migGrace && cc.pendingRowHit(op.rank, op.bank, bank.OpenRow()) {
 				continue
 			}
-			cls := bank.OpenClass()
 			cc.ch.Precharge(t, op.rank, op.bank)
-			if tel := cc.ctl.tel; tel != nil {
-				tel.notePRE(t, cc.idx, op.rank, op.bank, cls, false)
-			}
 			return true
 		}
 	}
@@ -656,7 +638,7 @@ func (cc *chanCtl) issueColumnFrom(t sim.Time, q []*Request, isWrite bool) bool 
 			}
 			end := cc.ch.Write(t, req.Coord.Rank, req.Coord.Bank)
 			if tel := cc.ctl.tel; tel != nil {
-				tel.noteColumn(t, end, cc.idx, req, true)
+				tel.writeLat.Observe(uint64((end - req.enqueued) / sim.Nanosecond))
 			}
 		} else {
 			if !cc.ch.CanRead(t, req.Coord.Rank, req.Coord.Bank) {
@@ -664,11 +646,14 @@ func (cc *chanCtl) issueColumnFrom(t sim.Time, q []*Request, isWrite bool) bool 
 			}
 			end := cc.ch.Read(t, req.Coord.Rank, req.Coord.Bank)
 			if tel := cc.ctl.tel; tel != nil {
-				tel.noteColumn(t, end, cc.idx, req, false)
+				tel.readLat.Observe(uint64((end - req.enqueued) / sim.Nanosecond))
 			}
 			if req.Trace != nil {
 				cls := cc.ch.Rank(req.Coord.Rank).Bank(req.Coord.Bank).OpenClass()
 				req.Trace.StampRead(t, end, cc.ctl.dev.EnergyModel().RdPJ[cls])
+				// Lets reqtrace link a Perfetto flow arrow from the core's
+				// REQ slice into this bank's RD slice.
+				req.Trace.SetBankTID(cc.ctl.dev.BankTrack(cc.idx, req.Coord.Rank, req.Coord.Bank))
 				cc.dropTraced(req)
 			}
 			cc.completeRead(req, end)
@@ -720,7 +705,7 @@ func (cc *chanCtl) issueRowCommandFrom(t sim.Time, q []*Request) bool {
 				cls := bank.OpenClass()
 				cc.ch.Precharge(t, req.Coord.Rank, req.Coord.Bank)
 				if tel := cc.ctl.tel; tel != nil {
-					tel.notePRE(t, cc.idx, req.Coord.Rank, req.Coord.Bank, cls, true)
+					tel.rowConflicts.Inc()
 				}
 				if req.Trace != nil {
 					req.Trace.StampPre(t, cc.ctl.dev.EnergyModel().PrePJ[cls])
@@ -733,7 +718,7 @@ func (cc *chanCtl) issueRowCommandFrom(t sim.Time, q []*Request) bool {
 			cc.ch.Activate(t, req.Coord.Rank, req.Coord.Bank, req.Coord.Row, req.Class)
 			req.firstOpen = true
 			if tel := cc.ctl.tel; tel != nil {
-				tel.noteACT(t, cc.idx, req)
+				tel.rowMisses.Inc()
 			}
 			if req.Trace != nil {
 				req.Trace.StampAct(t, cc.ctl.dev.EnergyModel().ActPJ[req.Class])

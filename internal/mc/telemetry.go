@@ -3,172 +3,39 @@ package mc
 import (
 	"fmt"
 
-	"repro/internal/dram"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// mcTelemetry is the controller's live instrument set. The controller
-// keeps it behind a nil pointer so the uninstrumented hot path pays one
-// branch per site; every field is additionally nil-receiver-safe, so a
-// trace-only or metrics-only attachment works without special cases.
+// mcTelemetry is the controller's live instrument set: scheduler facts
+// only (DRAM command slices and energy belong to the device's
+// telemetry). The controller keeps it behind a nil pointer so the
+// uninstrumented hot path pays one branch per site.
 type mcTelemetry struct {
 	rowHits      *telemetry.Counter
 	rowMisses    *telemetry.Counter
 	rowConflicts *telemetry.Counter
 	readLat      *telemetry.Histogram // demand-read enqueue -> burst end, ns
 	writeLat     *telemetry.Histogram // write enqueue -> burst end, ns
-
-	trace *telemetry.TraceRecorder
-	dev   *dram.Device
-
-	ranks, banks, bankTracks int
-
-	// energyTID is the cumulative-energy counter track (numbered after
-	// the bank and rank-refresh tracks); cumEnergyPJ is the running total
-	// it samples, advanced by every traced DRAM command at its issue time.
-	energyTID   int
-	cumEnergyPJ int64
 }
 
-// AttachTelemetry wires the controller's metrics into reg and its DRAM
-// command events into trace. Either may be disabled (nil registry /
-// recorder); when both are, the controller stays uninstrumented. Call
+// AttachTelemetry wires the controller's metrics into reg; a nil
+// registry leaves the controller uninstrumented (the default). Call
 // once at assembly time, before traffic.
-func (c *Controller) AttachTelemetry(reg *telemetry.Registry, trace *telemetry.TraceRecorder) {
-	if !reg.Enabled() && trace == nil {
+func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
+	if !reg.Enabled() {
 		return
 	}
-	g := c.dev.Geometry()
-	tel := &mcTelemetry{
+	c.tel = &mcTelemetry{
 		rowHits:      reg.Counter("mc.row_hits"),
 		rowMisses:    reg.Counter("mc.row_misses"),
 		rowConflicts: reg.Counter("mc.row_conflicts"),
 		readLat:      reg.Histogram("mc.read_latency_ns"),
 		writeLat:     reg.Histogram("mc.write_latency_ns"),
-		trace:        trace,
-		dev:          c.dev,
-		ranks:        g.Ranks,
-		banks:        g.Banks,
-		bankTracks:   g.Channels * g.Ranks * g.Banks,
 	}
-	tel.energyTID = tel.bankTracks + g.Channels*g.Ranks
 	for i, cc := range c.chans {
 		cc := cc
 		reg.Sample(fmt.Sprintf("mc.queue.ch%d.read", i), func() int64 { return int64(len(cc.readQ)) })
 		reg.Sample(fmt.Sprintf("mc.queue.ch%d.write", i), func() int64 { return int64(len(cc.writeQ)) })
 		reg.Sample(fmt.Sprintf("mc.queue.ch%d.mig", i), func() int64 { return int64(len(cc.migQ)) })
 	}
-	if trace != nil {
-		for ch := 0; ch < g.Channels; ch++ {
-			for r := 0; r < g.Ranks; r++ {
-				for b := 0; b < g.Banks; b++ {
-					trace.DefineTrack(tel.bankTID(ch, r, b), fmt.Sprintf("ch%d/rk%d/bk%d", ch, r, b))
-				}
-				trace.DefineTrack(tel.rankTID(ch, r), fmt.Sprintf("ch%d/rk%d refresh", ch, r))
-			}
-		}
-		trace.DefineTrack(tel.energyTID, "DRAM energy (cumulative pJ)")
-	}
-	c.tel = tel
-}
-
-// bankTID is the global per-bank trace track id.
-func (tl *mcTelemetry) bankTID(channel, rank, bank int) int {
-	return (channel*tl.ranks+rank)*tl.banks + bank
-}
-
-// rankTID is the per-rank refresh track id (numbered after all banks).
-func (tl *mcTelemetry) rankTID(channel, rank int) int {
-	return tl.bankTracks + channel*tl.ranks + rank
-}
-
-// noteEnergy advances the cumulative dynamic-energy counter by pj and
-// samples it on the energy track at time t. Trace-only: the metrics-side
-// energy counters live on the device's telemetry.
-func (tl *mcTelemetry) noteEnergy(t sim.Time, pj int64) {
-	tl.cumEnergyPJ += pj
-	tl.trace.Counter("energy_pj", int64(t), tl.energyTID, tl.cumEnergyPJ)
-}
-
-// noteACT records a demand row-miss activation.
-func (tl *mcTelemetry) noteACT(t sim.Time, channel int, req *Request) {
-	tl.rowMisses.Inc()
-	if tl.trace == nil {
-		return
-	}
-	p := tl.dev.SlowParams()
-	name := "ACT"
-	if req.Class == dram.RowFast {
-		p = tl.dev.FastParams()
-		name = "ACT fast"
-	}
-	tl.trace.Duration(name, int64(t), int64(p.Duration(p.TRCD)),
-		tl.bankTID(channel, req.Coord.Rank, req.Coord.Bank), int64(req.Coord.Row))
-	tl.noteEnergy(t, tl.dev.EnergyModel().ActPJ[req.Class])
-}
-
-// notePRE records a precharge on a bank track. cls is the class of the
-// row being closed; conflict marks demand row-conflict precharges (the
-// FR-FCFS second half), as opposed to refresh/migration/policy drains.
-func (tl *mcTelemetry) notePRE(t sim.Time, channel, rank, bank int, cls dram.RowClass, conflict bool) {
-	if conflict {
-		tl.rowConflicts.Inc()
-	}
-	if tl.trace == nil {
-		return
-	}
-	p := tl.dev.SlowParams()
-	if cls == dram.RowFast {
-		p = tl.dev.FastParams()
-	}
-	tl.trace.Duration("PRE", int64(t), int64(p.Duration(p.TRP)),
-		tl.bankTID(channel, rank, bank), -1)
-	tl.noteEnergy(t, tl.dev.EnergyModel().PrePJ[cls])
-}
-
-// noteColumn records a RD or WR burst [t, end) and its request latency.
-func (tl *mcTelemetry) noteColumn(t, end sim.Time, channel int, req *Request, isWrite bool) {
-	lat := uint64((end - req.enqueued) / sim.Nanosecond)
-	name := "RD"
-	if isWrite {
-		tl.writeLat.Observe(lat)
-		name = "WR"
-	} else {
-		tl.readLat.Observe(lat)
-	}
-	if tl.trace != nil {
-		tl.trace.Duration(name, int64(t), int64(end-t),
-			tl.bankTID(channel, req.Coord.Rank, req.Coord.Bank), int64(req.Coord.Row))
-		em := tl.dev.EnergyModel()
-		if isWrite {
-			tl.noteEnergy(t, em.WrPJ[req.Class])
-		} else {
-			tl.noteEnergy(t, em.RdPJ[req.Class])
-		}
-	}
-	if req.Trace != nil && !isWrite {
-		// Lets reqtrace link a Perfetto flow arrow from the core's REQ
-		// slice into this bank's RD slice.
-		req.Trace.SetBankTID(tl.bankTID(channel, req.Coord.Rank, req.Coord.Bank))
-	}
-}
-
-// noteREF records a refresh occupying [t, t+tRFC) on the rank track.
-func (tl *mcTelemetry) noteREF(t sim.Time, channel, rank int) {
-	if tl.trace == nil {
-		return
-	}
-	p := tl.dev.SlowParams()
-	tl.trace.Duration("REF", int64(t), int64(p.Duration(p.TRFC)), tl.rankTID(channel, rank), -1)
-	tl.noteEnergy(t, tl.dev.EnergyModel().RefPJ)
-}
-
-// noteMIG records a migration swap occupying [t, end) on the bank track.
-func (tl *mcTelemetry) noteMIG(t, end sim.Time, channel, rank, bank, row int) {
-	if tl.trace == nil {
-		return
-	}
-	tl.trace.Duration("MIG", int64(t), int64(end-t), tl.bankTID(channel, rank, bank), int64(row))
-	tl.noteEnergy(t, tl.dev.EnergyModel().MigPJ)
 }

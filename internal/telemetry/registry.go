@@ -159,34 +159,6 @@ func (r *Registry) Sample(name string, fn func() int64) {
 	r.sampled = append(r.sampled, &Sampled{name: name, fn: fn})
 }
 
-// Reset rewinds the registry for reuse across pooled-machine runs:
-// counter, gauge, and histogram values zero while their registrations
-// (and the instrument pointers components hold) survive, so re-attached
-// components keep working without re-registering. Sampled functions are
-// removed entirely — they capture run-scoped state (component Stats,
-// queue closures) that a new run must not poll — and their names free
-// up for re-registration. Safe on a nil (disabled) registry.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	for _, g := range r.gauges {
-		g.v = 0
-	}
-	for _, h := range r.hists {
-		h.count, h.sum = 0, 0
-		h.buckets = [HistogramBuckets]uint64{}
-	}
-	for _, s := range r.sampled {
-		delete(r.kinds, s.name)
-	}
-	clear(r.sampled)
-	r.sampled = r.sampled[:0]
-}
-
 // Metric is one flattened snapshot value.
 type Metric struct {
 	Name  string

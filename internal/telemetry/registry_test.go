@@ -214,49 +214,3 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistryReset pins the pooled-machine reuse contract: values zero
-// while counter/gauge/histogram registrations (and the pointers
-// components hold) survive, and sampled functions — which capture
-// run-scoped state — are removed and may re-register.
-func TestRegistryReset(t *testing.T) {
-	r := New()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h")
-	v := int64(7)
-	r.Sample("s", func() int64 { return v })
-	c.Add(3)
-	g.Set(-5)
-	h.Observe(100)
-
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("instrument values survived Reset: c=%d g=%d h.count=%d h.sum=%d",
-			c.Value(), g.Value(), h.Count(), h.Sum())
-	}
-	if c2 := r.Counter("c"); c2 != c {
-		t.Fatalf("counter registration did not survive Reset")
-	}
-	snap := r.Snapshot(nil)
-	for _, m := range snap {
-		if m.Name == "s" {
-			t.Fatalf("sampled metric survived Reset: %+v", snap)
-		}
-	}
-	// The freed name re-registers with a new function.
-	w := int64(9)
-	r.Sample("s", func() int64 { return w })
-	found := false
-	for _, m := range r.Snapshot(nil) {
-		if m.Name == "s" && m.Value == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("re-registered sampled metric missing after Reset")
-	}
-	// Nil registry: Reset is a safe no-op.
-	var nilReg *Registry
-	nilReg.Reset()
-}

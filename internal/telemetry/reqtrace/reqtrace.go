@@ -292,9 +292,9 @@ type Recorder struct {
 	sampleN uint64
 	seed    uint64
 
-	trace     *telemetry.TraceRecorder
-	trackBase int
-	flowSeq   int64
+	trace   *telemetry.TraceRecorder
+	coreTID []int // per-core "coreN req" track
+	flowSeq int64
 
 	pool []*Span
 
@@ -337,12 +337,18 @@ func mix64(seed, stream uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// AttachTrace links finished spans into a Chrome trace: each request
-// renders as a REQ slice on its core's track (trackBase+core) with a
-// flow arrow to the RD burst on the serving bank's track.
-func (r *Recorder) AttachTrace(tr *telemetry.TraceRecorder, trackBase int) {
+// AttachTrace links finished spans into a Chrome trace: it allocates a
+// "coreN req" track on tr for each of cores cores, and each request then
+// renders as a REQ slice on its core's track with a flow arrow to the RD
+// burst on the serving bank's track. A nil tr leaves tracing off.
+func (r *Recorder) AttachTrace(tr *telemetry.TraceRecorder, cores int) {
+	if tr == nil {
+		return
+	}
 	r.trace = tr
-	r.trackBase = trackBase
+	for i := 0; i < cores; i++ {
+		r.coreTID = append(r.coreTID, tr.Track(fmt.Sprintf("core%d req", i)))
+	}
 }
 
 // Begin starts a span for a sampled load issued by core at time at,
@@ -368,7 +374,7 @@ func (r *Recorder) Finish(sp *Span, done sim.Time) {
 	r.lat.Add(sp.core, comps[:], total)
 	r.energy.Add(sp.core, sp.ePJ[:], sp.eTotalPJ)
 	if r.trace != nil {
-		tid := r.trackBase + sp.core
+		tid := r.coreTID[sp.core]
 		r.trace.Duration("REQ", int64(sp.issued), total, tid, -1)
 		if sp.rdAt != unset && sp.bankTID >= 0 {
 			r.flowSeq++

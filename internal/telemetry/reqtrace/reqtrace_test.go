@@ -279,11 +279,12 @@ func TestNilSpanStampsAreNoOps(t *testing.T) {
 func TestFinishEmitsTraceFlow(t *testing.T) {
 	r := NewRecorder("run", 1, 42)
 	tr := telemetry.NewTraceRecorder("run")
-	r.AttachTrace(tr, 100)
+	bank := tr.Track("bank")
+	r.AttachTrace(tr, 3)
 	sp := r.Begin(2, sim.FromNS(0))
 	sp.StampEnqueue(sim.FromNS(5))
 	sp.StampRead(sim.FromNS(20), sim.FromNS(30), 110)
-	sp.SetBankTID(7)
+	sp.SetBankTID(bank)
 	finishAndCheck(t, r, sp, sim.FromNS(35))
 	// REQ duration + flow start + flow end.
 	if tr.Len() != 3 {
@@ -294,7 +295,15 @@ func TestFinishEmitsTraceFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := out.String()
-	for _, want := range []string{`"ph":"s"`, `"ph":"f"`, `"cat":"flow"`, `"bp":"e"`, `"name":"REQ"`} {
+	// Tracks 1-3 are core0-core2's, allocated after the bank's track 0:
+	// the REQ slice and flow start sit on core 2's, the flow end on the bank's.
+	for _, want := range []string{
+		`"tid":3,"args":{"name":"core2 req"}`,
+		`"ph":"X","ts":0,"dur":0.035,"pid":1,"tid":3`,
+		`"ph":"s","ts":0.02,"cat":"flow","id":"1","pid":1,"tid":3`,
+		`"ph":"f","ts":0.02,"cat":"flow","id":"1","bp":"e","pid":1,"tid":0`,
+		`"name":"REQ"`,
+	} {
 		if !strings.Contains(enc, want) {
 			t.Fatalf("encoded trace missing %s:\n%s", want, enc)
 		}

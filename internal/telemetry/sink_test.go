@@ -116,7 +116,12 @@ func TestFormatPSExact(t *testing.T) {
 // track metadata, instant scope, and the drop-count annotation.
 func TestTraceEncodeSchema(t *testing.T) {
 	r1 := NewTraceRecorder("zz-late")
-	r1.DefineTrack(0, "bank0")
+	if tid := r1.Track("bank0"); tid != 0 {
+		t.Fatalf("first track id = %d, want 0", tid)
+	}
+	if tid := r1.Track("bank1"); tid != 1 {
+		t.Fatalf("second track id = %d, want 1", tid)
+	}
 	r1.Duration("RD", 1_000_000, 500_000, 0, 17)
 	r2 := NewTraceRecorder("aa-early")
 	r2.MaxEvents = 1

@@ -15,9 +15,10 @@ import (
 // state and recording into it is a no-op branch.
 //
 // Tracks: the exporter maps one run to one Perfetto "process" (pid) and
-// each recorder-defined track — typically one per DRAM bank — to a
-// "thread" (tid). Events must carry track ids previously named with
-// DefineTrack; undeclared tracks still render, just unnamed.
+// each track — typically one per DRAM bank — to a "thread" (tid). The
+// recorder is the only source of track ids: Track names a new track and
+// returns the next id in call order, so each emitter allocates the
+// tracks it writes to and no two emitters can share an id.
 //
 // Recording appends to a slice in engine order (single-threaded per
 // run), so export is deterministic. The buffer is capped: beyond
@@ -31,7 +32,7 @@ type TraceRecorder struct {
 	MaxEvents int
 
 	events  []traceEvent
-	tracks  []trackName
+	tracks  []string // track names, indexed by tid
 	dropped uint64
 }
 
@@ -64,22 +65,20 @@ type traceEvent struct {
 	row int64
 }
 
-type trackName struct {
-	tid  int
-	name string
-}
-
 // NewTraceRecorder returns an enabled recorder for a run label.
 func NewTraceRecorder(label string) *TraceRecorder {
 	return &TraceRecorder{Label: label}
 }
 
-// DefineTrack names a track (Perfetto thread) for this run.
-func (r *TraceRecorder) DefineTrack(tid int, name string) {
+// Track names a new track (Perfetto thread) for this run and returns
+// its id: 0 for the first call, then 1, 2, ... in call order. A nil
+// recorder allocates nothing and returns -1.
+func (r *TraceRecorder) Track(name string) int {
 	if r == nil {
-		return
+		return -1
 	}
-	r.tracks = append(r.tracks, trackName{tid: tid, name: name})
+	r.tracks = append(r.tracks, name)
+	return len(r.tracks) - 1
 }
 
 // Duration records a complete event spanning [tsPS, tsPS+durPS) on
@@ -179,9 +178,9 @@ func EncodeTrace(w io.Writer, recs []*TraceRecorder) error {
 		}
 		emit(fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`,
 			pid, jsonString(name)))
-		for _, t := range r.tracks {
+		for tid, track := range r.tracks {
 			emit(fmt.Sprintf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-				pid, t.tid, jsonString(t.name)))
+				pid, tid, jsonString(track)))
 		}
 		for i := range r.events {
 			e := &r.events[i]

@@ -10,6 +10,16 @@ cd "$(dirname "$0")/.."
 echo "== go vet"
 go vet ./...
 
+echo "== gofmt"
+# Every tracked Go file (the nested bench/ module's too) must already be
+# gofmt-clean: gofmt -l lists the files it would rewrite.
+unformatted=$(gofmt -l $(git ls-files '*.go') </dev/null)
+if [ -n "$unformatted" ]; then
+    echo "gofmt would rewrite:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
