@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/mc"
 	"repro/internal/sim"
 	"repro/internal/timing"
 )
@@ -189,6 +192,51 @@ func (c *Config) DRAMConfig(design core.Design) dram.Config {
 		Slow:             timing.DDR31600Slow(),
 		Fast:             fast,
 		MigrationLatency: mig,
+	}
+}
+
+// ControllerConfig returns the memory controller configuration.
+func (c *Config) ControllerConfig() mc.Config {
+	return mc.Config{
+		WindowSize: c.WindowSize, WriteHigh: c.WriteHigh, WriteLow: c.WriteLow,
+		StarvationLimit: sim.FromNS(c.StarvationLimitNS),
+		ClosedPage:      c.ClosedPage,
+	}
+}
+
+// CPUConfig returns the configuration of each core's pipeline.
+func (c *Config) CPUConfig() cpu.Config {
+	return cpu.Config{
+		ClockHz: c.CPUGHz * 1e9, Width: c.Width,
+		ROB: c.ROB, StoreBuffer: c.StoreBuffer,
+	}
+}
+
+// L1Config returns the organization of a core's private L1, named for
+// the level (Build names each core's copy for its core).
+func (c *Config) L1Config() cache.Config {
+	return c.cacheConfig("L1", c.L1KB, c.L1Assoc, c.L1Latency, c.L1MSHRs)
+}
+
+// L2Config returns the organization of a core's private L2, named like
+// L1Config's.
+func (c *Config) L2Config() cache.Config {
+	return c.cacheConfig("L2", c.L2KB, c.L2Assoc, c.L2Latency, c.L2MSHRs)
+}
+
+// LLCConfig returns the organization of the shared last-level cache.
+func (c *Config) LLCConfig() cache.Config {
+	return c.cacheConfig("LLC", c.LLCKB, c.LLCAssoc, c.LLCLatency, c.LLCMSHRs)
+}
+
+// cacheConfig converts one level's size in KB and lookup latency in CPU
+// cycles into a cache configuration.
+func (c *Config) cacheConfig(name string, kb, assoc, latency, mshrs int) cache.Config {
+	cpuPeriod := sim.NewClockHz(c.CPUGHz * 1e9).Period()
+	return cache.Config{
+		Name: name, SizeBytes: kb << 10, Assoc: assoc,
+		BlockSize: c.BlockSize, Latency: sim.Time(latency) * cpuPeriod,
+		MSHRs: mshrs,
 	}
 }
 

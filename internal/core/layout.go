@@ -130,17 +130,13 @@ func newGroup(size, fastSlots int) *group {
 		inv:     make([]uint8, size),
 		lastUse: make([]sim.Time, fastSlots),
 	}
-	for i := 0; i < size; i++ {
-		g.perm[i] = uint8(i)
-		g.inv[i] = uint8(i)
-	}
+	g.reset()
 	return g
 }
 
 // reset restores the identity permutation and clears all replacement
-// and degradation state, making the group indistinguishable from a
-// newGroup of the same shape (the Manager's reset freelist reuses
-// groups this way).
+// and degradation state. newGroup ends in it, and the Manager's reset
+// freelist reuses groups through it.
 func (g *group) reset() {
 	for i := range g.perm {
 		g.perm[i] = uint8(i)

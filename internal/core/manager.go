@@ -125,13 +125,11 @@ type Manager struct {
 }
 
 // NewManager builds a manager for design cfg.Design in front of ctl.
-// cores sizes per-core counters. For static designs supply the
-// assignment via SetStaticAssignment before running; for translation
+// cores sizes per-core counters. It allocates the per-core slice and the
+// translation maps, and Reset builds the rest. For static designs supply
+// the assignment via SetStaticAssignment before running; for translation
 // lookups the shared LLC must be attached via SetLLC.
 func NewManager(cfg Config, eng *sim.Engine, ctl *mc.Controller, cores int) (*Manager, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	geom := ctl.Device().Geometry()
 	m := &Manager{
 		cfg:  cfg,
@@ -145,24 +143,11 @@ func NewManager(cfg Config, eng *sim.Engine, ctl *mc.Controller, cores int) (*Ma
 	m.tableBytes = TableReserveBytes(geom)
 	m.tableBase = geom.Capacity() - m.tableBytes
 	if cfg.Design.Dynamic() {
-		layout, err := NewLayout(geom, cfg.GroupSize, cfg.FastDenom)
-		if err != nil {
-			return nil, err
-		}
-		m.layout = layout
-		tc, err := NewTagCache(cfg.TagCacheBytes, cfg.TagCacheAssoc)
-		if err != nil {
-			return nil, err
-		}
-		m.tagCache = tc
-		f, err := NewFilter(cfg.FilterThreshold, cfg.FilterCounters)
-		if err != nil {
-			return nil, err
-		}
-		m.filter = f
 		m.groups = make(map[uint64]*group)
-		m.picker = victimPicker{policy: cfg.Replacement, rng: sim.NewRNG(cfg.Seed)}
 		m.pendingTag = make(map[uint64][]*mem.Request)
+	}
+	if err := m.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -269,14 +254,15 @@ func (m *Manager) ResetStats() {
 }
 
 // Reset rewinds the manager to its just-constructed state for in-place
-// reuse (exp.SystemPool), adopting cfg's management knobs. The design
-// is pinned (the pool keys machines by design), as are the engine,
-// controller, and geometry; everything attached per run — LLC, static
-// assignment, profile, fault injector, telemetry — detaches. Touched
-// migration groups return to a freelist (reusable when GroupSize and
-// FastDenom carry over), the tag cache and filter reset in place when
-// their shapes match and rebuild otherwise, and the victim picker
-// re-seeds from cfg.Seed exactly as NewManager would.
+// reuse (exp.SystemPool), adopting cfg's management knobs; it is also
+// the second half of NewManager. The design is pinned (the pool keys
+// machines by design), as are the engine, controller, and geometry;
+// everything attached per run — LLC, static assignment, profile, fault
+// injector, telemetry — detaches. Touched migration groups return to a
+// freelist (reusable when GroupSize and FastDenom carry over), the
+// layout, tag cache and filter are built when none exists or the shape
+// changed and reset in place otherwise, and the victim picker seeds
+// from cfg.Seed.
 func (m *Manager) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -296,15 +282,12 @@ func (m *Manager) Reset(cfg Config) error {
 	m.err = nil
 	m.tel = nil
 	perCore := m.Stats.PerCorePromotions
-	m.Stats = Stats{}
-	for i := range perCore {
-		perCore[i] = 0
-	}
-	m.Stats.PerCorePromotions = perCore
+	clear(perCore)
+	m.Stats = Stats{PerCorePromotions: perCore}
 	if !cfg.Design.Dynamic() {
 		return nil
 	}
-	sameShape := cfg.GroupSize == old.GroupSize && cfg.FastDenom == old.FastDenom
+	sameShape := m.layout != nil && cfg.GroupSize == old.GroupSize && cfg.FastDenom == old.FastDenom
 	if !sameShape {
 		layout, err := NewLayout(m.geom, cfg.GroupSize, cfg.FastDenom)
 		if err != nil {
@@ -320,7 +303,7 @@ func (m *Manager) Reset(cfg Config) error {
 		}
 		delete(m.groups, id)
 	}
-	if cfg.TagCacheBytes == old.TagCacheBytes && cfg.TagCacheAssoc == old.TagCacheAssoc {
+	if m.tagCache != nil && cfg.TagCacheBytes == old.TagCacheBytes && cfg.TagCacheAssoc == old.TagCacheAssoc {
 		m.tagCache.Reset()
 	} else {
 		tc, err := NewTagCache(cfg.TagCacheBytes, cfg.TagCacheAssoc)
@@ -329,7 +312,7 @@ func (m *Manager) Reset(cfg Config) error {
 		}
 		m.tagCache = tc
 	}
-	if cfg.FilterThreshold == old.FilterThreshold && cfg.FilterCounters == old.FilterCounters {
+	if m.filter != nil && cfg.FilterThreshold == old.FilterThreshold && cfg.FilterCounters == old.FilterCounters {
 		m.filter.Reset()
 	} else {
 		f, err := NewFilter(cfg.FilterThreshold, cfg.FilterCounters)

@@ -28,8 +28,10 @@ type Channel struct {
 	busDirection busDir
 }
 
+// newChannel allocates a channel and its ranks; Device.Reset sets their
+// state.
 func newChannel(dev *Device, idx, ranks, banks int) *Channel {
-	ch := &Channel{dev: dev, idx: idx, busRank: -1}
+	ch := &Channel{dev: dev, idx: idx}
 	for i := 0; i < ranks; i++ {
 		ch.ranks = append(ch.ranks, newRank(banks))
 	}

@@ -67,9 +67,38 @@ func (d *Device) SetCommandLog(fn func(t sim.Time, kind CommandKind, channel, ra
 	d.cmdLog = fn
 }
 
-// validate checks the parts of cfg shared by New and Reset (geometry is
-// validated by New and pinned by Reset).
-func (cfg *Config) validate() error {
+// New validates cfg and builds the device: it allocates the channel,
+// rank and bank arrays for cfg.Geometry, and Reset sets their run state.
+func New(cfg Config) (*Device, error) {
+	if err := cfg.Geometry.Validate(); err != nil {
+		return nil, err
+	}
+	emodel, err := energy.NewModel(area.Default(), int(cfg.Geometry.RowBytes()), cfg.Geometry.BlockSize)
+	if err != nil {
+		return nil, fmt.Errorf("dram: energy model: %w", err)
+	}
+	d := &Device{geom: cfg.Geometry, emodel: emodel}
+	for i := 0; i < cfg.Geometry.Channels; i++ {
+		d.channels = append(d.channels, newChannel(d, i, cfg.Geometry.Ranks, cfg.Geometry.Banks))
+	}
+	if err := d.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset rewinds the device to its just-constructed state for in-place
+// reuse, adopting cfg's timing sets and migration latency (sweeps vary
+// them without changing the machine shape). It is also the second half
+// of New, so a rewound device equals a new one by construction. The
+// geometry is pinned: a reset never resizes the channel/rank/bank
+// arrays, so cfg.Geometry must equal the built one. Telemetry and the
+// command log detach — they are per-run attachments. The energy model
+// is retained (it is a pure function of the geometry).
+func (d *Device) Reset(cfg Config) error {
+	if cfg.Geometry != d.geom {
+		return fmt.Errorf("dram: reset with geometry %+v on a device built as %+v", cfg.Geometry, d.geom)
+	}
 	if err := cfg.Slow.Validate(); err != nil {
 		return fmt.Errorf("slow params: %w", err)
 	}
@@ -83,80 +112,27 @@ func (cfg *Config) validate() error {
 	if cfg.MigrationLatency < 0 {
 		return fmt.Errorf("dram: negative migration latency %d", cfg.MigrationLatency)
 	}
-	return nil
-}
-
-// New validates cfg and builds the device.
-func New(cfg Config) (*Device, error) {
-	if err := cfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	emodel, err := energy.NewModel(area.Default(), int(cfg.Geometry.RowBytes()), cfg.Geometry.BlockSize)
-	if err != nil {
-		return nil, fmt.Errorf("dram: energy model: %w", err)
-	}
-	d := &Device{
-		geom:             cfg.Geometry,
-		slow:             cfg.Slow,
-		fast:             cfg.Fast,
-		migrationLatency: cfg.MigrationLatency,
-		emodel:           emodel,
-	}
-	for i := 0; i < cfg.Geometry.Channels; i++ {
-		d.channels = append(d.channels, newChannel(d, i, cfg.Geometry.Ranks, cfg.Geometry.Banks))
-	}
-	d.initRefreshStagger()
-	return d, nil
-}
-
-// initRefreshStagger staggers initial refresh due times across ranks so
-// all ranks do not refresh in lock-step (as real controllers do).
-func (d *Device) initRefreshStagger() {
-	p := &d.slow
-	for ci, ch := range d.channels {
-		for ri, r := range ch.ranks {
-			frac := sim.Time(ci*d.geom.Ranks+ri) * p.Duration(p.TREFI) / sim.Time(d.geom.Channels*d.geom.Ranks)
-			r.nextRefreshDue = p.Duration(p.TREFI) + frac
-		}
-	}
-}
-
-// Reset rewinds the device to its just-constructed state for in-place
-// reuse, adopting cfg's timing sets and migration latency (sweeps vary
-// them without changing the machine shape). The geometry is pinned: a
-// reset never resizes the channel/rank/bank arrays, so cfg.Geometry
-// must equal the built one. Telemetry and the command log detach — they
-// are per-run attachments. After Reset the device is indistinguishable
-// from dram.New(cfg), including the initial refresh stagger; the energy
-// model is retained (it is a pure function of the geometry).
-func (d *Device) Reset(cfg Config) error {
-	if cfg.Geometry != d.geom {
-		return fmt.Errorf("dram: reset with geometry %+v on a device built as %+v", cfg.Geometry, d.geom)
-	}
-	if err := cfg.validate(); err != nil {
-		return err
-	}
 	d.slow, d.fast, d.migrationLatency = cfg.Slow, cfg.Fast, cfg.MigrationLatency
 	d.tel = nil
 	d.cmdLog = nil
-	for _, ch := range d.channels {
+	// Initial refresh due times are staggered across ranks so all ranks
+	// do not refresh in lock-step (as real controllers do).
+	tREFI := d.slow.Duration(d.slow.TREFI)
+	nRanks := sim.Time(d.geom.Channels * d.geom.Ranks)
+	for ci, ch := range d.channels {
 		ch.busBusyUntil, ch.busRank, ch.busDirection = 0, -1, busNone
-		for _, r := range ch.ranks {
+		for ri, r := range ch.ranks {
 			for _, b := range r.banks {
 				*b = Bank{}
 			}
-			r.actHead = 0
-			r.nextAct, r.nextReadAfterWr, r.refreshBusyUntil, r.nextRefreshDue = 0, 0, 0, 0
-			r.Refreshes = 0
+			*r = Rank{banks: r.banks, nextRefreshDue: tREFI + sim.Time(ci*d.geom.Ranks+ri)*tREFI/nRanks}
+			// Pre-fill the tFAW window with the distant past so the first
+			// four activates are not spuriously throttled.
 			for i := range r.actWindow {
 				r.actWindow[i] = -(1 << 40)
 			}
 		}
 	}
-	d.initRefreshStagger()
 	return nil
 }
 

@@ -22,15 +22,11 @@ type Rank struct {
 	Refreshes uint64
 }
 
+// newRank allocates a rank and its banks; Device.Reset sets their state.
 func newRank(banks int) *Rank {
 	r := &Rank{banks: make([]*Bank, banks)}
 	for i := range r.banks {
 		r.banks[i] = &Bank{}
-	}
-	// Pre-fill the tFAW window with the distant past so the first four
-	// activates are not spuriously throttled.
-	for i := range r.actWindow {
-		r.actWindow[i] = -(1 << 40)
 	}
 	return r
 }

@@ -7,11 +7,10 @@ import (
 
 // The engine's determinism contract (see internal/sim): figure output
 // depends only on the configuration and seeds, not on host scheduling,
-// session parallelism, or the event-queue implementation. The queue
-// half of the contract — value-typed 4-ary heap vs the container/heap
-// reference — is cross-checked by `go test -tags sim_refheap
-// ./internal/sim` and by the figure-level diff in scripts/check.sh,
-// which renders the same figure under both builds and byte-compares.
+// session parallelism, or the event-queue layout. The queue half of the
+// contract is checked by FuzzScheduleOrder, which diffs the engine
+// against a linear-scan model of the (at, seq) order, and by the
+// goldens, which pin end-to-end output.
 
 // renderFig7a computes a two-benchmark Fig7a with the given session
 // parallelism, prewarming baselines so the concurrent path actually

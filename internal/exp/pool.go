@@ -3,41 +3,41 @@ package exp
 import (
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/dram"
 )
 
-// poolKey pins everything a System.Reset cannot change: the machine
-// shape. Two configs with equal keys differ only in sweepable knobs
-// (timing sets, migration latency, management parameters, page policy,
-// measurement protocol, seeds, fault injection), all of which Reset
-// re-applies. Design is part of the key because the manager's design is
+// poolKey is the machine shape: everything a System.Reset cannot
+// change, derived from config.Config by the same methods Build
+// constructs the components from. Two configs with equal keys differ
+// only in sweepable knobs (timing sets, migration latency, management
+// parameters, page policy, measurement protocol, seeds, fault
+// injection), all of which Reset re-applies; Reset rejects any other
+// difference. Design is part of the key because the manager's design is
 // structural (dynamic designs carry layout/tag-cache/filter state that
-// static ones never allocate).
+// static ones never allocate). Cache levels carry their level names
+// only, never a formatted per-core name, so computing a key allocates
+// nothing.
 type poolKey struct {
-	design core.Design
-	cores  int
-
-	channels, ranks, banks, rows, columns, blockSize int
-
-	cpuGHz                  float64
-	width, rob, storeBuffer int
-
-	l1KB, l1Assoc, l1Lat, l1MSHRs     int
-	l2KB, l2Assoc, l2Lat, l2MSHRs     int
-	llcKB, llcAssoc, llcLat, llcMSHRs int
+	design      core.Design
+	cores       int
+	geom        dram.Geometry
+	cpu         cpu.Config
+	l1, l2, llc cache.Config
 }
 
 func keyFor(cfg *config.Config, design core.Design) poolKey {
 	return poolKey{
-		design:   design,
-		cores:    cfg.Cores,
-		channels: cfg.Channels, ranks: cfg.Ranks, banks: cfg.Banks,
-		rows: cfg.RowsPerBank, columns: cfg.Columns, blockSize: cfg.BlockSize,
-		cpuGHz: cfg.CPUGHz, width: cfg.Width, rob: cfg.ROB, storeBuffer: cfg.StoreBuffer,
-		l1KB: cfg.L1KB, l1Assoc: cfg.L1Assoc, l1Lat: cfg.L1Latency, l1MSHRs: cfg.L1MSHRs,
-		l2KB: cfg.L2KB, l2Assoc: cfg.L2Assoc, l2Lat: cfg.L2Latency, l2MSHRs: cfg.L2MSHRs,
-		llcKB: cfg.LLCKB, llcAssoc: cfg.LLCAssoc, llcLat: cfg.LLCLatency, llcMSHRs: cfg.LLCMSHRs,
+		design: design,
+		cores:  cfg.Cores,
+		geom:   cfg.Geometry(),
+		cpu:    cfg.CPUConfig(),
+		l1:     cfg.L1Config(),
+		l2:     cfg.L2Config(),
+		llc:    cfg.LLCConfig(),
 	}
 }
 
@@ -53,10 +53,10 @@ func footprintBytes(k poolKey) int64 {
 		robBytes  = 160 // robEntry + preallocated mem.Request
 		slack     = 1 << 20
 	)
-	cacheLines := int64(k.llcKB<<10)/int64(k.blockSize) +
-		int64(k.cores)*(int64(k.l1KB<<10)+int64(k.l2KB<<10))/int64(k.blockSize)
-	banks := int64(k.channels) * int64(k.ranks) * int64(k.banks)
-	return cacheLines*lineBytes + banks*bankBytes + int64(k.cores)*int64(k.rob)*robBytes + slack
+	cacheLines := int64(k.llc.SizeBytes)/int64(k.geom.BlockSize) +
+		int64(k.cores)*(int64(k.l1.SizeBytes)+int64(k.l2.SizeBytes))/int64(k.geom.BlockSize)
+	banks := int64(k.geom.Channels) * int64(k.geom.Ranks) * int64(k.geom.Banks)
+	return cacheLines*lineBytes + banks*bankBytes + int64(k.cores)*int64(k.cpu.ROB)*robBytes + slack
 }
 
 // PoolStats is a snapshot of a SystemPool's lifetime activity.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
@@ -65,6 +66,61 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 			}
 			pool.Drain()
 		})
+	}
+}
+
+// TestResetRejectsShapeChange pins that System.Reset enforces the pool
+// key: a cfg that changes any part of the machine shape is rejected, so
+// a rewound machine never runs its old arrays or pipeline under a new
+// config's name. Rejected calls leave the machine reusable.
+func TestResetRejectsShapeChange(t *testing.T) {
+	base := tinyConfig()
+	base.InstrPerCore = 20_000
+	sys, _, err := Build(base, core.DAS, []string{"mcf"}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		design core.Design
+		edit   func(*config.Config)
+	}{
+		{"design", core.Standard, func(*config.Config) {}},
+		{"cores", core.DAS, func(c *config.Config) { c.Cores = 2 }},
+		{"rows_per_bank", core.DAS, func(c *config.Config) { c.RowsPerBank *= 2 }},
+		{"width", core.DAS, func(c *config.Config) { c.Width /= 2 }},
+		{"rob", core.DAS, func(c *config.Config) { c.ROB /= 2 }},
+		{"l1_kb", core.DAS, func(c *config.Config) { c.L1KB /= 2 }},
+		{"l1_assoc", core.DAS, func(c *config.Config) { c.L1Assoc /= 2 }},
+		{"l1_latency", core.DAS, func(c *config.Config) { c.L1Latency++ }},
+		{"l1_mshrs", core.DAS, func(c *config.Config) { c.L1MSHRs /= 2 }},
+		{"l2_kb", core.DAS, func(c *config.Config) { c.L2KB /= 2 }},
+		{"l2_assoc", core.DAS, func(c *config.Config) { c.L2Assoc /= 2 }},
+		{"l2_latency", core.DAS, func(c *config.Config) { c.L2Latency++ }},
+		{"l2_mshrs", core.DAS, func(c *config.Config) { c.L2MSHRs /= 2 }},
+		{"llc_kb", core.DAS, func(c *config.Config) { c.LLCKB /= 2 }},
+		{"llc_assoc", core.DAS, func(c *config.Config) { c.LLCAssoc /= 2 }},
+		{"llc_latency", core.DAS, func(c *config.Config) { c.LLCLatency++ }},
+		{"llc_mshrs", core.DAS, func(c *config.Config) { c.LLCMSHRs /= 2 }},
+	} {
+		cfg := base
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: the changed config must be valid: %v", tc.name, err)
+		}
+		benchmarks := make([]string, cfg.Cores)
+		for i := range benchmarks {
+			benchmarks[i] = "mcf"
+		}
+		if _, err := sys.Reset(cfg, tc.design, benchmarks, nil, false); err == nil {
+			t.Errorf("Reset accepted a changed %s", tc.name)
+		}
+	}
+	if _, err := sys.Reset(base, core.DAS, []string{"mcf"}, nil, false); err != nil {
+		t.Fatalf("same-shape Reset after the rejections: %v", err)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

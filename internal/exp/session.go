@@ -190,9 +190,9 @@ func (s *Session) build(cfg config.Config, design core.Design, benchmarks []stri
 			if _, err := sys.Reset(cfg, design, benchmarks, static, false); err == nil {
 				return sys, nil
 			}
-			// An invalid cfg (or a shape the key failed to pin) must not
-			// re-pool a half-reset machine; recycle its storage and let the
-			// fresh path report the error.
+			// A rejected cfg or benchmark list must not re-pool a
+			// half-reset machine; recycle its storage and let the fresh
+			// path report the error.
 			sys.free()
 		}
 	}

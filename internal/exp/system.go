@@ -60,28 +60,19 @@ type System struct {
 
 // Build wires a system running the named benchmarks, one per core.
 // static supplies the profiled fast-row set (required for SAS/CHARM);
-// profile enables row-heat recording (used on baseline runs).
+// profile enables row-heat recording (used on baseline runs). Build
+// only constructs the components; the per-run setup is prepare, which
+// Reset shares, so a built and a rewound machine start from one path.
 func Build(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment, profile bool) (*System, *core.RowProfile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if len(benchmarks) != cfg.Cores {
-		return nil, nil, fmt.Errorf("exp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
-	}
-	if design.Static() && static == nil {
-		return nil, nil, fmt.Errorf("exp: %v requires a static assignment (run a Standard baseline first)", design)
 	}
 	eng := sim.NewEngine()
 	dev, err := dram.New(cfg.DRAMConfig(design))
 	if err != nil {
 		return nil, nil, err
 	}
-	mcCfg := mc.Config{
-		WindowSize: cfg.WindowSize, WriteHigh: cfg.WriteHigh, WriteLow: cfg.WriteLow,
-		StarvationLimit: sim.FromNS(cfg.StarvationLimitNS),
-		ClosedPage:      cfg.ClosedPage,
-	}
-	ctl, err := mc.New(mcCfg, eng, dev, cfg.Cores)
+	ctl, err := mc.New(cfg.ControllerConfig(), eng, dev, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,74 +84,38 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 	if err != nil {
 		return nil, nil, err
 	}
-	if static != nil {
-		mgr.SetStaticAssignment(static)
-	}
-	if fc := cfg.FaultConfig(); fc.Enabled() {
-		inj, err := fault.NewInjector(fc)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.SetFaults(inj)
-	}
-	if cfg.CheckInvariants {
-		mgr.EnableInvariantChecks()
-	}
-	var prof *core.RowProfile
-	if profile {
-		prof = mgr.EnableProfiling()
-	}
-	cpuPeriod := sim.NewClockHz(cfg.CPUGHz * 1e9).Period()
-	llc, err := cache.New(cache.Config{
-		Name: "LLC", SizeBytes: cfg.LLCKB << 10, Assoc: cfg.LLCAssoc,
-		BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.LLCLatency) * cpuPeriod,
-		MSHRs: cfg.LLCMSHRs,
-	}, eng, mgr, cfg.Cores)
+	llc, err := cache.New(cfg.LLCConfig(), eng, mgr, cfg.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
-	mgr.SetLLC(llc)
 	sys := &System{
-		Cfg: cfg, Design: design, Eng: eng,
-		LLC: llc, Mgr: mgr, Ctl: ctl, Dev: dev,
-		names:     benchmarks,
-		remaining: cfg.Cores,
-		warmupsTo: cfg.Cores,
-		missSnap:  make([][2]uint64, cfg.Cores),
-		promSnap:  make([][2]uint64, cfg.Cores),
+		Eng: eng, LLC: llc, Mgr: mgr, Ctl: ctl, Dev: dev,
+		missSnap: make([][2]uint64, cfg.Cores),
+		promSnap: make([][2]uint64, cfg.Cores),
 	}
-	coreCfg := cpu.Config{
-		ClockHz: cfg.CPUGHz * 1e9, Width: cfg.Width,
-		ROB: cfg.ROB, StoreBuffer: cfg.StoreBuffer,
-	}
-	for i, name := range benchmarks {
-		gen, err := MakeGenerator(cfg, name, i)
+	l1Cfg, l2Cfg, cpuCfg := cfg.L1Config(), cfg.L2Config(), cfg.CPUConfig()
+	for i := 0; i < cfg.Cores; i++ {
+		l2Cfg.Name = fmt.Sprintf("L2-%d", i)
+		l2, err := cache.New(l2Cfg, eng, llc, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		l2, err := cache.New(cache.Config{
-			Name: fmt.Sprintf("L2-%d", i), SizeBytes: cfg.L2KB << 10, Assoc: cfg.L2Assoc,
-			BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.L2Latency) * cpuPeriod,
-			MSHRs: cfg.L2MSHRs,
-		}, eng, llc, 0)
+		l1Cfg.Name = fmt.Sprintf("L1-%d", i)
+		l1, err := cache.New(l1Cfg, eng, l2, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		l1, err := cache.New(cache.Config{
-			Name: fmt.Sprintf("L1-%d", i), SizeBytes: cfg.L1KB << 10, Assoc: cfg.L1Assoc,
-			BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.L1Latency) * cpuPeriod,
-			MSHRs: cfg.L1MSHRs,
-		}, eng, l2, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := cpu.New(i, coreCfg, eng, gen, l1)
+		c, err := cpu.New(i, cpuCfg, eng, nil, l1)
 		if err != nil {
 			return nil, nil, err
 		}
 		sys.L2s = append(sys.L2s, l2)
 		sys.L1s = append(sys.L1s, l1)
 		sys.Cores = append(sys.Cores, c)
+	}
+	prof, err := sys.prepare(cfg, design, benchmarks, static, profile)
+	if err != nil {
+		return nil, nil, err
 	}
 	return sys, prof, nil
 }
@@ -169,12 +124,13 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 // cfg/design/benchmarks, reusing every retained allocation: the engine
 // rewinds in place, the DRAM arrays, controller queues, caches, manager
 // tables, and core structures all zero without reallocating. The
-// machine shape — design, core count, geometry, cache organization,
-// CPU pipeline — is pinned; Reset returns an error when cfg departs
-// from it (the SystemPool keys checkouts so this does not happen on the
-// pooled path). Sweepable knobs (timing sets, migration latency,
-// management parameters, page policy, workloads, seeds, fault
-// injection) all take effect exactly as a fresh Build would apply them.
+// machine shape — the pool key: design, core count, geometry, CPU
+// pipeline and every cache level's organization — is pinned; Reset
+// returns an error when cfg departs from it (the SystemPool keys
+// checkouts so this does not happen on the pooled path). Sweepable
+// knobs (timing sets, migration latency, management parameters, page
+// policy, workloads, seeds, fault injection) all take effect exactly as
+// a fresh Build would apply them, through the same prepare step.
 // Per-run attachments (observer, live progress) are dropped; re-attach
 // before running. Byte-identity with a fresh Build of the same
 // arguments is pinned by TestPooledRunsByteIdentical.
@@ -182,35 +138,14 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(benchmarks) != cfg.Cores {
-		return nil, fmt.Errorf("exp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
-	}
-	if design.Static() && static == nil {
-		return nil, fmt.Errorf("exp: %v requires a static assignment (run a Standard baseline first)", design)
-	}
-	if design != s.Design {
-		return nil, fmt.Errorf("exp: reset to design %v on a system built for %v", design, s.Design)
-	}
-	if cfg.Cores != len(s.Cores) {
-		return nil, fmt.Errorf("exp: reset to %d cores on a %d-core system", cfg.Cores, len(s.Cores))
-	}
-	cpuPeriod := sim.NewClockHz(cfg.CPUGHz * 1e9).Period()
-	if got, want := s.LLC.Config(), (cache.Config{
-		Name: "LLC", SizeBytes: cfg.LLCKB << 10, Assoc: cfg.LLCAssoc,
-		BlockSize: cfg.BlockSize, Latency: sim.Time(cfg.LLCLatency) * cpuPeriod,
-		MSHRs: cfg.LLCMSHRs,
-	}); got != want {
-		return nil, fmt.Errorf("exp: reset cannot resize the cache hierarchy (LLC %+v -> %+v)", got, want)
+	if got, built := keyFor(&cfg, design), keyFor(&s.Cfg, s.Design); got != built {
+		return nil, fmt.Errorf("exp: reset cannot change the machine shape (%+v on a machine built as %+v)", got, built)
 	}
 	s.Eng.Reset()
 	if err := s.Dev.Reset(cfg.DRAMConfig(design)); err != nil {
 		return nil, err
 	}
-	if err := s.Ctl.Reset(mc.Config{
-		WindowSize: cfg.WindowSize, WriteHigh: cfg.WriteHigh, WriteLow: cfg.WriteLow,
-		StarvationLimit: sim.FromNS(cfg.StarvationLimitNS),
-		ClosedPage:      cfg.ClosedPage,
-	}); err != nil {
+	if err := s.Ctl.Reset(cfg.ControllerConfig()); err != nil {
 		return nil, err
 	}
 	mgrCfg, err := cfg.ManagerConfig(design)
@@ -219,6 +154,26 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	}
 	if err := s.Mgr.Reset(mgrCfg); err != nil {
 		return nil, err
+	}
+	s.LLC.Reset()
+	for i := range s.Cores {
+		s.L2s[i].Reset()
+		s.L1s[i].Reset()
+	}
+	return s.prepare(cfg, design, benchmarks, static, profile)
+}
+
+// prepare is the per-run setup Build and Reset share, applied to
+// components that are freshly built or rewound: it attaches the run's
+// static assignment, fault injector, invariant checks, row profile and
+// the LLC to the manager, gives each core its benchmark's generator,
+// and rewinds the system's own counters and snapshots.
+func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment, profile bool) (*core.RowProfile, error) {
+	if len(benchmarks) != cfg.Cores {
+		return nil, fmt.Errorf("exp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
+	}
+	if design.Static() && static == nil {
+		return nil, fmt.Errorf("exp: %v requires a static assignment (run a Standard baseline first)", design)
 	}
 	if static != nil {
 		s.Mgr.SetStaticAssignment(static)
@@ -237,28 +192,21 @@ func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []strin
 	if profile {
 		prof = s.Mgr.EnableProfiling()
 	}
-	s.LLC.Reset()
 	s.Mgr.SetLLC(s.LLC)
 	for i, name := range benchmarks {
 		gen, err := MakeGenerator(cfg, name, i)
 		if err != nil {
 			return nil, err
 		}
-		s.L2s[i].Reset()
-		s.L1s[i].Reset()
 		s.Cores[i].Reset(gen)
 	}
-	s.Cfg = cfg
+	s.Cfg, s.Design = cfg, design
 	s.names = benchmarks
-	s.remaining = cfg.Cores
-	s.warmupsTo = cfg.Cores
-	s.obs = nil
-	s.live = nil
+	s.remaining, s.warmupsTo = cfg.Cores, cfg.Cores
+	s.obs, s.live = nil, nil
 	s.lastLiveEv, s.lastLiveIn = 0, 0
-	for i := range s.missSnap {
-		s.missSnap[i] = [2]uint64{}
-		s.promSnap[i] = [2]uint64{}
-	}
+	clear(s.missSnap)
+	clear(s.promSnap)
 	return prof, nil
 }
 

@@ -85,30 +85,28 @@ type Controller struct {
 	Stats Stats
 }
 
-// New builds a controller for dev with cores per-core stat slots.
+// New builds a controller for dev with cores per-core stat slots: it
+// allocates the per-channel queues and bank indexes, and Reset sets
+// their run state.
 func New(cfg Config, eng *sim.Engine, dev *dram.Device, cores int) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg, eng: eng, dev: dev}
+	c := &Controller{eng: eng, dev: dev}
 	if cores > 0 {
 		c.Stats.PerCore = make([][3]uint64, cores)
 	}
-	clock := sim.NewClock(dev.ClockPeriod())
-	c.initCtlSched(eng, clock)
+	geo := dev.Geometry()
 	for i := 0; i < dev.Channels(); i++ {
-		cc := &chanCtl{
-			ctl: c,
-			idx: i,
-			ch:  dev.Channel(i),
-		}
-		geo := dev.Geometry()
-		cc.reserved = make([]bool, geo.Ranks*geo.Banks)
-		cc.refreshPending = make([]bool, geo.Ranks)
-		cc.pendR = make([]int32, geo.Ranks*geo.Banks)
-		cc.pendW = make([]int32, geo.Ranks*geo.Banks)
-		cc.initSched(eng, clock)
-		c.chans = append(c.chans, cc)
+		c.chans = append(c.chans, &chanCtl{
+			ctl:            c,
+			idx:            i,
+			ch:             dev.Channel(i),
+			reserved:       make([]bool, geo.Ranks*geo.Banks),
+			refreshPending: make([]bool, geo.Ranks),
+			pendR:          make([]int32, geo.Ranks*geo.Banks),
+			pendW:          make([]int32, geo.Ranks*geo.Banks),
+		})
+	}
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -118,24 +116,19 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 
 // Reset rewinds the controller to its just-constructed state for
 // in-place reuse (exp.SystemPool), adopting cfg's window and watermark
-// settings. The engine and device are retained — reset them first — and
-// the channel count is pinned by the device's geometry. Queues empty
-// with their backing arrays kept (entries zeroed so released requests
-// are collectable), the per-bank window indexes and reservations clear,
-// and both per-build-tag tick schedulers re-initialize exactly as New
-// left them. Telemetry detaches; re-attach per run.
+// settings; it is also the second half of New. The engine and device
+// are retained — reset them first — and the channel count is pinned by
+// the device's geometry. Queues empty with their backing arrays kept
+// (entries zeroed so released requests are collectable), the per-bank
+// window indexes and reservations clear, and both per-build-tag tick
+// schedulers initialize. Telemetry detaches; re-attach per run.
 func (c *Controller) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	c.cfg = cfg
 	c.tel = nil
-	perCore := c.Stats.PerCore
-	c.Stats = Stats{}
-	for i := range perCore {
-		perCore[i] = [3]uint64{}
-	}
-	c.Stats.PerCore = perCore
+	c.ResetStats()
 	clock := sim.NewClock(c.dev.ClockPeriod())
 	c.initCtlSched(c.eng, clock)
 	for _, cc := range c.chans {
@@ -143,20 +136,11 @@ func (c *Controller) Reset(cfg Config) error {
 		clearPtrs(&cc.writeQ)
 		clearPtrs(&cc.migQ)
 		clearPtrs(&cc.traced)
-		for i := range cc.reserved {
-			cc.reserved[i] = false
-		}
-		for i := range cc.refreshPending {
-			cc.refreshPending[i] = false
-		}
-		for i := range cc.pendR {
-			cc.pendR[i] = 0
-		}
-		for i := range cc.pendW {
-			cc.pendW[i] = 0
-		}
+		clear(cc.reserved)
+		clear(cc.refreshPending)
+		clear(cc.pendR)
+		clear(cc.pendW)
 		cc.drain = false
-		cc.sched = chanSched{}
 		cc.initSched(c.eng, clock)
 	}
 	return nil
@@ -264,13 +248,8 @@ func (c *Controller) PendingMigrations() int {
 // ResetStats zeroes the counters (warm-up boundary).
 func (c *Controller) ResetStats() {
 	perCore := c.Stats.PerCore
-	c.Stats = Stats{}
-	if perCore != nil {
-		for i := range perCore {
-			perCore[i] = [3]uint64{}
-		}
-		c.Stats.PerCore = perCore
-	}
+	clear(perCore)
+	c.Stats = Stats{PerCore: perCore}
 }
 
 // chanCtl schedules one channel.

@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the pre-next-event tick scheduler, kept compilable behind
-// -tags mc_polltick as the cross-check reference (the same pattern as
-// internal/sim's sim_refheap queue): a per-cycle Ticker polls dispatch
-// whenever work is queued, and the only sleep is the all-queues-empty
-// case with a refresh-deadline wake-up. scripts/check.sh byte-compares
-// figures rendered under this scheduler against the default next-event
-// build; the command streams must be identical.
+// -tags mc_polltick as the cross-check reference: a per-cycle Ticker
+// polls dispatch whenever work is queued, and the only sleep is the
+// all-queues-empty case with a refresh-deadline wake-up.
+// scripts/check.sh byte-compares figures rendered under this scheduler
+// against the default next-event build; the command streams must be
+// identical.
 
 // ctlSched has no controller-level state in the polling build.
 type ctlSched struct{}

@@ -26,9 +26,8 @@ type Runner func(ctx context.Context, job *Job) ([]byte, error)
 // Options configures a Server. The zero value of every field selects a
 // sensible default (see New).
 type Options struct {
-	// Workers bounds concurrent simulations. Each job may itself
-	// parallelize across designs (Session.Parallelism), so the default
-	// is deliberately small.
+	// Workers bounds concurrent simulations; each job runs its
+	// simulations one after another.
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// 429 + Retry-After instead of growing memory without bound.
@@ -328,9 +327,10 @@ func (s *Server) execute(jb *job) {
 	if err != nil {
 		se = asError(err)
 	}
-	// State and span resolve before done closes: a subscriber woken by
-	// the close observes the terminal state (channel close is the
-	// happens-before edge).
+	// State, span and job counters resolve before done closes: a
+	// subscriber woken by the close observes the terminal state, and a
+	// client holding its response finds its own job in /jobs and
+	// /metrics (channel close is the happens-before edge).
 	outcome := "done"
 	if se != nil {
 		outcome = "failed"
@@ -339,16 +339,6 @@ func (s *Server) execute(jb *job) {
 		jb.e.prog.setState(stateDone)
 	}
 	jb.spec.Trace.Finish(outcome, len(body))
-	s.mu.Lock()
-	jb.e.body, jb.e.err = body, se
-	if se != nil {
-		// Never cache failures: the next identical request retries.
-		delete(s.cache, jb.spec.Key)
-		delete(s.byHash, jb.spec.Hash)
-	}
-	close(jb.e.done)
-	s.mu.Unlock()
-
 	s.tmu.Lock()
 	s.gRunning.Add(-1)
 	s.hRun.Observe(uint64(elapsed.Microseconds()))
@@ -364,6 +354,15 @@ func (s *Server) execute(jb *job) {
 		}
 	}
 	s.tmu.Unlock()
+	s.mu.Lock()
+	jb.e.body, jb.e.err = body, se
+	if se != nil {
+		// Never cache failures: the next identical request retries.
+		delete(s.cache, jb.spec.Key)
+		delete(s.byHash, jb.spec.Hash)
+	}
+	close(jb.e.done)
+	s.mu.Unlock()
 	ev := LogEvent{Event: outcome, Key: jb.spec.KeyHex(), Kind: jb.spec.KindString(),
 		QueueMS: float64(wait.Nanoseconds()) / 1e6, RunMS: float64(elapsed.Nanoseconds()) / 1e6,
 		Bytes: len(jb.e.body)}

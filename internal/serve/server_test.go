@@ -437,3 +437,41 @@ func TestJobsEndpoint(t *testing.T) {
 		t.Fatalf("queue-wait histogram missing from /jobs: %v", jobs.Metrics)
 	}
 }
+
+// TestJobCountedBeforeDone pins execute's order: a finished job's
+// counters update before its done channel closes, so a client holding
+// its response finds its own job in /jobs and /metrics. The test holds
+// the telemetry lock while the job finishes; done must stay open until
+// the lock is released and the counters have moved.
+func TestJobCountedBeforeDone(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s, _ := newTestServer(t, Options{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("ok"), nil
+		},
+	})
+	e, _, serr := s.submit(mustJob(t, Request{Figure: "7a"}))
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	<-started
+	s.tmu.Lock()
+	close(release)
+	select {
+	case <-e.done:
+		s.tmu.Unlock()
+		t.Fatal("done closed before the job's counters updated")
+	case <-time.After(200 * time.Millisecond):
+	}
+	s.tmu.Unlock()
+	<-e.done
+	s.tmu.Lock()
+	done, running := s.cDone.Value(), s.gRunning.Value()
+	s.tmu.Unlock()
+	if done != 1 || running != 0 {
+		t.Fatalf("at done: serve.jobs.done = %d, serve.jobs.running = %d; want 1 and 0", done, running)
+	}
+}

@@ -8,10 +8,11 @@
 // Determinism contract: the firing order is the strict total order
 // (at, seq), where seq is a per-engine counter incremented at every
 // schedule.
-// It is independent of the queue's internal layout, so any conforming
-// queue implementation (the default timing wheel with 4-ary overflow
-// heap, or the container/heap reference selected by the sim_refheap
-// build tag) produces byte-identical simulations.
+// It is independent of the queue's internal layout (a timing wheel with
+// a 4-ary overflow heap), so any conforming queue produces
+// byte-identical simulations. FuzzScheduleOrder checks the queue against
+// a linear-scan model of the order, and the exp goldens pin end-to-end
+// output.
 package sim
 
 import (

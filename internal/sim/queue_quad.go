@@ -1,5 +1,3 @@
-//go:build !sim_refheap
-
 package sim
 
 import (
@@ -38,9 +36,9 @@ import (
 // any clock period in the system, so chained ticks land in distinct
 // buckets and buckets stay near-singleton.
 //
-// The firing order is the total order (at, seq) regardless of storage,
-// so this queue is byte-for-byte interchangeable with the
-// container/heap reference in queue_ref.go (build tag sim_refheap).
+// The firing order is the total order (at, seq) regardless of storage;
+// FuzzScheduleOrder diffs this queue against refModel, a linear-scan
+// specification of that order, at every step.
 type eventQueue struct {
 	w    *wheel
 	nw   int    // live entries in the wheel

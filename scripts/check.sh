@@ -34,12 +34,6 @@ echo "== go test -race"
 # read as a test failure.
 go test -race -timeout 30m ./...
 
-echo "== engine cross-check: container/heap reference queue (-tags sim_refheap)"
-# The reference queue is the pre-rewrite implementation kept behind a
-# build tag; the sim suite (including FuzzScheduleOrder's corpus and the
-# golden tests' upstream invariants) must pass against it unchanged.
-go test -tags sim_refheap ./internal/sim
-
 echo "== controller cross-check: per-cycle polling scheduler (-tags mc_polltick)"
 # The pre-rewrite polling scheduler is kept behind a build tag as the
 # next-event scheduler's reference; the controller and experiment
@@ -48,15 +42,13 @@ echo "== controller cross-check: per-cycle polling scheduler (-tags mc_polltick)
 # it unchanged — that is the identical-command-stream proof.
 go test -tags mc_polltick ./internal/mc ./internal/exp
 
-echo "== figure determinism: wheel vs reference-heap engines, next-event vs polling controller"
-# Same figure, byte-compared across both queue implementations and both
-# controller schedulers: the (at, seq) firing order — not the queue
-# layout or the tick schedule — must decide simulation results.
+echo "== figure determinism: next-event vs polling controller"
+# Same figure, byte-compared across both controller schedulers: the
+# command stream — not the tick schedule — must decide simulation
+# results.
 tmp_quad=$(mktemp) tmp_ref=$(mktemp) tmp_obs=$(mktemp) tmp_sink=$(mktemp)
 trap 'rm -f "$tmp_quad" "$tmp_ref" "$tmp_obs" "$tmp_sink"' EXIT
 go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_quad" 2>/dev/null
-go run -tags sim_refheap ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_ref" 2>/dev/null
-cmp "$tmp_quad" "$tmp_ref"
 go run -tags mc_polltick ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_ref" 2>/dev/null
 cmp "$tmp_quad" "$tmp_ref"
 
@@ -111,20 +103,25 @@ awk -F',' 'NR == 1 { next }
 rm -f "$tmp_sink.req"
 
 echo "== energy report (dasbench -energy): perf-per-watt across all designs"
-# The perf-per-watt report must render, and enabling it alongside a
-# figure must leave that figure's bytes untouched — energy metering is
-# pure accounting, never a timing input.
-go run ./cmd/dasbench -energy -benchmarks mcf -instr 200000 >"$tmp_ref" 2>/dev/null
+# The perf-per-watt report must regenerate the committed
+# results_energy.txt byte for byte (the `make energy` command), and
+# enabling it alongside a figure must leave that figure's bytes
+# untouched — energy metering is pure accounting, never a timing input.
+go run ./cmd/dasbench -energy -benchmarks mcf,soplex -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
 grep -q "Perf/watt: instructions per microjoule" "$tmp_ref"
+cmp "$tmp_ref" results_energy.txt
 go run ./cmd/dasbench -fig 7a -energy -benchmarks mcf,soplex -instr 200000 >"$tmp_obs" 2>/dev/null
 head -n "$(wc -l <"$tmp_quad")" "$tmp_obs" | cmp - "$tmp_quad"
 grep -q "Perf/watt: instructions per microjoule" "$tmp_obs"
 
-echo "== explain smoke (dasbench -explain standard,das)"
+echo "== explain report (dasbench -explain standard,das)"
 # Full attribution pipeline end to end: Explain fails if any traced
 # request violates the components-sum-to-total invariant, so a clean
-# exit is the invariant check over real Standard and DAS runs.
-go run ./cmd/dasbench -explain standard,das -benchmarks mcf -instr 200000 >/dev/null
+# exit is the invariant check over real Standard and DAS runs. The
+# report must regenerate the committed results_explain.txt byte for
+# byte (the `make explain` command).
+go run ./cmd/dasbench -explain standard,das -benchmarks mcf,soplex -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
+cmp "$tmp_ref" results_explain.txt
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
