@@ -50,13 +50,18 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's metadata (the simulator carries no data).
+// line is one cache line's metadata (the simulator carries no data):
+// the block address and a stamp that packs the line's LRU tick above
+// its dirty bit. lruTick is bumped before every use, so a valid line's
+// stamp is at least 2 and stamp 0 marks an invalid way. Ticks are
+// unique, so comparing stamps orders lines by recency and the dirty bit
+// never decides a comparison.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	stamp uint64 // lruTick<<1 | dirty; 0 = invalid
 }
+
+const dirty = 1 // the stamp's dirty bit
 
 // mshr tracks one outstanding fill and the requests waiting on it.
 // Slots are recycled through the cache's free list with their fill
@@ -93,12 +98,16 @@ type Cache struct {
 	cfg     Config
 	eng     *sim.Engine
 	lower   mem.Component
-	sets    [][]line
+	lines   []line // sets × assoc, way w of set s at s*assoc + w
+	assoc   int
 	setMask uint64
 	blkBits uint
 	lruTick uint64
 
-	mshrs    map[uint64]*mshr
+	// mshrs holds the live fills, found by a scan of their block
+	// addresses: at most cfg.MSHRs plus the Meta fetches that bypass
+	// the cap.
+	mshrs    []*mshr
 	mshrPool []*mshr        // recycled MSHR slots
 	pending  []*mem.Request // waiting for a free MSHR
 	wbFree   []*wbSlot      // recycled writeback requests
@@ -125,12 +134,10 @@ func New(cfg Config, eng *sim.Engine, lower mem.Component, cores int) (*Cache, e
 		cfg:     cfg,
 		eng:     eng,
 		lower:   lower,
-		sets:    make([][]line, nsets),
+		lines:   make([]line, lines),
+		assoc:   cfg.Assoc,
 		setMask: uint64(nsets - 1),
-		mshrs:   make(map[uint64]*mshr),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+		mshrs:   make([]*mshr, 0, cfg.MSHRs),
 	}
 	for b := cfg.BlockSize; b > 1; b >>= 1 {
 		c.blkBits++
@@ -148,7 +155,44 @@ func (c *Cache) Name() string { return c.cfg.Name }
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) blockAddr(addr uint64) uint64 { return addr >> c.blkBits << c.blkBits }
-func (c *Cache) setIndex(block uint64) uint64 { return (block >> c.blkBits) & c.setMask }
+
+// set returns the ways of block's set.
+func (c *Cache) set(block uint64) []line {
+	i := int((block>>c.blkBits)&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc]
+}
+
+// find returns block's resident line, or nil.
+func (c *Cache) find(block uint64) *line {
+	set := c.set(block)
+	for i := range set {
+		if set[i].tag == block && set[i].stamp != 0 {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+// touch makes ln the most recently used line of its set, dirtying it
+// for a write.
+func (c *Cache) touch(ln *line, write bool) {
+	c.lruTick++
+	d := ln.stamp & dirty
+	if write {
+		d = dirty
+	}
+	ln.stamp = c.lruTick<<1 | d
+}
+
+// mshrFor returns the live MSHR filling block, or nil.
+func (c *Cache) mshrFor(block uint64) *mshr {
+	for _, m := range c.mshrs {
+		if m.blockAddr == block {
+			return m
+		}
+	}
+	return nil
+}
 
 // lookupEvent is the shared trampoline Access schedules through; with
 // the (cache, request) pair carried as bound arguments, entering a
@@ -165,19 +209,11 @@ func (c *Cache) Access(req *mem.Request) {
 func (c *Cache) lookup(req *mem.Request) {
 	c.Stats.Accesses++
 	block := c.blockAddr(req.Addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == block {
-			c.Stats.Hits++
-			c.lruTick++
-			ln.lru = c.lruTick
-			if req.Write {
-				ln.dirty = true
-			}
-			req.Complete()
-			return
-		}
+	if ln := c.find(block); ln != nil {
+		c.Stats.Hits++
+		c.touch(ln, req.Write)
+		req.Complete()
+		return
 	}
 	// Miss.
 	if req.Writeback {
@@ -195,7 +231,7 @@ func (c *Cache) lookup(req *mem.Request) {
 	if req.Meta {
 		c.Stats.MetaMisses++
 	}
-	if m, ok := c.mshrs[block]; ok {
+	if m := c.mshrFor(block); m != nil {
 		c.Stats.Coalesced++
 		if req.Trace != nil {
 			req.Trace.StampMerge(c.eng.Now())
@@ -227,7 +263,7 @@ func (c *Cache) allocateMSHR(block uint64, req *mem.Request) {
 	}
 	m.blockAddr = block
 	m.waiters = append(m.waiters[:0], req)
-	c.mshrs[block] = m
+	c.mshrs = append(c.mshrs, m)
 	m.fillReq.Addr = block
 	m.fillReq.Core = req.Core
 	m.fillReq.Meta = req.Meta
@@ -249,7 +285,15 @@ func (c *Cache) fill(m *mshr) {
 	if c.tel != nil {
 		c.tel.fillLat.Observe(uint64((c.eng.Now() - m.fillReq.Issued) / sim.Nanosecond))
 	}
-	delete(c.mshrs, m.blockAddr)
+	for i, x := range c.mshrs {
+		if x == m {
+			last := len(c.mshrs) - 1
+			c.mshrs[i] = c.mshrs[last]
+			c.mshrs[last] = nil
+			c.mshrs = c.mshrs[:last]
+			break
+		}
+	}
 	c.install(m.blockAddr, m.waiters)
 	for _, w := range m.waiters {
 		w.Complete()
@@ -294,20 +338,17 @@ func (c *Cache) wbSlot() *wbSlot {
 }
 
 // install places block into its set, writing back the dirty victim.
+// The victim is the first way with the smallest stamp: the first
+// invalid way (stamp 0) if any, else the least recently used.
 func (c *Cache) install(block uint64, waiters []*mem.Request) {
-	set := c.sets[c.setIndex(block)]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+	set := c.set(block)
+	v := &set[0]
+	for i := 1; i < len(set); i++ {
+		if set[i].stamp < v.stamp {
+			v = &set[i]
 		}
 	}
-	v := &set[victim]
-	if v.valid && v.dirty {
+	if v.stamp&dirty != 0 {
 		c.Stats.Writebacks++
 		wb := c.wbSlot()
 		wb.r = mem.Request{
@@ -321,13 +362,13 @@ func (c *Cache) install(block uint64, waiters []*mem.Request) {
 		c.lower.Access(&wb.r)
 	}
 	c.lruTick++
-	dirty := false
+	stamp := c.lruTick << 1
 	for _, w := range waiters {
 		if w.Write {
-			dirty = true
+			stamp |= dirty
 		}
 	}
-	*v = line{tag: block, valid: true, dirty: dirty, lru: c.lruTick}
+	*v = line{tag: block, stamp: stamp}
 }
 
 // drainPending retries queued misses now that an MSHR freed up.
@@ -337,7 +378,7 @@ func (c *Cache) drainPending() {
 		copy(c.pending, c.pending[1:])
 		c.pending = c.pending[:len(c.pending)-1]
 		block := c.blockAddr(req.Addr)
-		if m, ok := c.mshrs[block]; ok {
+		if m := c.mshrFor(block); m != nil {
 			c.Stats.Coalesced++
 			if req.Trace != nil {
 				req.Trace.StampMerge(c.eng.Now())
@@ -347,51 +388,33 @@ func (c *Cache) drainPending() {
 		}
 		// Re-check the tags: an earlier fill may have brought the block in
 		// while this request sat in the pending queue.
-		set := c.sets[c.setIndex(block)]
-		hit := false
-		for i := range set {
-			ln := &set[i]
-			if ln.valid && ln.tag == block {
-				c.lruTick++
-				ln.lru = c.lruTick
-				if req.Write {
-					ln.dirty = true
-				}
-				req.Complete()
-				hit = true
-				break
-			}
+		if ln := c.find(block); ln != nil {
+			c.touch(ln, req.Write)
+			req.Complete()
+			continue
 		}
-		if !hit {
-			c.allocateMSHR(block, req)
-		}
+		c.allocateMSHR(block, req)
 	}
 }
 
 // Reset rewinds the cache to its just-constructed state for in-place
 // reuse (exp.SystemPool): all lines invalidate, the LRU clock rewinds,
 // outstanding MSHRs and queued misses drop, and statistics zero. The
-// set arrays, MSHR map buckets, and recycled MSHR slots (whose fill
+// line array, the MSHR slices, and recycled MSHR slots (whose fill
 // completions bind this *Cache once) are all retained, so a reset
 // allocates nothing. Telemetry detaches; re-attach per run.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.lruTick = 0
-	for block, m := range c.mshrs {
-		for i := range m.waiters {
-			m.waiters[i] = nil
-		}
+	for _, m := range c.mshrs {
+		clear(m.waiters)
 		m.waiters = m.waiters[:0]
 		m.fillReq.Trace = nil
 		m.fillReq.Done = m.filled
 		c.mshrPool = append(c.mshrPool, m)
-		delete(c.mshrs, block)
 	}
+	clear(c.mshrs)
+	c.mshrs = c.mshrs[:0]
 	clear(c.pending)
 	c.pending = c.pending[:0]
 	c.tel = nil
@@ -400,16 +423,7 @@ func (c *Cache) Reset() {
 
 // Contains reports whether block-aligned addr is resident (test helper and
 // used by property tests; not on the timing path).
-func (c *Cache) Contains(addr uint64) bool {
-	block := c.blockAddr(addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr uint64) bool { return c.find(c.blockAddr(addr)) != nil }
 
 // OutstandingMisses reports the number of live MSHRs (diagnostics).
 func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }

@@ -274,7 +274,10 @@ func (c *Core) tick() {
 
 	// Retire up to Width completed instructions from the ROB head.
 	for r := 0; r < c.cfg.Width && c.count > 0 && c.rob[c.head].done; r++ {
-		c.head = (c.head + 1) % len(c.rob)
+		c.head++
+		if c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 		c.retire()
 		progress = true
@@ -296,7 +299,10 @@ func (c *Core) tick() {
 			break
 		}
 		c.pendingValid = false
-		idx := (c.head + c.count) % len(c.rob)
+		idx := c.head + c.count
+		if idx >= len(c.rob) {
+			idx -= len(c.rob)
+		}
 		c.count++
 		e := &c.rob[idx]
 		*e = robEntry{}

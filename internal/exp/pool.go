@@ -43,20 +43,34 @@ func keyFor(cfg *config.Config, design core.Design) poolKey {
 
 // footprintBytes is a coarse standing-memory estimate of one machine,
 // used only to enforce the pool's byte budget (never for simulation).
-// It prices the dominant retained structures: cache line metadata, DRAM
-// bank state, and per-core ROB/request arrays, plus a fixed slack for
-// queues, maps, and lazily grown tables.
+// It prices what a machine keeps alive after it has run: cache line
+// metadata, DRAM bank state, each core's ROB, request slots, workload
+// row permutation and page bitmap, the dynamic designs' translation
+// groups and tag cache, and the engine's event storage, plus slack for
+// controller queues, maps and freelists. The per-core and per-row
+// prices are averages over runs of a few hundred thousand instructions
+// per core (translation groups are allocated as rows are first
+// touched); TestFootprintEstimateMatchesRetainedHeap holds the total
+// within 25% of the measured live heap.
 func footprintBytes(k poolKey) int64 {
 	const (
-		lineBytes = 48  // cache line metadata + set overhead
-		bankBytes = 256 // dram.Bank counters + rank share
-		robBytes  = 160 // robEntry + preallocated mem.Request
-		slack     = 1 << 20
+		lineBytes  = 16        // cache.line: tag and LRU stamp
+		bankBytes  = 256       // dram.Bank counters + rank share
+		robBytes   = 96        // robEntry + preallocated load request
+		coreBytes  = 160 << 10 // workload row permutation and page bitmap
+		rowBytes   = 6         // dynamic designs: ~240 B per touched 32-row group
+		tagBytes   = 256 << 10 // dynamic designs: tag cache
+		eventBytes = 32 << 10  // engine: wheel heads and a slab of a few hundred events
+		slack      = 192 << 10
 	)
 	cacheLines := int64(k.llc.SizeBytes)/int64(k.geom.BlockSize) +
 		int64(k.cores)*(int64(k.l1.SizeBytes)+int64(k.l2.SizeBytes))/int64(k.geom.BlockSize)
-	banks := int64(k.geom.Channels) * int64(k.geom.Ranks) * int64(k.geom.Banks)
-	return cacheLines*lineBytes + banks*bankBytes + int64(k.cores)*int64(k.cpu.ROB)*robBytes + slack
+	n := cacheLines*lineBytes + int64(k.geom.TotalBanks())*bankBytes +
+		int64(k.cores)*(int64(k.cpu.ROB)*robBytes+coreBytes) + eventBytes + slack
+	if k.design.Dynamic() {
+		n += int64(k.geom.TotalRows())*rowBytes + tagBytes
+	}
+	return n
 }
 
 // PoolStats is a snapshot of a SystemPool's lifetime activity.

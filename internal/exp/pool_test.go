@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -363,4 +364,61 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 	if st = pool.Stats(); st.Machines != 0 || st.CurrentBytes != 0 {
 		t.Errorf("Drain left machines behind: %+v", st)
 	}
+}
+
+// TestFootprintEstimateMatchesRetainedHeap pins the pool's byte budget
+// to what a pooled machine really keeps alive. Four 1-core and four
+// 4-core DAS machines at config.Scaled() are built, run and checked
+// into a pool; the per-machine growth of the live heap (HeapAlloc after
+// a full collection) must be within 25% of footprintBytes' estimate.
+func TestFootprintEstimateMatchesRetainedHeap(t *testing.T) {
+	cases := []struct {
+		cores      int
+		benchmarks []string
+	}{
+		{1, []string{"mcf"}},
+		{4, []string{"cactusADM", "mcf", "milc", "omnetpp"}},
+	}
+	for _, tc := range cases {
+		cfg := config.Scaled()
+		cfg.Cores = tc.cores
+		cfg.InstrPerCore = 200_000
+		pool := NewSystemPool(0)
+		run := func() {
+			sys, _, err := Build(cfg, core.DAS, tc.benchmarks, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.pool = pool // keep the engine attached, as a pooled run does
+			if _, err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(sys)
+		}
+		run() // first-use package state (catalogs, pools) is not per machine
+		const machines = 4
+		before := liveHeap()
+		for i := 0; i < machines; i++ {
+			run()
+		}
+		perMachine := float64(liveHeap()-before) / machines
+		est := float64(footprintBytes(keyFor(&cfg, core.DAS)))
+		t.Logf("%d-core: estimate %.2f MB, measured %.2f MB per machine (%+.0f%%)",
+			tc.cores, est/1e6, perMachine/1e6, 100*(est/perMachine-1))
+		if est < perMachine*0.75 || est > perMachine*1.25 {
+			t.Errorf("%d-core: footprint estimate %.2f MB is not within 25%% of the measured %.2f MB per machine",
+				tc.cores, est/1e6, perMachine/1e6)
+		}
+		pool.Drain()
+	}
+}
+
+// liveHeap reports the live heap after two full collections (the second
+// empties the sync.Pool victim caches the first one leaves behind).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

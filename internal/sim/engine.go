@@ -44,16 +44,18 @@ func FromNS(ns float64) Time {
 // NS reports t in nanoseconds as a float.
 func (t Time) NS() float64 { return float64(t) / 1000 }
 
-// entry is a single scheduled callback, stored by value inside the
-// event queue: scheduling allocates no per-event heap node. Exactly one
-// of fn (closure form) and cfn (bound-call form) is set.
+// entry is one scheduled callback, written field by field into its
+// slot of the queue's slab when scheduled and read back field by field
+// when it fires: no entry value is ever copied through the queue.
+// Every event has one form, a func(a, b any) with two bound arguments;
+// closures ride on the callFunc trampoline.
 type entry struct {
-	at  Time
-	seq uint64 // FIFO tie-break for equal timestamps
-	fn  func()
-	cfn func(a, b any)
-	a   any
-	b   any
+	at   Time
+	seq  uint64 // FIFO tie-break for equal timestamps
+	fn   func(a, b any)
+	a    any
+	b    any
+	next int32 // slab index of the next entry in its bucket or the free list (0 = none)
 }
 
 // before reports whether e fires before o under the (at, seq) order.
@@ -64,40 +66,31 @@ func (e *entry) before(o *entry) bool {
 	return e.seq < o.seq
 }
 
-// fire invokes the callback.
-func (e *entry) fire() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.cfn(e.a, e.b)
-}
+// callFunc is the trampoline closure events fire through: Schedule binds
+// the closure itself as the first argument. A func value is
+// pointer-shaped, so boxing it allocates nothing.
+func callFunc(a, _ any) { a.(func())() }
 
 // Engine is a discrete-event simulator. The zero value is ready to use;
-// NewEngine additionally recycles queue storage from earlier engines.
+// NewEngine additionally recycles an engine, queue storage included,
+// released by an earlier run.
 type Engine struct {
 	now Time
 	seq uint64 // last sequence number handed out
-	q   eventQueue
 	// Executed counts events that have fired; useful for diagnostics.
 	executed uint64
+	q        eventQueue
 }
 
-// enginePool recycles Engine structs across Release/NewEngine so the
-// build-run-release cycle of an experiment session allocates nothing at
-// steady state: Release zeroes the struct (its queue storage goes back
-// to its own pools first), and NewEngine re-attaches pooled storage to
-// a recycled struct.
+// enginePool recycles released engines. A released engine is reset but
+// keeps its queue storage (the slab and the overflow heap's array), so
+// the build-run-release cycle of an experiment session allocates
+// nothing at steady state.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
-// NewEngine returns an empty engine at time zero, reusing pooled queue
-// storage — and the Engine struct itself — released by previous engines
-// (see Release).
-func NewEngine() *Engine {
-	e := enginePool.Get().(*Engine)
-	e.q.attachPooled()
-	return e
-}
+// NewEngine returns an empty engine at time zero, reusing an engine —
+// and its queue storage — released by a previous run (see Release).
+func NewEngine() *Engine { return enginePool.Get().(*Engine) }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -129,14 +122,10 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // misuse by a component, not a recoverable runtime condition, so they
 // are treated as assertion failures instead of returned errors.
 func (e *Engine) ScheduleAt(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at past time %d (now %d)", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil event")
 	}
-	e.seq++
-	e.q.push(entry{at: at, seq: e.seq, fn: fn})
+	e.ScheduleCallAt(at, callFunc, fn, nil)
 }
 
 // ScheduleCall runs fn(a, b) after delay. This is the allocation-free
@@ -160,19 +149,24 @@ func (e *Engine) ScheduleCallAt(at Time, fn func(a, b any), a, b any) {
 		panic("sim: schedule nil event")
 	}
 	e.seq++
-	e.q.push(entry{at: at, seq: e.seq, cfn: fn, a: a, b: b})
+	e.q.push(at, e.seq, fn, a, b)
 }
 
 // Step fires the single earliest pending event and reports whether one
-// existed.
+// existed. The event's fields are read into locals and its slot is
+// freed before the callback runs, so a callback that schedules a
+// follow-up reuses the slot it fired from.
 func (e *Engine) Step() bool {
 	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.at
+	i := e.q.pop()
+	ev := &e.q.slab[i]
+	at, fn, a, b := ev.at, ev.fn, ev.a, ev.b
+	e.q.recycle(i)
+	e.now = at
 	e.executed++
-	ev.fire()
+	fn(a, b)
 	return true
 }
 
@@ -200,26 +194,22 @@ func (e *Engine) Drain() { e.q.reset() }
 // Reset rewinds a retained engine to time zero for in-place reuse:
 // pending events are discarded, the clock, sequence counter and the
 // executed count return to their initial state, and the queue keeps its
-// backing storage attached. After Reset the engine is indistinguishable
-// from a fresh NewEngine, which is what lets a pooled system (exp
-// package) replay a byte-identical simulation without rebuilding.
+// storage. After Reset the engine is indistinguishable from a fresh
+// NewEngine, which is what lets a pooled system (exp package) replay a
+// byte-identical simulation without rebuilding.
 func (e *Engine) Reset() {
 	e.q.reset()
-	e.q.attachPooled()
 	e.now, e.seq, e.executed = 0, 0, 0
 }
 
-// Release discards any pending events, returns the queue's backing
-// storage to a package-level free list, and recycles the Engine struct
-// itself, where the next NewEngine picks both up. An experiment session
-// builds one short-lived engine per run, and the queue arrays plus the
-// struct are the engine's only steady-state allocations; releasing them
+// Release resets the engine and hands it, queue storage included, to a
+// package-level pool where the next NewEngine picks it up. An
+// experiment session builds one short-lived engine per run, so this
 // makes the whole build/schedule/fire cycle allocation-free across
 // runs. Release transfers ownership: the engine must not be used again
 // afterwards (callers that want to rewind and reuse an engine in place
 // call Reset instead).
 func (e *Engine) Release() {
-	e.q.release()
-	*e = Engine{}
+	e.Reset()
 	enginePool.Put(e)
 }

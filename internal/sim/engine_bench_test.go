@@ -6,9 +6,9 @@ import "testing"
 // models. BenchmarkEngineScheduleCall is the headline number: one
 // schedule+fire round trip through the trampoline path used by the
 // clock tickers, cache lookups and controller completions — it must
-// report 0 allocs/op. The Churn variants measure heap operations at
-// realistic queue depths (a 4-core system keeps a few hundred to a few
-// thousand events pending).
+// report 0 allocs/op. BenchmarkEngineSimMix replays the simulator's
+// measured event mix; the Churn variants measure deep queues of
+// periodic events.
 
 // churner is a self-rescheduling periodic event, the dominant event
 // shape in the simulator (core/channel tickers).
@@ -94,4 +94,74 @@ func BenchmarkEngineReleaseReuse(b *testing.B) {
 		eng.Drain()
 		eng.Release()
 	}
+}
+
+// simMix reproduces the event mix of a simulated core: a 333 ps core
+// tick, cache lookups 4, 12 and 20 core cycles out (every tick enters
+// L1, every second L1 lookup reaches L2 and every second L2 lookup the
+// LLC: 1.75 lookups per tick), a 1250 ps controller chain, and 60 wakes
+// parked about 7.8 µs out (refresh-deadline restarts). On a light
+// single-core run 60% of fired events are cache lookups and 34% core
+// ticks.
+type simMix struct {
+	eng    *Engine
+	l1, l2 uint64
+}
+
+const mixCycle Time = 333 // one 3 GHz core cycle, in ps
+
+func mixTick(a, _ any) {
+	m := a.(*simMix)
+	m.eng.ScheduleCall(mixCycle, mixTick, m, nil)
+	m.eng.ScheduleCall(4*mixCycle, mixL1, m, nil)
+}
+
+func mixL1(a, _ any) {
+	m := a.(*simMix)
+	if m.l1++; m.l1&1 == 0 {
+		m.eng.ScheduleCall(8*mixCycle, mixL2, m, nil)
+	}
+}
+
+func mixL2(a, _ any) {
+	m := a.(*simMix)
+	if m.l2++; m.l2&1 == 0 {
+		m.eng.ScheduleCall(8*mixCycle, mixLLC, m, nil)
+	}
+}
+
+func mixLLC(_, _ any) { benchSink++ }
+
+func mixCtl(a, _ any) {
+	m := a.(*simMix)
+	m.eng.ScheduleCall(1250, mixCtl, m, nil)
+}
+
+// mixWake is one parked wake; it re-arms 7.8 µs out each time it fires.
+type mixWake struct{ eng *Engine }
+
+func mixWakeFire(a, _ any) {
+	w := a.(*mixWake)
+	w.eng.ScheduleCall(7800*Nanosecond, mixWakeFire, w, nil)
+}
+
+// BenchmarkEngineSimMix drives the engine with simMix; one op is one
+// fired event. It must report 0 allocs/op.
+func BenchmarkEngineSimMix(b *testing.B) {
+	eng := NewEngine()
+	m := &simMix{eng: eng}
+	var wakes [60]mixWake
+	for i := range wakes {
+		wakes[i].eng = eng
+		eng.ScheduleCall(7800*Nanosecond+Time(i)*130*Nanosecond, mixWakeFire, &wakes[i], nil)
+	}
+	eng.ScheduleCall(0, mixTick, m, nil)
+	eng.ScheduleCall(0, mixCtl, m, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for eng.Executed() < uint64(b.N) {
+		eng.Step()
+	}
+	b.StopTimer()
+	eng.Release()
 }

@@ -189,3 +189,39 @@ func TestFromNS(t *testing.T) {
 		t.Errorf("roundtrip failed: %v", got.NS())
 	}
 }
+
+// TestEngineSteadyStateAllocatesNothing pins the engine's allocation
+// contract: once the slab and the overflow heap have grown to the
+// pending population, a schedule-and-step cycle allocates nothing. The
+// cycle mixes the three event shapes the simulator schedules: near
+// trampoline events (core ticks, cache lookups), closure events (a
+// pre-built func, like the controller's completions) and far events
+// that overflow the wheel (refresh-deadline wakes).
+func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	defer e.Release()
+	n := 0
+	nop := func(_, _ any) { n++ }
+	closure := func() { n++ }
+	var far [60]int
+	for i := range far {
+		e.ScheduleCall(Time(i)*130*Nanosecond, nop, &far[i], nil)
+	}
+	cycle := func() {
+		e.ScheduleCall(333, nop, e, nil)
+		e.Schedule(1250, closure)
+		e.ScheduleCall(7800*Nanosecond, nop, &far[n%len(far)], nil)
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady-state schedule-and-step cycle allocated %.2f times per run, want 0", allocs)
+	}
+	if e.Pending() != len(far) {
+		t.Fatalf("%d events pending, want the %d parked wakes", e.Pending(), len(far))
+	}
+}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // eventQueue orders entries by (at, seq) using a timing wheel backed by
 // an overflow 4-ary min-heap.
@@ -13,41 +10,56 @@ import (
 // a few cycles out, DRAM commands and completions within tens of
 // nanoseconds — while only rare events (refresh deadlines, idle-channel
 // wakes, the watchdog) live further ahead. A comparison-based heap pays
-// O(log n) dependent 64-byte entry moves on every operation; the wheel
-// turns push into an append plus a bit-set and pop into a two-level
-// bitmap probe plus a short bucket scan, both O(1) for the dominant
-// traffic.
+// O(log n) dependent moves on every operation, and every near event
+// would sift past the standing population of far wakes (about 70 events
+// are pending on average, most of them refresh-deadline wakes parked
+// microseconds out). The wheel turns push into a short sorted-list
+// insert plus a bit-set and pop into a two-level bitmap probe plus a
+// list unlink, both O(1) for the dominant traffic.
+//
+// Storage: every pending entry lives in one slab. push writes an
+// event's fields straight into a free slot and the engine reads them
+// back into locals when it fires, so no 64-byte entry value is copied
+// through the queue. Freed slots go onto a LIFO free list threaded
+// through the entries' next links: the slab holds only as many entries
+// as were ever pending at once (a few hundred), and a callback that
+// schedules a follow-up refills the slot its own event just vacated.
+// Entries name each other by slab index, and slab[0] is a sentinel that
+// is never handed out, so index 0 means "none" and a zeroed wheel is
+// empty.
 //
 // Layout: wheelBuckets buckets of wheelTick = 1<<wheelShift picoseconds
 // each cover a sliding window of wheelBuckets<<wheelShift (= 65.5 ns)
 // starting at `base` (the bucket of the last popped entry — a lower
 // bound for every live entry, since pops are monotone in at). An entry
-// within the window goes to bucket (at>>wheelShift)&wheelMask; bucket
+// within the window goes to bucket (at>>wheelShift)&wheelMask, a singly
+// linked list through the slab headed by heads[bucket]; bucket
 // occupancy is tracked in a 1024-bit bitmap with a 16-bit summary (one
 // bit per occupancy word), so the earliest occupied bucket is found
 // with two rotate-and-count-zeros probes. Anything beyond the window
-// goes to the overflow heap in es. Overflow entries are never migrated:
-// pop simply compares the wheel minimum against the heap top, which
-// preserves the total order even when the window has slid past an
-// overflow entry's timestamp.
+// goes to the overflow heap, which holds slab indices. Overflow entries
+// are never migrated: pop simply compares the wheel minimum against the
+// heap top, which preserves the total order even when the window has
+// slid past an overflow entry's timestamp.
 //
-// Within a bucket entries are unsorted (removal is swap-with-last) and
-// the minimum is found by a linear scan: one wheelTick is finer than
-// any clock period in the system, so chained ticks land in distinct
-// buckets and buckets stay near-singleton.
+// Each bucket's list is kept in (at, seq) order, so pop takes the
+// head: a push walks past the entries at or before its time (it carries
+// the largest seq yet). One wheelTick is finer than any clock period in
+// the system, so chained ticks land in distinct buckets and lists stay
+// short (a core tick and the lookups due on the same cycle edge).
 //
 // The firing order is the total order (at, seq) regardless of storage;
 // FuzzScheduleOrder diffs this queue against refModel, a linear-scan
 // specification of that order, at every step.
 type eventQueue struct {
-	w    *wheel
-	nw   int    // live entries in the wheel
-	base uint64 // bucket id (at>>wheelShift) of the last pop; lower bound for all live entries
-	es   []entry
-	// esBox is the pool box es came from, retained so release can Put
-	// the same box back instead of boxing a fresh slice header (which
-	// would allocate on every engine teardown).
-	esBox *[]entry
+	slab    []entry
+	free    int32   // head of the free list (0 = empty)
+	heap    []int32 // overflow 4-ary min-heap of slab indices
+	nw      int     // live entries in the wheel
+	base    uint64  // bucket id (at>>wheelShift) of the last pop; lower bound for all live entries
+	summary uint16  // bit w set iff occ[w] != 0
+	occ     [wheelWords]uint64
+	heads   [wheelBuckets]int32 // slab index of each bucket's first entry (0 = empty)
 }
 
 const (
@@ -58,91 +70,79 @@ const (
 	wheelWords   = wheelBuckets / 64
 )
 
-// wheel is the bucketed storage, pooled as a unit across engines so a
-// released engine's bucket arrays (the only steady-state allocation of
-// the wheel) are recycled by the next NewEngine.
-type wheel struct {
-	summary uint16 // bit w set iff occ[w] != 0
-	occ     [wheelWords]uint64
-	buckets [wheelBuckets][]entry
+func (q *eventQueue) len() int { return q.nw + len(q.heap) }
+
+// alloc takes a slot off the free list, growing the slab when the list
+// is empty.
+func (q *eventQueue) alloc() int32 {
+	if i := q.free; i != 0 {
+		q.free = q.slab[i].next
+		return i
+	}
+	if len(q.slab) == 0 {
+		q.slab = append(q.slab, entry{}) // the sentinel
+	}
+	q.slab = append(q.slab, entry{})
+	return int32(len(q.slab) - 1)
 }
 
-var wheelPool = sync.Pool{New: func() any { return new(wheel) }}
-
-// entrySlicePool recycles overflow-heap backing arrays across engines
-// (see Engine.Release). Pooled storage holds no live references: every
-// vacated slot is zeroed on pop/reset/release.
-var entrySlicePool = sync.Pool{New: func() any { return new([]entry) }}
-
-// attachPooled adopts recycled storage if the queue has none. A fresh
-// box may hold a nil slice (the pool's New), so the presence of the box
-// — not es being non-nil — is what marks the queue as pooled.
-func (q *eventQueue) attachPooled() {
-	if q.esBox == nil {
-		q.esBox = entrySlicePool.Get().(*[]entry)
-		q.es = (*q.esBox)[:0]
-	}
-	if q.w == nil {
-		q.w = wheelPool.Get().(*wheel)
-	}
+// recycle returns slot i to the free list, dropping its callback and
+// argument references for the GC.
+func (q *eventQueue) recycle(i int32) {
+	e := &q.slab[i]
+	e.fn, e.a, e.b = nil, nil, nil
+	e.next, q.free = q.free, i
 }
 
-func (q *eventQueue) len() int { return q.nw + len(q.es) }
-
-// findWheelMin locates the earliest wheel entry, returning its bucket
-// and index within the bucket; ok is false when the wheel is empty.
-// Buckets are probed in circular order starting at base's slot: the
-// sliding window [base, base+wheelBuckets) maps injectively onto the
-// ring, so the first occupied bucket in that order holds the globally
-// earliest timestamps, and a scan of it yields the (at, seq) minimum.
-func (q *eventQueue) findWheelMin() (bkt, idx int, ok bool) {
+// wheelMin locates the earliest wheel entry, returning its bucket and
+// slab index; i is 0 when the wheel is empty. Buckets are probed in
+// circular order starting at base's slot: the sliding window
+// [base, base+wheelBuckets) maps injectively onto the ring, so the first
+// occupied bucket in that order holds the globally earliest timestamps,
+// and its sorted list starts with their (at, seq) minimum.
+func (q *eventQueue) wheelMin() (bkt int, i int32) {
 	if q.nw == 0 {
-		return 0, 0, false
+		return 0, 0
 	}
-	w := q.w
 	start := int(q.base) & wheelMask
 	w0, b0 := start>>6, start&63
-	if m := w.occ[w0] >> b0 << b0; m != 0 {
+	if m := q.occ[w0] >> b0 << b0; m != 0 {
 		// An occupied bucket in the start word at or after the start slot.
 		bkt = w0<<6 + bits.TrailingZeros64(m)
 	} else {
 		// Rotate the summary so word w0+1 lands at bit 0; the first set
 		// bit then names the next occupied word in circular order
 		// (including w0 itself again, last, for its pre-start slots).
-		rot := bits.RotateLeft16(w.summary, -(w0 + 1))
+		rot := bits.RotateLeft16(q.summary, -(w0 + 1))
 		wd := (w0 + 1 + bits.TrailingZeros16(rot)) & (wheelWords - 1)
-		m := w.occ[wd]
+		m := q.occ[wd]
 		if wd == w0 {
 			m &= 1<<b0 - 1 // only the slots before start remain
 		}
 		bkt = wd<<6 + bits.TrailingZeros64(m)
 	}
-	b := w.buckets[bkt]
-	idx = 0
-	for i := 1; i < len(b); i++ {
-		if b[i].before(&b[idx]) {
-			idx = i
-		}
-	}
-	return bkt, idx, true
+	return bkt, q.heads[bkt]
+}
+
+// heapFirst reports whether the overflow heap's top fires before wheel
+// entry i (i = 0: the wheel is empty).
+func (q *eventQueue) heapFirst(i int32) bool {
+	return i == 0 || len(q.heap) > 0 && q.slab[q.heap[0]].before(&q.slab[i])
 }
 
 // minAt returns the timestamp of the earliest entry (queue must be
 // non-empty).
 func (q *eventQueue) minAt() Time {
-	bkt, idx, ok := q.findWheelMin()
-	if !ok {
-		return q.es[0].at
+	if _, i := q.wheelMin(); !q.heapFirst(i) {
+		return q.slab[i].at
 	}
-	at := q.w.buckets[bkt][idx].at
-	if len(q.es) > 0 && q.es[0].at < at {
-		return q.es[0].at
-	}
-	return at
+	return q.slab[q.heap[0]].at
 }
 
-// push inserts e: into its wheel bucket when at falls inside the
-// sliding window, else into the overflow heap.
+// push schedules fn(a, b) at (at, seq): it writes the fields straight
+// into a free slot and links the slot into its wheel bucket's sorted
+// list when at falls inside the sliding window, else into the overflow
+// heap.
 //
 // base moves only at pops, never here. Re-anchoring the window at a
 // push onto an empty queue looks attractive (a cold start far from t=0
@@ -158,161 +158,113 @@ func (q *eventQueue) minAt() Time {
 // Without re-anchoring, a far push on an empty queue simply takes the
 // overflow heap, and the pop that retires it re-anchors base; only the
 // handful of pushes before that pop pay the heap path.
-func (q *eventQueue) push(e entry) {
-	ab := uint64(e.at) >> wheelShift
+func (q *eventQueue) push(at Time, seq uint64, fn func(a, b any), a, b any) {
+	i := q.alloc()
+	e := &q.slab[i]
+	e.at, e.seq, e.fn, e.a, e.b = at, seq, fn, a, b
+	ab := uint64(at) >> wheelShift
 	if ab-q.base >= wheelBuckets {
-		q.heapPush(e)
+		q.heapPush(i)
 		return
 	}
-	if q.w == nil {
-		q.w = wheelPool.Get().(*wheel)
+	// Keep the bucket sorted: e has the largest seq yet, so it goes
+	// after every entry at or before its time.
+	k := ab & wheelMask
+	link := &q.heads[k]
+	for j := *link; j != 0 && q.slab[j].at <= at; j = *link {
+		link = &q.slab[j].next
 	}
-	i := ab & wheelMask
-	q.w.buckets[i] = append(q.w.buckets[i], e)
-	q.w.occ[i>>6] |= 1 << (i & 63)
-	q.w.summary |= 1 << (i >> 6)
+	e.next, *link = *link, i
+	q.occ[k>>6] |= 1 << (k & 63)
+	q.summary |= 1 << (k >> 6)
 	q.nw++
 }
 
-// heapPush inserts e into the overflow heap, sifting it up through its
-// ancestors.
-func (q *eventQueue) heapPush(e entry) {
-	q.es = append(q.es, e)
-	es := q.es
-	i := len(es) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.before(&es[p]) {
-			break
-		}
-		es[i] = es[p]
-		i = p
+// pop unlinks the earliest entry across wheel and overflow and returns
+// its slab index. The slot stays allocated until the caller recycles it.
+func (q *eventQueue) pop() int32 {
+	bkt, i := q.wheelMin()
+	if q.heapFirst(i) {
+		return q.heapPop()
 	}
-	es[i] = e
+	next := q.slab[i].next
+	q.heads[bkt] = next
+	if next == 0 {
+		q.occ[bkt>>6] &^= 1 << (bkt & 63)
+		if q.occ[bkt>>6] == 0 {
+			q.summary &^= 1 << (bkt >> 6)
+		}
+	}
+	q.nw--
+	q.base = uint64(q.slab[i].at) >> wheelShift
+	return i
 }
 
-// pop removes and returns the earliest entry across wheel and overflow.
-func (q *eventQueue) pop() entry {
-	bkt, idx, ok := q.findWheelMin()
-	if ok {
-		w := q.w
-		b := w.buckets[bkt]
-		e := b[idx]
-		if len(q.es) == 0 || e.before(&q.es[0]) {
-			n := len(b) - 1
-			b[idx] = b[n]
-			b[n] = entry{} // drop callback/arg references for GC
-			w.buckets[bkt] = b[:n]
-			if n == 0 {
-				w.occ[bkt>>6] &^= 1 << (bkt & 63)
-				if w.occ[bkt>>6] == 0 {
-					w.summary &^= 1 << (bkt >> 6)
-				}
-			}
-			q.nw--
-			q.base = uint64(e.at) >> wheelShift
-			return e
+// heapPush inserts slot i into the overflow heap, sifting it up through
+// its ancestors.
+func (q *eventQueue) heapPush(i int32) {
+	q.heap = append(q.heap, i)
+	h := q.heap
+	e := &q.slab[i]
+	k := len(h) - 1
+	for k > 0 {
+		p := (k - 1) >> 2
+		if !e.before(&q.slab[h[p]]) {
+			break
 		}
+		h[k] = h[p]
+		k = p
 	}
-	return q.heapPop()
+	h[k] = i
 }
 
 // heapPop removes and returns the overflow heap's top.
-func (q *eventQueue) heapPop() entry {
-	es := q.es
-	top := es[0]
-	n := len(es) - 1
-	last := es[n]
-	es[n] = entry{} // drop callback/arg references for GC
-	q.es = es[:n]
+func (q *eventQueue) heapPop() int32 {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	q.heap = h[:n]
 	if n > 0 {
-		q.siftDown(last)
+		q.siftDown(h[n])
 	}
-	q.base = uint64(top.at) >> wheelShift
+	q.base = uint64(q.slab[top].at) >> wheelShift
 	return top
 }
 
-// siftDown re-inserts e starting from the root hole: the smallest child
-// chain moves up until e's position is found, costing one copy per
-// level instead of a swap.
-func (q *eventQueue) siftDown(e entry) {
-	es := q.es
-	n := len(es)
-	i := 0
+// siftDown re-inserts slot i starting from the root hole: the smallest
+// child chain moves up until i's position is found, costing one move
+// per level instead of a swap.
+func (q *eventQueue) siftDown(i int32) {
+	h := q.heap
+	e := &q.slab[i]
+	n := len(h)
+	k := 0
 	for {
-		c := i<<2 + 1
+		c := k<<2 + 1
 		if c >= n {
 			break
 		}
 		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
+		hi := min(c+4, n)
 		for j := c + 1; j < hi; j++ {
-			if es[j].before(&es[m]) {
+			if q.slab[h[j]].before(&q.slab[h[m]]) {
 				m = j
 			}
 		}
-		if !es[m].before(&e) {
+		if !q.slab[h[m]].before(e) {
 			break
 		}
-		es[i] = es[m]
-		i = m
+		h[k] = h[m]
+		k = m
 	}
-	es[i] = e
+	h[k] = i
 }
 
-// clearWheel empties every bucket (keeping capacity) and the bitmaps.
-func (q *eventQueue) clearWheel() {
-	if q.w == nil {
-		return
-	}
-	w := q.w
-	// Only occupied words need their buckets cleared; a released wheel
-	// always comes back fully zeroed.
-	for wd := 0; wd < wheelWords; wd++ {
-		if w.occ[wd] == 0 {
-			continue
-		}
-		for i := wd << 6; i < wd<<6+64; i++ {
-			b := w.buckets[i]
-			clear(b)
-			w.buckets[i] = b[:0]
-		}
-		w.occ[wd] = 0
-	}
-	w.summary = 0
-	q.nw = 0
-}
-
-// reset empties the queue, keeping the backing storage.
+// reset empties the queue, keeping the slab's and the heap's arrays.
 func (q *eventQueue) reset() {
-	q.clearWheel()
-	q.base = 0
-	clear(q.es)
-	q.es = q.es[:0]
-}
-
-// release empties the queue and returns the backing storage to the
-// pools.
-func (q *eventQueue) release() {
-	q.clearWheel()
-	q.base = 0
-	if q.w != nil {
-		wheelPool.Put(q.w)
-		q.w = nil
-	}
-	box := q.esBox
-	if box == nil {
-		if q.es == nil {
-			return // zero-value engine that never overflowed: nothing to pool
-		}
-		box = new([]entry) // zero-value engine: es grew without a pool box
-	}
-	full := q.es[:cap(q.es)]
-	clear(full)
-	*box = full[:0]
-	entrySlicePool.Put(box)
-	q.es, q.esBox = nil, nil
+	clear(q.slab)
+	q.slab, q.free, q.heap = q.slab[:0], 0, q.heap[:0]
+	q.nw, q.base, q.summary = 0, 0, 0
+	clear(q.occ[:])
+	clear(q.heads[:])
 }

@@ -227,7 +227,9 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 			j := i + uint64(shuffle.Intn(int(spanRows-i)))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		g.rowPerm = perm[:fpRows]
+		// Keep a copy of the used prefix: the slice itself would pin
+		// the whole region-sized array for the generator's lifetime.
+		g.rowPerm = append([]uint32(nil), perm[:fpRows]...)
 	}
 	return g, nil
 }
