@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dram"
 )
@@ -23,6 +24,18 @@ type RowProfile struct {
 // NewRowProfile returns an empty profile.
 func NewRowProfile() *RowProfile {
 	return &RowProfile{}
+}
+
+// RowProfileFromCounts returns the profile whose count for global row
+// id r is counts[r]. The profile takes ownership of counts.
+func RowProfileFromCounts(counts []uint64) *RowProfile {
+	p := &RowProfile{counts: counts}
+	for _, n := range counts {
+		if n != 0 {
+			p.distinct++
+		}
+	}
+	return p
 }
 
 // Record adds one access to a global row id.
@@ -50,9 +63,11 @@ func (p *RowProfile) Count(rowID uint64) uint64 {
 }
 
 // StaticAssignment marks which rows a static design pre-assigned to the
-// fast level.
+// fast level: one bit per global row id, so IsFast, which SAS and CHARM
+// ask on every LLC miss, is a bit test.
 type StaticAssignment struct {
-	fast map[uint64]struct{}
+	fast []uint64
+	rows int
 }
 
 // IsFast reports whether a global row id was assigned to the fast level.
@@ -60,8 +75,8 @@ func (a *StaticAssignment) IsFast(rowID uint64) bool {
 	if a == nil {
 		return false
 	}
-	_, ok := a.fast[rowID]
-	return ok
+	w := rowID >> 6
+	return w < uint64(len(a.fast)) && a.fast[w]&(1<<(rowID&63)) != 0
 }
 
 // FastRows returns the number of assigned rows.
@@ -69,42 +84,44 @@ func (a *StaticAssignment) FastRows() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.fast)
+	return a.rows
 }
 
 // BuildStaticAssignment selects, within every bank, the hottest
-// rows-per-bank/fastDenom rows of the profile. The per-bank constraint
-// reflects that fast subarrays are distributed across banks: a bank's
-// fast capacity cannot host another bank's rows.
+// rows-per-bank/fastDenom rows of the profile, breaking count ties
+// toward the lower row id. The per-bank constraint reflects that fast
+// subarrays are distributed across banks: a bank's fast capacity cannot
+// host another bank's rows. A bank's rows are one contiguous range of
+// global row ids, so each bank is picked from its own slice of the
+// profile.
 func BuildStaticAssignment(p *RowProfile, geom dram.Geometry, fastDenom int) *StaticAssignment {
 	perBankQuota := geom.Rows / fastDenom
 	type rowCount struct {
 		row   uint64
 		count uint64
 	}
-	byBank := make(map[int][]rowCount)
-	for row, count := range p.counts {
-		if count == 0 {
-			continue
-		}
-		bank := row / geom.Rows
-		byBank[bank] = append(byBank[bank], rowCount{uint64(row), count})
-	}
-	a := &StaticAssignment{fast: make(map[uint64]struct{})}
-	for _, rows := range byBank {
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].count != rows[j].count {
-				return rows[i].count > rows[j].count
+	a := &StaticAssignment{fast: make([]uint64, (len(p.counts)+63)/64)}
+	var touched []rowCount
+	for lo := 0; lo < len(p.counts); lo += geom.Rows {
+		touched = touched[:0]
+		for row, count := range p.counts[lo:min(lo+geom.Rows, len(p.counts))] {
+			if count != 0 {
+				touched = append(touched, rowCount{uint64(lo + row), count})
 			}
-			return rows[i].row < rows[j].row // deterministic tie-break
-		})
-		n := perBankQuota
-		if n > len(rows) {
-			n = len(rows)
 		}
-		for _, rc := range rows[:n] {
-			a.fast[rc.row] = struct{}{}
+		if len(touched) > perBankQuota {
+			slices.SortFunc(touched, func(x, y rowCount) int {
+				if c := cmp.Compare(y.count, x.count); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.row, y.row)
+			})
+			touched = touched[:perBankQuota]
 		}
+		for _, rc := range touched {
+			a.fast[rc.row>>6] |= 1 << (rc.row & 63)
+		}
+		a.rows += len(touched)
 	}
 	return a
 }

@@ -68,6 +68,10 @@ type Stats struct {
 	UniquePages uint64
 }
 
+// blockSize is how many instructions a core draws from its generator
+// per Fill.
+const blockSize = 64
+
 // Core is one simulated CPU.
 type Core struct {
 	id    int
@@ -86,10 +90,13 @@ type Core struct {
 	depQueue         []int        // ROB indexes of unissued dependent loads
 	storePool        []*storeSlot // recycled store requests
 	sbInFlight       int
-	pending          workload.Instr // stalled instruction awaiting dispatch
-	pendingValid     bool
-	scratch          workload.Instr // dispatch scratch (a local would
-	// escape through the Generator interface call and allocate per tick)
+
+	// block holds instructions fetched from gen ahead of dispatch, one
+	// Fill per blockSize instructions; the last blockLeft of them are
+	// still to dispatch (0 = empty). A store stalled on a full store
+	// buffer stays under the cursor until a slot drains.
+	block     [blockSize]workload.Instr
+	blockLeft int
 
 	retiredTotal uint64
 	warmupAt     uint64 // retired count at which measurement starts
@@ -163,8 +170,7 @@ func (c *Core) Reset(gen workload.Generator) {
 	c.outstandingLoads = 0
 	c.depQueue = c.depQueue[:0]
 	c.sbInFlight = 0
-	c.pending = workload.Instr{}
-	c.pendingValid = false
+	c.blockLeft = 0
 	c.retiredTotal, c.warmupAt, c.quota = 0, 0, 0
 	c.measuring, c.finished = false, false
 	c.onWarmup, c.onQuota = nil, nil
@@ -284,21 +290,19 @@ func (c *Core) tick() {
 	}
 
 	// Dispatch up to Width new instructions into the ROB.
-	in := &c.scratch
 	for d := 0; d < c.cfg.Width && c.count < len(c.rob); d++ {
-		if c.pendingValid {
-			*in = c.pending
-		} else {
-			c.gen.Next(in)
+		if c.blockLeft == 0 {
+			c.gen.Fill(c.block[:])
+			c.blockLeft = blockSize
 		}
+		in := &c.block[blockSize-c.blockLeft]
 		if in.Mem && in.Write && c.sbInFlight >= c.cfg.StoreBuffer {
-			// Store buffer full: hold the instruction and stall dispatch
-			// (dropping it would silently mutate the workload stream).
-			c.pending = *in
-			c.pendingValid = true
+			// Store buffer full: leave the store under the cursor and
+			// stall dispatch (dropping it would silently mutate the
+			// workload stream).
 			break
 		}
-		c.pendingValid = false
+		c.blockLeft--
 		idx := c.head + c.count
 		if idx >= len(c.rob) {
 			idx -= len(c.rob)

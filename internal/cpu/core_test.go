@@ -24,6 +24,11 @@ func (g *scriptGen) Next(in *workload.Instr) {
 	}
 	*in = workload.Instr{}
 }
+func (g *scriptGen) Fill(buf []workload.Instr) {
+	for i := range buf {
+		g.Next(&buf[i])
+	}
+}
 
 // fixedMem completes reads after a fixed delay and records issue order.
 type fixedMem struct {
@@ -234,4 +239,72 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
+}
+
+// orderMem records every access in issue order and completes each one
+// after a fixed delay, so a small store buffer fills and stalls dispatch.
+type orderMem struct {
+	eng    *sim.Engine
+	delay  sim.Time
+	issued []uint64
+}
+
+func (m *orderMem) Access(req *mem.Request) {
+	m.issued = append(m.issued, req.Addr)
+	m.eng.Schedule(m.delay, req.Complete)
+}
+
+// TestDispatchFollowsStreamAcrossStallsAndReset drives streams several
+// fetch blocks long through a two-entry store buffer, so dispatch
+// stalls on stores at many cursor positions, and resets the core from
+// one stream onto another mid-block: the hierarchy must see each
+// stream's memory ops once, in stream order, and nothing left over
+// from the first stream after the reset.
+func TestDispatchFollowsStreamAcrossStallsAndReset(t *testing.T) {
+	stream := func(base uint64) (instrs []workload.Instr, addrs []uint64) {
+		for i := 0; i < 5*blockSize+7; i++ {
+			in := workload.Instr{Mem: i%3 != 2, Write: i%3 == 0, Addr: base + uint64(i)<<6}
+			instrs = append(instrs, in)
+			if in.Mem {
+				addrs = append(addrs, in.Addr)
+			}
+		}
+		return instrs, addrs
+	}
+	cfg := DefaultConfig()
+	cfg.StoreBuffer = 2
+	eng := sim.NewEngine()
+	m := &orderMem{eng: eng, delay: sim.Time(40) * sim.NewClockHz(cfg.ClockHz).Period()}
+	c, err := New(0, cfg, eng, &scriptGen{}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run resets the core onto a stream and retires quota instructions
+	// of it; the accesses issued so far must be a prefix of the stream's.
+	run := func(base uint64, quota int) {
+		t.Helper()
+		instrs, addrs := stream(base)
+		eng.Reset()
+		c.Reset(&scriptGen{instrs: instrs})
+		m.issued = m.issued[:0]
+		finished := false
+		if err := c.Start(0, uint64(quota), nil, func(int) { finished = true }); err != nil {
+			t.Fatal(err)
+		}
+		for !finished && eng.Step() {
+		}
+		if !finished {
+			t.Fatal("core stalled before its quota")
+		}
+		if len(m.issued) < quota*2/3 || len(m.issued) > len(addrs) {
+			t.Fatalf("stream at %#x: %d accesses issued for %d retired instructions", base, len(m.issued), quota)
+		}
+		for i, a := range m.issued {
+			if a != addrs[i] {
+				t.Fatalf("stream at %#x: access %d went to %#x, want %#x", base, i, a, addrs[i])
+			}
+		}
+	}
+	run(1<<20, 2*blockSize+5) // stops partway through a fetch block
+	run(1<<30, 5*blockSize+7)
 }

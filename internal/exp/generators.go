@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/config"
@@ -105,22 +106,47 @@ func ProfilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, erro
 	return p, nil
 }
 
+// profileBlock is how many instructions the profiling pass draws from
+// a generator per Fill.
+const profileBlock = 256
+
+// profilePass counts every memory op of every benchmark's window by its
+// address's row bits, addr >> log2(RowBytes), masked to the row count:
+// RowID(Decode(addr)) depends on exactly those bits, so the count is
+// exact without decoding each access. Each touched row is decoded to
+// its global row id once, at the end.
 func profilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
 	geom := cfg.Geometry()
-	prof := core.NewRowProfile()
-	var in workload.Instr
+	shift := uint(bits.TrailingZeros64(geom.RowBytes()))
+	mask := geom.TotalRows() - 1
+	byAddrRow := make([]uint64, geom.TotalRows())
+	var block [profileBlock]workload.Instr
 	for i, name := range benchmarks {
 		gen, err := MakeGenerator(cfg, name, i)
 		if err != nil {
 			return nil, err
 		}
-		n := cfg.InstrPerCore * ProfileWindowFactor
-		for k := uint64(0); k < n; k++ {
-			gen.Next(&in)
-			if in.Mem {
-				prof.Record(geom.RowID(geom.Decode(in.Addr)))
+		for left := cfg.InstrPerCore * ProfileWindowFactor; left > 0; {
+			buf := block[:min(left, profileBlock)]
+			gen.Fill(buf)
+			for j := range buf {
+				// A non-memory instruction adds 0 rather than
+				// branching: which instructions touch memory is a coin
+				// flip that no branch predictor learns.
+				var n uint64
+				if buf[j].Mem {
+					n = 1
+				}
+				byAddrRow[(buf[j].Addr>>shift)&mask] += n
 			}
+			left -= uint64(len(buf))
 		}
 	}
-	return prof, nil
+	counts := make([]uint64, geom.TotalRows())
+	for r, n := range byAddrRow {
+		if n != 0 {
+			counts[geom.RowID(geom.Decode(uint64(r)<<shift))] = n
+		}
+	}
+	return core.RowProfileFromCounts(counts), nil
 }

@@ -206,6 +206,13 @@ func (r *Replayer) Next(in *workload.Instr) {
 	}
 }
 
+// Fill implements workload.Generator.
+func (r *Replayer) Fill(buf []workload.Instr) {
+	for i := range buf {
+		r.Next(&buf[i])
+	}
+}
+
 // Capture runs gen for n instructions, writing them to w.
 func Capture(gen workload.Generator, n uint64, w io.Writer) error {
 	tw, err := NewWriter(w)

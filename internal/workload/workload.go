@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -36,6 +37,9 @@ type Generator interface {
 	Name() string
 	// Next writes the next instruction into in.
 	Next(in *Instr)
+	// Fill writes the next len(buf) instructions into buf in stream
+	// order: exactly what len(buf) calls of Next would write.
+	Fill(buf []Instr)
 }
 
 // Region is the physical address range a generator may touch.
@@ -105,45 +109,92 @@ type Profile struct {
 // exhibits.
 const scatterRowBytes = 8 << 10
 
-// Validate checks the profile is well-formed.
+// Validate checks the profile is well-formed. Every float parameter
+// must be finite, and every range test is written so that NaN fails it
+// (NaN compares false with everything): the generator turns the
+// fractions and weights into integer thresholds, and converting a NaN
+// or an infinity to an integer has no defined result.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: profile needs a name")
 	}
-	if p.MemFraction <= 0 || p.MemFraction >= 1 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MemFraction", p.MemFraction}, {"WriteFraction", p.WriteFraction},
+		{"LocalWeight", p.LocalWeight}, {"StreamWeight", p.StreamWeight},
+		{"StrideWeight", p.StrideWeight}, {"HotWeight", p.HotWeight},
+		{"ChaseWeight", p.ChaseWeight}, {"HotFraction", p.HotFraction},
+		{"HotSkew", p.HotSkew}, {"PhaseShiftFraction", p.PhaseShiftFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload %s: %s must be finite, got %v", p.Name, f.name, f.v)
+		}
+	}
+	if !(p.MemFraction > 0 && p.MemFraction < 1) {
 		return fmt.Errorf("workload %s: MemFraction must be in (0,1), got %v", p.Name, p.MemFraction)
 	}
-	if p.WriteFraction < 0 || p.WriteFraction > 1 {
+	if !(p.WriteFraction >= 0 && p.WriteFraction <= 1) {
 		return fmt.Errorf("workload %s: WriteFraction must be in [0,1]", p.Name)
 	}
 	if p.FootprintBytes < 1<<20 {
 		return fmt.Errorf("workload %s: footprint below 1 MiB", p.Name)
 	}
-	total := p.LocalWeight + p.StreamWeight + p.StrideWeight + p.HotWeight + p.ChaseWeight
-	if total <= 0 {
-		return fmt.Errorf("workload %s: no positive mixture weight", p.Name)
+	if p.LocalWeight < 0 || p.StreamWeight < 0 || p.StrideWeight < 0 || p.HotWeight < 0 || p.ChaseWeight < 0 {
+		return fmt.Errorf("workload %s: mixture weights must be non-negative", p.Name)
 	}
-	if p.HotWeight > 0 && (p.HotFraction <= 0 || p.HotFraction > 1) {
+	total := p.LocalWeight + p.StreamWeight + p.StrideWeight + p.HotWeight + p.ChaseWeight
+	if !(total > 0) || math.IsInf(total, 0) {
+		return fmt.Errorf("workload %s: mixture weights must have a positive finite sum", p.Name)
+	}
+	if p.HotWeight > 0 && !(p.HotFraction > 0 && p.HotFraction <= 1) {
 		return fmt.Errorf("workload %s: HotFraction must be in (0,1] when HotWeight > 0", p.Name)
 	}
+	if p.PhaseShiftFraction < 0 {
+		return fmt.Errorf("workload %s: PhaseShiftFraction must be non-negative", p.Name)
+	}
 	return nil
+}
+
+// threshold converts the test u < p on a uniform draw u = k/2^53 (how
+// sim.RNG.Float64 forms its result from a 53-bit integer k) into the
+// exact integer test k < threshold(p). k/2^53 and p*2^53 are both exact
+// in float64, so u < p holds exactly when k < p*2^53, that is when
+// k < ⌈p*2^53⌉.
+func threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // synth is the mixture-model generator.
 type synth struct {
 	p      Profile
 	region Region
-	rng    *sim.RNG
+	rng    sim.RNG
 
-	// cumulative mixture thresholds in [0,1)
-	cLocal, cStream, cStride, cHot float64
+	// Integer thresholds on a 53-bit draw (see threshold): a memory op
+	// when k < tMem, a store when k < tWrite, and the component chosen
+	// by the cumulative mixture thresholds tLocal <= tStream <= tStride
+	// <= tHot (the chase walk above tHot).
+	tMem, tWrite                   uint64
+	tLocal, tStream, tStride, tHot uint64
+
+	// localMask is LocalBytes-1 when LocalBytes is a power of two (the
+	// local draw is then a mask, not a 64-bit modulo), else 0.
+	localMask uint64
+	hotBlocks uint64 // 64-byte blocks in the hot region, at least 1
 
 	streamPos uint64
 	stridePos uint64
 	hotBase   uint64 // offset of hot region within footprint
-	hotBytes  uint64
 
-	// Division-free stepping state. Next runs once per simulated
+	// Division-free stepping state. The kernel runs once per simulated
 	// instruction, so the per-call modulo reductions are precomputed:
 	// every walker position stays < FootprintBytes by conditional
 	// subtraction (steps are pre-reduced mod footprint), and the phase
@@ -180,20 +231,30 @@ func NewSynthetic(p Profile, region Region, seed uint64) (Generator, error) {
 	if p.HotSkew < 1 {
 		p.HotSkew = 1
 	}
-	total := p.LocalWeight + p.StreamWeight + p.StrideWeight + p.HotWeight + p.ChaseWeight
 	g := &synth{
 		p:      p,
 		region: region,
-		rng:    sim.NewRNG(seed ^ hashName(p.Name)),
-		cLocal: p.LocalWeight / total,
+		rng:    *sim.NewRNG(seed ^ hashName(p.Name)),
+		tMem:   threshold(p.MemFraction),
+		tWrite: threshold(p.WriteFraction),
 	}
-	g.cStream = g.cLocal + p.StreamWeight/total
-	g.cStride = g.cStream + p.StrideWeight/total
-	g.cHot = g.cStride + p.HotWeight/total
-	g.hotBytes = uint64(float64(p.FootprintBytes) * p.HotFraction)
-	if g.hotBytes == 0 {
-		g.hotBytes = 1 << 12
+	// The cumulative mixture bounds are summed in float64, in this
+	// order, and only then converted, so each integer test decides
+	// exactly as the float test u < bound does.
+	total := p.LocalWeight + p.StreamWeight + p.StrideWeight + p.HotWeight + p.ChaseWeight
+	cLocal := p.LocalWeight / total
+	cStream := cLocal + p.StreamWeight/total
+	cStride := cStream + p.StrideWeight/total
+	cHot := cStride + p.HotWeight/total
+	g.tLocal, g.tStream, g.tStride, g.tHot = threshold(cLocal), threshold(cStream), threshold(cStride), threshold(cHot)
+	if p.LocalBytes&(p.LocalBytes-1) == 0 {
+		g.localMask = p.LocalBytes - 1
 	}
+	hotBytes := uint64(float64(p.FootprintBytes) * p.HotFraction)
+	if hotBytes == 0 {
+		hotBytes = 1 << 12
+	}
+	g.hotBlocks = max(hotBytes>>6, 1)
 	// Start the stream and stride walkers at distinct offsets so the
 	// components do not trivially collide.
 	g.stridePos = p.FootprintBytes / 2
@@ -246,55 +307,89 @@ func hashName(s string) uint64 {
 // Name implements Generator.
 func (g *synth) Name() string { return g.p.Name }
 
-// Next implements Generator.
+// Next implements Generator as a one-instruction Fill.
 func (g *synth) Next(in *Instr) {
-	if g.phaseLeft > 0 {
-		g.phaseLeft--
-		if g.phaseLeft == 0 {
-			g.hotBase += g.phaseShift
-			if g.hotBase >= g.p.FootprintBytes {
-				g.hotBase -= g.p.FootprintBytes
+	var one [1]Instr
+	g.Fill(one[:])
+	*in = one[0]
+}
+
+// Fill implements Generator and is the generator's only kernel. The RNG
+// state, the phase countdown and the walker positions stay in locals
+// for the whole block and are stored back once at its end.
+func (g *synth) Fill(buf []Instr) {
+	rng := g.rng
+	phaseLeft, hotBase := g.phaseLeft, g.hotBase
+	streamPos, stridePos := g.streamPos, g.stridePos
+	fp := g.p.FootprintBytes
+	for i := range buf {
+		if phaseLeft > 0 {
+			phaseLeft--
+			if phaseLeft == 0 {
+				if hotBase += g.phaseShift; hotBase >= fp {
+					hotBase -= fp
+				}
+				phaseLeft = g.p.PhaseInstr
 			}
-			g.phaseLeft = g.p.PhaseInstr
 		}
-	}
-	*in = Instr{}
-	if g.rng.Float64() >= g.p.MemFraction {
-		return
-	}
-	in.Mem = true
-	in.Write = g.rng.Float64() < g.p.WriteFraction
-	u := g.rng.Float64()
-	var off uint64
-	switch {
-	case u < g.cLocal:
-		// Resident working set at the bottom of the footprint.
-		off = g.rng.Uint64n(g.p.LocalBytes) &^ 7
-	case u < g.cStream:
-		off = g.streamPos
-		if g.streamPos += g.streamStep; g.streamPos >= g.p.FootprintBytes {
-			g.streamPos -= g.p.FootprintBytes
+		if rng.Uint64()>>11 >= g.tMem {
+			buf[i] = Instr{}
+			continue
 		}
-	case u < g.cStride:
-		off = g.stridePos
-		if g.stridePos += g.strideStep; g.stridePos >= g.p.FootprintBytes {
-			g.stridePos -= g.p.FootprintBytes
+		in := Instr{Mem: true, Write: rng.Uint64()>>11 < g.tWrite}
+		var off uint64
+		switch k := rng.Uint64() >> 11; {
+		case k < g.tLocal:
+			// Resident working set at the bottom of the footprint.
+			if off = rng.Uint64(); g.localMask != 0 {
+				off &= g.localMask
+			} else {
+				off %= g.p.LocalBytes
+			}
+			off &^= 7
+		case k < g.tStream:
+			off = streamPos
+			if streamPos += g.streamStep; streamPos >= fp {
+				streamPos -= fp
+			}
+		case k < g.tStride:
+			off = stridePos
+			if stridePos += g.strideStep; stridePos >= fp {
+				stridePos -= fp
+			}
+		case k < g.tHot:
+			// Power-law-skewed offset within the drifting hot region:
+			// rank = N * u^skew concentrates mass near rank 0, spread
+			// over the region at 64-byte granularity. u multiplies, so
+			// this draw stays in floating point.
+			u := rng.Float64()
+			for s := 1.0; s < g.p.HotSkew; s++ {
+				u *= rng.Float64()
+			}
+			rank := min(uint64(u*float64(g.hotBlocks)), g.hotBlocks-1)
+			// hotBase < footprint and rank<<6 < hot region <=
+			// footprint, so one conditional subtraction reduces it.
+			if off = hotBase + rank<<6; off >= fp {
+				off -= fp
+			}
+		default:
+			// Pointer chase: uniform random, serially dependent, 8-byte
+			// aligned like a pointer load.
+			off = (rng.Uint64() % fp) &^ 7
+			in.Dependent = !in.Write
 		}
-	case u < g.cHot:
-		off = g.hotOffset()
-	default:
-		// Pointer chase: uniform random, serially dependent, 8-byte
-		// aligned like a pointer load.
-		off = g.rng.Uint64n(g.p.FootprintBytes) &^ 7
-		in.Dependent = !in.Write
+		// Every component already reduces its offset below the
+		// footprint; only an oversized LocalBytes can exceed it, and
+		// then the (cold) reduction matches an unconditional modulo.
+		if off >= fp {
+			off %= fp
+		}
+		in.Addr = g.region.Base + g.scatter(off)
+		buf[i] = in
 	}
-	// Every component already reduces its offset below the footprint;
-	// only an oversized LocalBytes can exceed it, and then the (cold)
-	// reduction matches the old unconditional modulo.
-	if off >= g.p.FootprintBytes {
-		off %= g.p.FootprintBytes
-	}
-	in.Addr = g.region.Base + g.scatter(off)
+	g.rng = rng
+	g.phaseLeft, g.hotBase = phaseLeft, hotBase
+	g.streamPos, g.stridePos = streamPos, stridePos
 }
 
 // scatter applies the physical row permutation to a footprint offset,
@@ -305,29 +400,4 @@ func (g *synth) scatter(off uint64) uint64 {
 	}
 	row := off / scatterRowBytes
 	return uint64(g.rowPerm[row])*scatterRowBytes + off%scatterRowBytes
-}
-
-// hotOffset draws a power-law-skewed offset within the drifting hot
-// region: rank = N * u^skew concentrates mass near rank 0; the rank is
-// then spread over the hot region at 64-byte granularity.
-func (g *synth) hotOffset() uint64 {
-	u := g.rng.Float64()
-	for i := 1.0; i < g.p.HotSkew; i++ {
-		u *= g.rng.Float64()
-	}
-	blocks := g.hotBytes >> 6
-	if blocks == 0 {
-		blocks = 1
-	}
-	rank := uint64(u * float64(blocks))
-	if rank >= blocks {
-		rank = blocks - 1
-	}
-	// hotBase < footprint and rank<<6 < hotBytes <= footprint, so one
-	// conditional subtraction replaces the modulo.
-	off := g.hotBase + rank<<6
-	if off >= g.p.FootprintBytes {
-		off -= g.p.FootprintBytes
-	}
-	return off
 }

@@ -152,6 +152,15 @@ echo "== bench regression gate (benchjson -compare vs BENCH_baseline.json)"
 go test -run '^$' -bench '^BenchmarkFig7a' -benchmem -benchtime 3x . |
     go run ./cmd/benchjson -compare BENCH_baseline.json
 
+echo "== profile-pass gate (benchjson -compare vs BENCH_profile.json)"
+# BenchmarkProfilePass is the static designs' row-profile pass alone
+# (mcf, 19M generated instructions on the Scaled config), gated against
+# the post numbers in BENCH_profile.json: ns/op may not rise more than
+# 10% on the CPU that file was captured on, and allocs/op and B/op may
+# not rise more than 10% on any CPU.
+go test -run '^$' -bench '^BenchmarkProfilePass$' -benchmem -benchtime 5x ./internal/exp |
+    go run ./cmd/benchjson -compare BENCH_profile.json
+
 echo "== fault-sweep smoke (dasbench -fig faults)"
 # Tiny instruction budget: exercises every sweep point — including the
 # rate-1.0 full-degradation endpoints — with invariants and the watchdog
