@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -50,18 +51,35 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's metadata (the simulator carries no data):
-// the block address and a stamp that packs the line's LRU tick above
-// its dirty bit. lruTick is bumped before every use, so a valid line's
-// stamp is at least 2 and stamp 0 marks an invalid way. Ticks are
-// unique, so comparing stamps orders lines by recency and the dirty bit
-// never decides a comparison.
-type line struct {
-	tag   uint64
-	stamp uint64 // lruTick<<1 | dirty; 0 = invalid
+// AddressLimit returns the first address a valid configuration cannot
+// hold. A line keeps 32 tag bits above the set index and the block
+// offset, so a level covers 2^32 x sets x block size bytes, that is
+// 2^32 times the bytes of one way; higher addresses would alias lower
+// ones. config.Config.Validate rejects any memory this does not cover.
+func (c *Config) AddressLimit() uint64 {
+	way := uint64(c.SizeBytes / c.Assoc)
+	if way >= 1<<32 {
+		return math.MaxUint64
+	}
+	return way << 32
 }
 
-const dirty = 1 // the stamp's dirty bit
+// line is one cache line's metadata (the simulator carries no data) in
+// 8 bytes: the tag, which is the block address above the set-index
+// bits, and a stamp that packs the line's LRU tick above its dirty bit.
+// lruTick is bumped before every use, so a valid line's stamp is at
+// least 2 and stamp 0 marks an invalid way. Within a set ticks are
+// unique, so comparing stamps orders a set's lines by recency and the
+// dirty bit never decides a comparison.
+type line struct {
+	tag   uint32
+	stamp uint32 // lruTick<<1 | dirty; 0 = invalid
+}
+
+const (
+	dirty   = 1         // the stamp's dirty bit
+	maxTick = 1<<31 - 1 // the largest tick a stamp holds
+)
 
 // mshr tracks one outstanding fill and the requests waiting on it.
 // Slots are recycled through the cache's free list with their fill
@@ -102,7 +120,8 @@ type Cache struct {
 	assoc   int
 	setMask uint64
 	blkBits uint
-	lruTick uint64
+	tagBits uint // blkBits + log2(sets): the tag is addr >> tagBits
+	lruTick uint32
 
 	// mshrs holds the live fills, found by a scan of their block
 	// addresses: at most cfg.MSHRs plus the Meta fetches that bypass
@@ -142,6 +161,10 @@ func New(cfg Config, eng *sim.Engine, lower mem.Component, cores int) (*Cache, e
 	for b := cfg.BlockSize; b > 1; b >>= 1 {
 		c.blkBits++
 	}
+	c.tagBits = c.blkBits
+	for n := nsets; n > 1; n >>= 1 {
+		c.tagBits++
+	}
 	if cores > 0 {
 		c.Stats.PerCoreMisses = make([]uint64, cores)
 	}
@@ -164,17 +187,57 @@ func (c *Cache) set(block uint64) []line {
 
 // find returns block's resident line, or nil.
 func (c *Cache) find(block uint64) *line {
-	set := c.set(block)
+	set, tag := c.set(block), uint32(block>>c.tagBits)
 	for i := range set {
-		if set[i].tag == block && set[i].stamp != 0 {
+		if set[i].tag == tag && set[i].stamp != 0 {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
+// roomForTick renormalizes when the clock holds the largest tick a
+// stamp can, so that the next tick fits. Every tick site calls it
+// first. Renormalization is invisible to victim choice whenever it
+// runs, so the check can sit outside touch, which then inlines into
+// the hit paths.
+func (c *Cache) roomForTick() {
+	if c.lruTick == maxTick {
+		c.renormalize()
+	}
+}
+
+// renormalize rewrites each set's valid stamps to their recency ranks
+// 1..k, keeping the dirty bits, and restarts the clock at assoc, above
+// every rank. Victim choice only compares stamps within a set, so every
+// later hit, victim and writeback is the one the unbounded clock would
+// have produced.
+func (c *Cache) renormalize() {
+	ranked := make([]uint32, c.assoc) // a set's new stamps
+	for s := 0; s < len(c.lines); s += c.assoc {
+		set := c.lines[s : s+c.assoc]
+		clear(ranked)
+		for i := range set {
+			if set[i].stamp == 0 {
+				continue
+			}
+			rank := uint32(1)
+			for j := range set {
+				if set[j].stamp != 0 && set[j].stamp < set[i].stamp {
+					rank++
+				}
+			}
+			ranked[i] = rank<<1 | set[i].stamp&dirty
+		}
+		for i, r := range ranked {
+			set[i].stamp = r
+		}
+	}
+	c.lruTick = uint32(c.assoc)
+}
+
 // touch makes ln the most recently used line of its set, dirtying it
-// for a write.
+// for a write. The caller makes room on the clock first (roomForTick).
 func (c *Cache) touch(ln *line, write bool) {
 	c.lruTick++
 	d := ln.stamp & dirty
@@ -211,6 +274,7 @@ func (c *Cache) lookup(req *mem.Request) {
 	block := c.blockAddr(req.Addr)
 	if ln := c.find(block); ln != nil {
 		c.Stats.Hits++
+		c.roomForTick()
 		c.touch(ln, req.Write)
 		req.Complete()
 		return
@@ -352,7 +416,8 @@ func (c *Cache) install(block uint64, waiters []*mem.Request) {
 		c.Stats.Writebacks++
 		wb := c.wbSlot()
 		wb.r = mem.Request{
-			Addr:      v.tag,
+			// The victim shares block's set: its tag above those bits.
+			Addr:      uint64(v.tag)<<c.tagBits | block&(c.setMask<<c.blkBits),
 			Write:     true,
 			Writeback: true,
 			Core:      -1,
@@ -361,6 +426,7 @@ func (c *Cache) install(block uint64, waiters []*mem.Request) {
 		}
 		c.lower.Access(&wb.r)
 	}
+	c.roomForTick()
 	c.lruTick++
 	stamp := c.lruTick << 1
 	for _, w := range waiters {
@@ -368,7 +434,7 @@ func (c *Cache) install(block uint64, waiters []*mem.Request) {
 			stamp |= dirty
 		}
 	}
-	*v = line{tag: block, stamp: stamp}
+	*v = line{tag: uint32(block >> c.tagBits), stamp: stamp}
 }
 
 // drainPending retries queued misses now that an MSHR freed up.
@@ -389,6 +455,7 @@ func (c *Cache) drainPending() {
 		// Re-check the tags: an earlier fill may have brought the block in
 		// while this request sat in the pending queue.
 		if ln := c.find(block); ln != nil {
+			c.roomForTick()
 			c.touch(ln, req.Write)
 			req.Complete()
 			continue

@@ -148,6 +148,29 @@ func (c *Config) Validate() error {
 	if err := c.Geometry().Validate(); err != nil {
 		return err
 	}
+	// The cache levels' latencies are whole picoseconds of CPU cycles,
+	// and a clock needs a period of at least one (NaN fails this too).
+	if !(c.CPUGHz > 0 && c.CPUGHz <= 1000) {
+		return fmt.Errorf("config: cpu_ghz must be in (0, 1000], got %v", c.CPUGHz)
+	}
+	return c.validateCaches()
+}
+
+// validateCaches checks each cache level's organization and that its
+// 32-bit line tags reach every byte of the memory.
+func (c *Config) validateCaches() error {
+	capacity := c.Geometry().Capacity()
+	if capacity == 0 { // the product of powers of two overflowed
+		return fmt.Errorf("config: memory capacity overflows 64 bits")
+	}
+	for _, lc := range []cache.Config{c.L1Config(), c.L2Config(), c.LLCConfig()} {
+		if err := lc.Validate(); err != nil {
+			return err
+		}
+		if limit := lc.AddressLimit(); capacity > limit {
+			return fmt.Errorf("config: %s's 32-bit tags address %d B, less than the %d B memory", lc.Name, limit, capacity)
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package config
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -109,6 +110,53 @@ func TestValidationRejects(t *testing.T) {
 	c.RowsPerBank = 1000 // not a power of two
 	if err := c.Validate(); err == nil {
 		t.Fatal("bad geometry accepted")
+	}
+}
+
+// TestValidateRejectsUntaggedMemory checks the cache tag bound: a
+// level's 32-bit tags reach 2^32 times the bytes of one way, and a
+// memory larger than that is refused with the level's name. The
+// geometries grow the memory through the row count; 2^20 rows per bank
+// make a 256 GiB memory, 2^38 B.
+func TestValidateRejectsUntaggedMemory(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		want   string // error substring; "" = accepted
+	}{
+		{"Default", func(*Config) {}, ""},
+		{"Scaled", func(c *Config) { *c = Scaled() }, ""},
+		{"LLC way of 64 B reaches exactly 2^38 B", func(c *Config) {
+			c.RowsPerBank, c.LLCAssoc = 1<<20, 65536
+		}, ""},
+		{"LLC way of 64 B below 2^39 B", func(c *Config) {
+			c.RowsPerBank, c.LLCAssoc = 1<<21, 65536
+		}, "LLC's 32-bit tags"},
+		{"L1 way of 64 B below 2^39 B", func(c *Config) {
+			c.RowsPerBank, c.L1KB, c.L1Assoc = 1<<21, 1, 16
+		}, "L1's 32-bit tags"},
+		{"L2 way of 64 B below 2^39 B", func(c *Config) {
+			c.RowsPerBank, c.L2KB, c.L2Assoc = 1<<21, 1, 16
+		}, "L2's 32-bit tags"},
+		{"L2 way of 128 B reaches 2^39 B", func(c *Config) {
+			c.RowsPerBank, c.L2KB, c.L2Assoc = 1<<21, 1, 8
+		}, ""},
+		{"capacity overflows 64 bits", func(c *Config) {
+			c.RowsPerBank, c.Columns = 1<<30, 1<<30
+		}, "overflows"},
+		{"invalid LLC organization", func(c *Config) { c.LLCAssoc = 0 }, "LLC: sizes must be positive"},
+		{"zero CPU clock, which has no cycle latency", func(c *Config) { c.CPUGHz = 0 }, "cpu_ghz"},
+	}
+	for _, tc := range cases {
+		c := Default()
+		tc.mutate(&c)
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -28,6 +28,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add([]byte(`{"FastDenom":1000000,"GroupSize":-1}`))
 	f.Add([]byte(`{"WeakRowRate":2.5,"MigFailRate":-1}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"cpu_ghz":0}`))
+	f.Add([]byte(`{"rows_per_bank":2097152,"l1_kb":1,"l1_assoc":16}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Parse(data)

@@ -54,6 +54,9 @@ func (p *RowProfile) Record(rowID uint64) {
 // Rows returns the number of distinct rows touched.
 func (p *RowProfile) Rows() int { return p.distinct }
 
+// Bytes returns the bytes the profile's counts retain.
+func (p *RowProfile) Bytes() int64 { return int64(cap(p.counts)) * 8 }
+
 // Count returns the recorded accesses of a row.
 func (p *RowProfile) Count(rowID uint64) uint64 {
 	if rowID >= uint64(len(p.counts)) {

@@ -17,7 +17,8 @@ const tagEntryBytes = 2
 // failed) LLC data lookup; a miss fetches the entry's table block
 // through the LLC and, if absent there, from DRAM.
 type TagCache struct {
-	sets    [][]tagLine
+	lines   []tagLine // sets × assoc, way w of set s at s*assoc + w
+	assoc   int
 	setMask uint64
 	tick    uint64
 
@@ -25,10 +26,12 @@ type TagCache struct {
 	Hits    uint64
 }
 
+// tagLine is one cached entry in 16 bytes. The recency clock is bumped
+// before every use, so a valid entry's stamp is at least 1 and stamp 0
+// marks an invalid way.
 type tagLine struct {
-	row   uint64 // global logical row id
-	valid bool
-	lru   uint64
+	row uint64 // global logical row id
+	lru uint64 // recency stamp; 0 = invalid
 }
 
 // NewTagCache builds a cache of capacityBytes with the given
@@ -50,22 +53,28 @@ func NewTagCache(capacityBytes, assoc int) (*TagCache, error) {
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1
 	}
-	tc := &TagCache{sets: make([][]tagLine, nsets), setMask: uint64(nsets - 1)}
-	for i := range tc.sets {
-		tc.sets[i] = make([]tagLine, assoc)
-	}
-	return tc, nil
+	return &TagCache{
+		lines:   make([]tagLine, nsets*assoc),
+		assoc:   assoc,
+		setMask: uint64(nsets - 1),
+	}, nil
 }
 
 // Entries returns the modeled entry capacity.
-func (tc *TagCache) Entries() int { return len(tc.sets) * len(tc.sets[0]) }
+func (tc *TagCache) Entries() int { return len(tc.lines) }
+
+// set returns the ways of row's set.
+func (tc *TagCache) set(row uint64) []tagLine {
+	i := int(tc.index(row)) * tc.assoc
+	return tc.lines[i : i+tc.assoc]
+}
 
 // Lookup probes for row's entry and reports a hit, refreshing recency.
 func (tc *TagCache) Lookup(row uint64) bool {
 	tc.Lookups++
-	set := tc.sets[tc.index(row)]
+	set := tc.set(row)
 	for i := range set {
-		if set[i].valid && set[i].row == row {
+		if set[i].lru != 0 && set[i].row == row {
 			tc.tick++
 			set[i].lru = tc.tick
 			tc.Hits++
@@ -83,18 +92,16 @@ func (tc *TagCache) index(row uint64) uint64 {
 	return (row >> 16) & tc.setMask
 }
 
-// Insert installs row's entry, evicting the LRU way. (Evicted entries
-// need no writeback: the in-DRAM table is updated in place on every
-// migration commit.)
+// Insert installs row's entry, evicting the LRU way. The scan stops at
+// the first way that holds row or is invalid, so a row that sits behind
+// an invalid way gets a second copy there. (Evicted entries need no
+// writeback: the in-DRAM table is updated in place on every migration
+// commit.)
 func (tc *TagCache) Insert(row uint64) {
-	set := tc.sets[tc.index(row)]
+	set := tc.set(row)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].row == row {
-			victim = i
-			break
-		}
-		if !set[i].valid {
+		if set[i].lru == 0 || set[i].row == row {
 			victim = i
 			break
 		}
@@ -103,15 +110,15 @@ func (tc *TagCache) Insert(row uint64) {
 		}
 	}
 	tc.tick++
-	set[victim] = tagLine{row: row, valid: true, lru: tc.tick}
+	set[victim] = tagLine{row: row, lru: tc.tick}
 }
 
 // Invalidate drops row's entry if present (e.g. on a detected parity
 // corruption) and reports whether one existed.
 func (tc *TagCache) Invalidate(row uint64) bool {
-	set := tc.sets[tc.index(row)]
+	set := tc.set(row)
 	for i := range set {
-		if set[i].valid && set[i].row == row {
+		if set[i].lru != 0 && set[i].row == row {
 			set[i] = tagLine{}
 			return true
 		}
@@ -122,9 +129,8 @@ func (tc *TagCache) Invalidate(row uint64) bool {
 // Contains probes for row without touching recency or the hit/lookup
 // counters (diagnostics and invariant checks).
 func (tc *TagCache) Contains(row uint64) bool {
-	set := tc.sets[tc.index(row)]
-	for i := range set {
-		if set[i].valid && set[i].row == row {
+	for _, ln := range tc.set(row) {
+		if ln.lru != 0 && ln.row == row {
 			return true
 		}
 	}
@@ -134,24 +140,18 @@ func (tc *TagCache) Contains(row uint64) bool {
 // VisitValid calls fn for every valid entry's row id (invariant
 // checks). Iteration order is deterministic: set-major, way-minor.
 func (tc *TagCache) VisitValid(fn func(row uint64)) {
-	for _, set := range tc.sets {
-		for i := range set {
-			if set[i].valid {
-				fn(set[i].row)
-			}
+	for _, ln := range tc.lines {
+		if ln.lru != 0 {
+			fn(ln.row)
 		}
 	}
 }
 
 // Reset invalidates every entry and rewinds the recency clock and
 // counters, leaving the cache indistinguishable from a fresh
-// NewTagCache of the same shape. The set arrays are retained.
+// NewTagCache of the same shape. The entry array is retained.
 func (tc *TagCache) Reset() {
-	for _, set := range tc.sets {
-		for i := range set {
-			set[i] = tagLine{}
-		}
-	}
+	clear(tc.lines)
 	tc.tick = 0
 	tc.Lookups, tc.Hits = 0, 0
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,4 +115,210 @@ func TestTagCacheNeverFalseHits(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refTagCache is the nested tag cache the flat one replaced, kept as
+// the oracle: one slice of ways per set and a valid flag per line.
+type refTagCache struct {
+	sets          [][]refTagLine
+	setMask       uint64
+	tick          uint64
+	lookups, hits uint64
+}
+
+type refTagLine struct {
+	row   uint64
+	valid bool
+	lru   uint64
+}
+
+func newRefTagCache(nsets, assoc int) *refTagCache {
+	r := &refTagCache{sets: make([][]refTagLine, nsets), setMask: uint64(nsets - 1)}
+	for i := range r.sets {
+		r.sets[i] = make([]refTagLine, assoc)
+	}
+	return r
+}
+
+func (r *refTagCache) set(row uint64) []refTagLine {
+	row ^= row >> 17
+	row *= 0x9E3779B97F4A7C15
+	return r.sets[(row>>16)&r.setMask]
+}
+
+func (r *refTagCache) lookup(row uint64) bool {
+	r.lookups++
+	set := r.set(row)
+	for i := range set {
+		if set[i].valid && set[i].row == row {
+			r.tick++
+			set[i].lru = r.tick
+			r.hits++
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refTagCache) insert(row uint64) {
+	set := r.set(row)
+	victim := 0
+	for i := range set {
+		if set[i].valid && set[i].row == row {
+			victim = i
+			break
+		}
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	r.tick++
+	set[victim] = refTagLine{row: row, valid: true, lru: r.tick}
+}
+
+func (r *refTagCache) invalidate(row uint64) bool {
+	set := r.set(row)
+	for i := range set {
+		if set[i].valid && set[i].row == row {
+			set[i] = refTagLine{}
+			return true
+		}
+	}
+	return false
+}
+
+// valid lists the valid rows set-major, way-minor, as VisitValid does.
+func (r *refTagCache) valid() []uint64 {
+	var rows []uint64
+	for _, set := range r.sets {
+		for _, ln := range set {
+			if ln.valid {
+				rows = append(rows, ln.row)
+			}
+		}
+	}
+	return rows
+}
+
+// tagCacheState lists tc's valid rows in VisitValid order.
+func tagCacheState(tc *TagCache) []uint64 {
+	var rows []uint64
+	tc.VisitValid(func(row uint64) { rows = append(rows, row) })
+	return rows
+}
+
+// duplicates counts the valid entries that repeat a row already valid
+// earlier in the same set.
+func duplicates(tc *TagCache) int {
+	n := 0
+	for s := 0; s < len(tc.lines); s += tc.assoc {
+		seen := map[uint64]bool{}
+		for _, ln := range tc.lines[s : s+tc.assoc] {
+			if ln.lru != 0 {
+				if seen[ln.row] {
+					n++
+				}
+				seen[ln.row] = true
+			}
+		}
+	}
+	return n
+}
+
+// TestTagCacheMatchesReferenceModel runs random Lookup, Insert and
+// Invalidate sequences through the flat tag cache and the nested
+// oracle. After every operation it compares the result, the valid rows
+// in set-major order, and the lookup and hit counters. The fixed case
+// first builds the shape the victim rule is exact about: an Invalidate
+// hole ahead of a valid copy of the same row, which Insert fills with a
+// second copy because its scan stops at the first invalid way.
+func TestTagCacheMatchesReferenceModel(t *testing.T) {
+	const capacity, assoc = 64, 4 // 32 entries, 8 sets of 4 ways
+	newPair := func() (*TagCache, *refTagCache) {
+		tc, err := NewTagCache(capacity, assoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tc, newRefTagCache(tc.Entries()/assoc, assoc)
+	}
+	// apply runs op (kind in the top two bits, row below) on both and
+	// reports the first difference.
+	apply := func(tc *TagCache, ref *refTagCache, op uint16) string {
+		row := uint64(op & 0x3fff)
+		var got, want bool
+		switch op >> 14 {
+		case 0, 1:
+			tc.Insert(row)
+			ref.insert(row)
+		case 2:
+			got, want = tc.Lookup(row), ref.lookup(row)
+		case 3:
+			got, want = tc.Invalidate(row), ref.invalidate(row)
+		}
+		if got != want {
+			return fmt.Sprintf("op %#x: result %v, oracle %v", op, got, want)
+		}
+		if g, w := tagCacheState(tc), ref.valid(); !slices.Equal(g, w) {
+			return fmt.Sprintf("op %#x: valid rows %v, oracle %v", op, g, w)
+		}
+		if tc.Lookups != ref.lookups || tc.Hits != ref.hits {
+			return fmt.Sprintf("op %#x: %d lookups %d hits, oracle %d and %d", op, tc.Lookups, tc.Hits, ref.lookups, ref.hits)
+		}
+		return ""
+	}
+
+	// Four rows of one set fill its ways in order; invalidating the
+	// first leaves a hole ahead of the fourth, and re-inserting the
+	// fourth writes it into the hole.
+	tc, ref := newPair()
+	var rows []uint16
+	for r := uint16(0); len(rows) < assoc; r++ {
+		if tc.index(uint64(r)) == tc.index(0) {
+			rows = append(rows, r)
+		}
+	}
+	dupAfterInsert, staleHit := 0, false
+	ops := append(slices.Clone(rows), 3<<14|rows[0], rows[3], 2<<14|rows[3], 3<<14|rows[3], 2<<14|rows[3])
+	for i, op := range ops {
+		if diff := apply(tc, ref, op); diff != "" {
+			t.Fatalf("hole case: %s", diff)
+		}
+		switch i {
+		case assoc + 1: // the re-insert
+			dupAfterInsert = duplicates(tc)
+		case len(ops) - 1: // the lookup after the invalidate
+			staleHit = tc.Hits == 2
+		}
+	}
+	t.Logf("hole case: the re-insert left %d duplicate entries; a lookup after invalidating the row hit: %v",
+		dupAfterInsert, staleHit)
+
+	seqsWithDuplicates := 0
+	check := func(seq []uint16) bool {
+		tc, ref := newPair()
+		dup := false
+		for _, op := range seq {
+			// Rows from a space twice the capacity, so sets conflict
+			// and evict, yet a row is often still resident when it is
+			// inserted again.
+			op = op&0xc000 | op&0x3fff%(2*capacity/tagEntryBytes)
+			if diff := apply(tc, ref, op); diff != "" {
+				t.Log(diff)
+				return false
+			}
+			dup = dup || duplicates(tc) > 0
+		}
+		if dup {
+			seqsWithDuplicates++
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of 200 random sequences held a duplicate entry", seqsWithDuplicates)
 }

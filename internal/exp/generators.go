@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/config"
@@ -75,9 +76,23 @@ const ProfileWindowFactor = 19
 // geometry/seed/footprint fields matter), so a collision can only mean
 // a redundant recompute, never a wrong profile. Profiles are immutable
 // after construction, so sharing the pointer is safe.
-var profileMemo struct {
-	sync.Mutex
-	m map[string]*core.RowProfile
+var profileMemo = rowProfileMemo{maxBytes: profileMemoBytes}
+
+// profileMemoBytes bounds the bytes profileMemo retains: 64 profiles at
+// config.Scaled() (1 MiB of counts each), 8 at full scale (8 MiB each).
+// The key includes the seed, so a server running jobs with distinct
+// seeds or geometries would otherwise keep every profile it computed.
+const profileMemoBytes = 64 << 20
+
+// rowProfileMemo is a byte-budgeted memo of row profiles. When an
+// insertion would pass the budget it evicts the oldest entries first;
+// a profile larger than the whole budget is returned but not kept.
+type rowProfileMemo struct {
+	mu       sync.Mutex
+	maxBytes int64
+	bytes    int64 // sum of the kept profiles' Bytes
+	m        map[string]*core.RowProfile
+	order    []string // kept keys, oldest first
 }
 
 // ProfilePass runs a functional (timing-free) pass of every benchmark's
@@ -86,23 +101,43 @@ var profileMemo struct {
 // (SAS-DRAM, CHARM) pre-assign from. Results are memoized per
 // (cfg, benchmarks).
 func ProfilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
+	return profileMemo.profile(cfg, benchmarks)
+}
+
+// profile returns the memoized profile of (cfg, benchmarks), computing
+// and keeping it on a miss.
+func (c *rowProfileMemo) profile(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
 	key := fmt.Sprintf("%+v|%q", cfg, benchmarks)
-	profileMemo.Lock()
-	if p, ok := profileMemo.m[key]; ok {
-		profileMemo.Unlock()
+	c.mu.Lock()
+	p, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
 		return p, nil
 	}
-	profileMemo.Unlock()
 	p, err := profilePass(cfg, benchmarks)
 	if err != nil {
 		return nil, err
 	}
-	profileMemo.Lock()
-	if profileMemo.m == nil || len(profileMemo.m) > 64 {
-		profileMemo.m = make(map[string]*core.RowProfile) // bound footprint
+	size := p.Bytes()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if q, ok := c.m[key]; ok {
+		return q, nil // computed concurrently: share the kept copy
 	}
-	profileMemo.m[key] = p
-	profileMemo.Unlock()
+	if size > c.maxBytes {
+		return p, nil
+	}
+	for c.bytes+size > c.maxBytes {
+		c.bytes -= c.m[c.order[0]].Bytes()
+		delete(c.m, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
+	}
+	if c.m == nil {
+		c.m = make(map[string]*core.RowProfile)
+	}
+	c.m[key] = p
+	c.order = append(c.order, key)
+	c.bytes += size
 	return p, nil
 }
 

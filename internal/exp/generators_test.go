@@ -150,6 +150,59 @@ func TestProfilePassMatchesReference(t *testing.T) {
 	}
 }
 
+// TestProfileMemoBoundedByBytes runs more distinct profiles (one per
+// seed) through a memo than its byte budget holds. The memo must keep
+// the newest ones, retain no more bytes than the budget, and account
+// exactly for the counts it keeps; a profile larger than the budget
+// is returned but not kept.
+func TestProfileMemoBoundedByBytes(t *testing.T) {
+	cfg := config.Scaled()
+	cfg.InstrPerCore = 1000
+	profBytes := int64(cfg.Geometry().TotalRows()) * 8 // one dense count per row
+	const kept, runs = 3, 5
+	memo := rowProfileMemo{maxBytes: kept*profBytes + profBytes/2}
+	profiles := make([]*core.RowProfile, runs)
+	for i := range profiles {
+		cfg.Seed = uint64(i + 1)
+		p, err := memo.profile(cfg, []string{"mcf"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles[i] = p
+		if memo.bytes > memo.maxBytes {
+			t.Fatalf("after %d profiles the memo retains %d B, over its %d B budget", i+1, memo.bytes, memo.maxBytes)
+		}
+	}
+	var sum int64
+	for _, p := range memo.m {
+		sum += p.Bytes()
+	}
+	if len(memo.m) != kept || len(memo.order) != kept || memo.bytes != sum || sum != kept*profBytes {
+		t.Fatalf("memo keeps %d profiles (%d keys) and counts %d B, holding %d B; want %d profiles of %d B",
+			len(memo.m), len(memo.order), memo.bytes, sum, kept, profBytes)
+	}
+	for i, want := range profiles {
+		cfg.Seed = uint64(i + 1)
+		_, hit := memo.m[fmt.Sprintf("%+v|%q", cfg, []string{"mcf"})]
+		if newest := i >= runs-kept; hit != newest {
+			t.Errorf("seed %d: kept %v, want %v (the newest %d are kept)", cfg.Seed, hit, newest, kept)
+		}
+		if hit {
+			if got, _ := memo.profile(cfg, []string{"mcf"}); got != want {
+				t.Errorf("seed %d: a kept profile was recomputed", cfg.Seed)
+			}
+		}
+	}
+
+	small := rowProfileMemo{maxBytes: profBytes - 1}
+	if _, err := small.profile(cfg, []string{"mcf"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(small.m) != 0 || small.bytes != 0 {
+		t.Fatalf("a %d B memo kept a %d B profile (%d B counted)", small.maxBytes, profBytes, small.bytes)
+	}
+}
+
 // BenchmarkProfilePass times one unmemoized profiling pass: mcf at 1M
 // instructions per core on the Scaled configuration, 19M generated
 // instructions. check.sh gates it against BENCH_profile.json.

@@ -47,28 +47,32 @@ func keyFor(cfg *config.Config, design core.Design) poolKey {
 // metadata, DRAM bank state, each core's ROB, request slots, workload
 // row permutation and page bitmap, the dynamic designs' translation
 // groups and tag cache, and the engine's event storage, plus slack for
-// controller queues, maps and freelists. The per-core and per-row
-// prices are averages over runs of a few hundred thousand instructions
-// per core (translation groups are allocated as rows are first
-// touched); TestFootprintEstimateMatchesRetainedHeap holds the total
-// within 25% of the measured live heap.
-func footprintBytes(k poolKey) int64 {
+// controller queues, maps and freelists. The tag cache is sized by
+// cfg, not by the shape key (Reset reallocates it when the size
+// changes), so a parked machine is priced from the config it last ran.
+// The per-core and per-row prices are averages over runs of a few
+// hundred thousand instructions per core (translation groups are
+// allocated as rows are first touched);
+// TestFootprintEstimateMatchesRetainedHeap holds the total within 25%
+// of the measured live heap.
+func footprintBytes(cfg *config.Config, design core.Design) int64 {
 	const (
-		lineBytes  = 16        // cache.line: tag and LRU stamp
+		lineBytes  = 8         // cache.line: 32-bit tag and LRU stamp
 		bankBytes  = 256       // dram.Bank counters + rank share
 		robBytes   = 96        // robEntry + preallocated load request
 		coreBytes  = 160 << 10 // workload row permutation and page bitmap
 		rowBytes   = 6         // dynamic designs: ~240 B per touched 32-row group
-		tagBytes   = 256 << 10 // dynamic designs: tag cache
+		tagBytes   = 8         // dynamic designs: a 16-byte tagLine per modeled 2-byte entry
 		eventBytes = 32 << 10  // engine: wheel heads and a slab of a few hundred events
 		slack      = 192 << 10
 	)
+	k := keyFor(cfg, design)
 	cacheLines := int64(k.llc.SizeBytes)/int64(k.geom.BlockSize) +
 		int64(k.cores)*(int64(k.l1.SizeBytes)+int64(k.l2.SizeBytes))/int64(k.geom.BlockSize)
 	n := cacheLines*lineBytes + int64(k.geom.TotalBanks())*bankBytes +
 		int64(k.cores)*(int64(k.cpu.ROB)*robBytes+coreBytes) + eventBytes + slack
-	if k.design.Dynamic() {
-		n += int64(k.geom.TotalRows())*rowBytes + tagBytes
+	if design.Dynamic() {
+		n += int64(k.geom.TotalRows())*rowBytes + int64(cfg.TagCacheKB<<10)*tagBytes
 	}
 	return n
 }
@@ -149,7 +153,7 @@ func (p *SystemPool) Get(cfg *config.Config, design core.Design) *System {
 	p.items[k] = q[:len(q)-1]
 	p.stats.Hits++
 	p.stats.Machines--
-	p.stats.CurrentBytes -= footprintBytes(k)
+	p.stats.CurrentBytes -= footprintBytes(&sys.Cfg, sys.Design)
 	return sys
 }
 
@@ -164,7 +168,7 @@ func (p *SystemPool) Put(sys *System) {
 		return
 	}
 	k := keyFor(&sys.Cfg, sys.Design)
-	fb := footprintBytes(k)
+	fb := footprintBytes(&sys.Cfg, sys.Design)
 	p.mu.Lock()
 	if p.maxBytes > 0 && p.stats.CurrentBytes+fb > p.maxBytes {
 		p.stats.Drops++

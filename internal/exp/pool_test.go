@@ -366,26 +366,26 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 	}
 }
 
+// footprintMachines are the DAS machine shapes the footprint test and
+// BenchmarkBuildMachine measure at config.Scaled().
+var footprintMachines = [][]string{
+	{"mcf"},
+	{"cactusADM", "mcf", "milc", "omnetpp"},
+}
+
 // TestFootprintEstimateMatchesRetainedHeap pins the pool's byte budget
 // to what a pooled machine really keeps alive. Four 1-core and four
 // 4-core DAS machines at config.Scaled() are built, run and checked
 // into a pool; the per-machine growth of the live heap (HeapAlloc after
 // a full collection) must be within 25% of footprintBytes' estimate.
 func TestFootprintEstimateMatchesRetainedHeap(t *testing.T) {
-	cases := []struct {
-		cores      int
-		benchmarks []string
-	}{
-		{1, []string{"mcf"}},
-		{4, []string{"cactusADM", "mcf", "milc", "omnetpp"}},
-	}
-	for _, tc := range cases {
+	for _, benchmarks := range footprintMachines {
 		cfg := config.Scaled()
-		cfg.Cores = tc.cores
+		cfg.Cores = len(benchmarks)
 		cfg.InstrPerCore = 200_000
 		pool := NewSystemPool(0)
 		run := func() {
-			sys, _, err := Build(cfg, core.DAS, tc.benchmarks, nil, false)
+			sys, _, err := Build(cfg, core.DAS, benchmarks, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,14 +402,33 @@ func TestFootprintEstimateMatchesRetainedHeap(t *testing.T) {
 			run()
 		}
 		perMachine := float64(liveHeap()-before) / machines
-		est := float64(footprintBytes(keyFor(&cfg, core.DAS)))
+		est := float64(footprintBytes(&cfg, core.DAS))
 		t.Logf("%d-core: estimate %.2f MB, measured %.2f MB per machine (%+.0f%%)",
-			tc.cores, est/1e6, perMachine/1e6, 100*(est/perMachine-1))
+			cfg.Cores, est/1e6, perMachine/1e6, 100*(est/perMachine-1))
 		if est < perMachine*0.75 || est > perMachine*1.25 {
 			t.Errorf("%d-core: footprint estimate %.2f MB is not within 25%% of the measured %.2f MB per machine",
-				tc.cores, est/1e6, perMachine/1e6)
+				cfg.Cores, est/1e6, perMachine/1e6)
 		}
 		pool.Drain()
+	}
+}
+
+// BenchmarkBuildMachine builds and frees one 1-core and one 4-core DAS
+// machine at config.Scaled() per op: the allocation a pool miss pays.
+// Its B/op tracks the standing memory of a pooled machine; check.sh
+// gates it against BENCH_footprint.json.
+func BenchmarkBuildMachine(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, benchmarks := range footprintMachines {
+			cfg := config.Scaled()
+			cfg.Cores = len(benchmarks)
+			sys, _, err := Build(cfg, core.DAS, benchmarks, nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys.free()
+		}
 	}
 }
 

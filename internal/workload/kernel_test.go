@@ -214,7 +214,8 @@ func TestThresholdMatchesFloatCompare(t *testing.T) {
 // TestNewSyntheticRejectsNonFinite covers the parameters the kernel
 // converts to integers: a NaN or an infinity anywhere, or a negative
 // mixture weight, must be refused, and the edges of each valid range
-// accepted.
+// accepted. A HotSkew above maxHotSkew is refused too: the hot draw
+// loops once per unit of skew, and from 2^53 up that loop never ends.
 func TestNewSyntheticRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -238,6 +239,9 @@ func TestNewSyntheticRejectsNonFinite(t *testing.T) {
 		{"HotFraction NaN without hot weight", func(p *Profile) { p.HotWeight, p.HotFraction = 0, nan }, false},
 		{"HotSkew +Inf", func(p *Profile) { p.HotSkew = inf }, false},
 		{"HotSkew NaN", func(p *Profile) { p.HotSkew = nan }, false},
+		{"HotSkew above the bound", func(p *Profile) { p.HotSkew = maxHotSkew + 0.5 }, false},
+		{"HotSkew 2^53", func(p *Profile) { p.HotSkew = 1 << 53 }, false},
+		{"HotSkew 1e300", func(p *Profile) { p.HotSkew = 1e300 }, false},
 		{"PhaseShiftFraction NaN", func(p *Profile) { p.PhaseShiftFraction = nan }, false},
 		{"PhaseShiftFraction negative", func(p *Profile) { p.PhaseShiftFraction = -0.125 }, false},
 		{"WriteFraction 0", func(p *Profile) { p.WriteFraction = 0 }, true},
@@ -247,6 +251,7 @@ func TestNewSyntheticRejectsNonFinite(t *testing.T) {
 		}, true},
 		{"HotFraction 1", func(p *Profile) { p.HotFraction = 1 }, true},
 		{"HotSkew below 1", func(p *Profile) { p.HotSkew = 0.5 }, true},
+		{"HotSkew at the bound", func(p *Profile) { p.HotSkew = maxHotSkew }, true},
 	}
 	for _, c := range cases {
 		p := testProfile()

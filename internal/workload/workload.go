@@ -81,8 +81,10 @@ type Profile struct {
 	StrideBytes uint64
 	// HotFraction is the hot region size as a fraction of footprint.
 	HotFraction float64
-	// HotSkew is the power-law exponent of hot accesses (>=1; larger
-	// values concentrate accesses on fewer rows).
+	// HotSkew sets how skewed hot accesses are: the hot draw's rank is
+	// the region's block count times the product of ⌈HotSkew⌉
+	// independent uniforms (one for any value at or below 1). Larger
+	// values concentrate accesses on fewer rows. At most 64.
 	HotSkew float64
 	// PhaseInstr is the phase length in instructions; every phase the
 	// hot region re-centers. Zero means a stationary hot region.
@@ -100,6 +102,13 @@ type Profile struct {
 	// useful in unit tests that reason about exact addresses.
 	NoScatter bool
 }
+
+// maxHotSkew bounds Profile.HotSkew. The hot draw multiplies one
+// uniform per unit of skew, so the bound also bounds its loop. At 64
+// the product falls below 2^-30 on all but about 1e-14 of draws, so
+// practically every hot access already lands on rank 0 of any hot
+// region up to 64 GiB; a larger skew would only lengthen the loop.
+const maxHotSkew = 64
 
 // scatterRowBytes is the granularity of the physical scatter permutation:
 // one DRAM row. An operating system allocates physical pages roughly
@@ -153,6 +162,9 @@ func (p *Profile) Validate() error {
 	}
 	if p.PhaseShiftFraction < 0 {
 		return fmt.Errorf("workload %s: PhaseShiftFraction must be non-negative", p.Name)
+	}
+	if p.HotSkew > maxHotSkew {
+		return fmt.Errorf("workload %s: HotSkew must be at most %d, got %v", p.Name, maxHotSkew, p.HotSkew)
 	}
 	return nil
 }
@@ -358,10 +370,11 @@ func (g *synth) Fill(buf []Instr) {
 				stridePos -= fp
 			}
 		case k < g.tHot:
-			// Power-law-skewed offset within the drifting hot region:
-			// rank = N * u^skew concentrates mass near rank 0, spread
-			// over the region at 64-byte granularity. u multiplies, so
-			// this draw stays in floating point.
+			// Skewed offset within the drifting hot region: rank = N * u,
+			// where u is the product of ⌈skew⌉ independent uniforms, so
+			// mass concentrates near rank 0, spread over the region at
+			// 64-byte granularity. u multiplies, so this draw stays in
+			// floating point.
 			u := rng.Float64()
 			for s := 1.0; s < g.p.HotSkew; s++ {
 				u *= rng.Float64()

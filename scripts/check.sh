@@ -161,6 +161,17 @@ echo "== profile-pass gate (benchjson -compare vs BENCH_profile.json)"
 go test -run '^$' -bench '^BenchmarkProfilePass$' -benchmem -benchtime 5x ./internal/exp |
     go run ./cmd/benchjson -compare BENCH_profile.json
 
+echo "== machine-footprint gate (benchjson -compare vs BENCH_footprint.json)"
+# BenchmarkBuildMachine builds and frees one 1-core and one 4-core DAS
+# machine on the Scaled config per op, the allocation a pool miss pays;
+# its B/op tracks what a pooled machine keeps (8-byte cache lines, the
+# flat tag cache). BENCH_footprint.json records B/op and allocs/op
+# only, so both may not rise more than 10% on any CPU; its note gives
+# ns/op, which the collector and page faults spread by about ±20%
+# between rounds on a shared host.
+go test -run '^$' -bench '^BenchmarkBuildMachine$' -benchmem -benchtime 20x ./internal/exp |
+    go run ./cmd/benchjson -compare BENCH_footprint.json
+
 echo "== fault-sweep smoke (dasbench -fig faults)"
 # Tiny instruction budget: exercises every sweep point — including the
 # rate-1.0 full-degradation endpoints — with invariants and the watchdog
