@@ -92,16 +92,17 @@ func (tc *TagCache) index(row uint64) uint64 {
 	return (row >> 16) & tc.setMask
 }
 
-// Insert installs row's entry, evicting the LRU way. The scan stops at
-// the first way that holds row or is invalid, so a row that sits behind
-// an invalid way gets a second copy there. (Evicted entries need no
-// writeback: the in-DRAM table is updated in place on every migration
-// commit.)
+// Insert installs row's entry: in the way that already holds row if
+// one does, else in the first invalid way, else over the first
+// least-recently-used way. An invalid way's stamp is 0, below every
+// valid one, so the least-stamp scan finds it. A set therefore never
+// holds two copies of a row. (Evicted entries need no writeback: the
+// in-DRAM table is updated in place on every migration commit.)
 func (tc *TagCache) Insert(row uint64) {
 	set := tc.set(row)
 	victim := 0
 	for i := range set {
-		if set[i].lru == 0 || set[i].row == row {
+		if set[i].lru != 0 && set[i].row == row {
 			victim = i
 			break
 		}

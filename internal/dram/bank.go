@@ -27,19 +27,6 @@ type Bank struct {
 	nextPrecharge sim.Time // tRAS after ACT, tRTP/tWR after columns
 	busyUntil     sim.Time // migration/refresh occupancy window
 	migOpen       bool     // active-start migration: open row serves hits
-
-	// Statistics. The *Fast counters split each command count by the
-	// class of the row involved (the energy model prices the two classes
-	// differently); slow counts are the difference.
-	Activates      uint64
-	ActivatesFast  uint64
-	Reads          uint64
-	ReadsFast      uint64
-	Writes         uint64
-	WritesFast     uint64
-	Precharges     uint64
-	PrechargesFast uint64
-	Migrations     uint64
 }
 
 // State helpers.
@@ -82,10 +69,6 @@ func (b *Bank) activate(t sim.Time, row int, cls RowClass, p *timing.Params) {
 	b.nextWrite = t + p.Duration(p.TRCD)
 	b.nextPrecharge = t + p.Duration(p.TRAS)
 	b.nextActivate = t + p.Duration(p.TRC)
-	b.Activates++
-	if cls == RowFast {
-		b.ActivatesFast++
-	}
 }
 
 // canRead checks bank-local constraints for a RD at time t. Reads need
@@ -108,10 +91,6 @@ func (b *Bank) read(t sim.Time) sim.Time {
 	}
 	if col := t + p.Duration(p.TCCD); col > b.nextWrite {
 		b.nextWrite = col
-	}
-	b.Reads++
-	if b.openCls == RowFast {
-		b.ReadsFast++
 	}
 	return t + p.Duration(p.ReadLatency())
 }
@@ -137,10 +116,6 @@ func (b *Bank) write(t sim.Time) sim.Time {
 	if col := t + p.Duration(p.TCCD); col > b.nextWrite {
 		b.nextWrite = col
 	}
-	b.Writes++
-	if b.openCls == RowFast {
-		b.WritesFast++
-	}
 	return burstEnd
 }
 
@@ -156,10 +131,6 @@ func (b *Bank) precharge(t sim.Time) {
 	b.state = bankIdle
 	if act := t + p.Duration(p.TRP); act > b.nextActivate {
 		b.nextActivate = act
-	}
-	b.Precharges++
-	if b.openCls == RowFast {
-		b.PrechargesFast++
 	}
 }
 
@@ -189,7 +160,6 @@ func (b *Bank) migrate(t sim.Time, d sim.Time) {
 	if b.state == bankActive {
 		b.migOpen = true
 	}
-	b.Migrations++
 }
 
 // blockUntil forbids any command before t (used by refresh).

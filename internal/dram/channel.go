@@ -92,12 +92,7 @@ func (ch *Channel) Activate(t sim.Time, rank, bank, row int, cls RowClass) {
 	r := ch.ranks[rank]
 	r.banks[bank].activate(t, row, cls, p)
 	r.recordAct(t, p.Duration(p.TRRD))
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteActivate(t, ch.idx, rank, bank, row, cls, p.Duration(p.TRCD))
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdActivate, ch.idx, rank, bank, row)
-	}
+	ch.issued(t, CmdActivate, rank, bank, row, cls)
 }
 
 // CanRead reports whether RD(rank, bank) may issue at t.
@@ -114,15 +109,9 @@ func (ch *Channel) CanRead(t sim.Time, rank, bank int) bool {
 // Read issues RD at t and returns the absolute time the data burst ends.
 func (ch *Channel) Read(t sim.Time, rank, bank int) sim.Time {
 	b := ch.ranks[rank].banks[bank]
-	row := b.openRow
 	end := b.read(t)
 	ch.claimBus(end, rank, busRead)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteRead(t, ch.idx, rank, bank, row, b.openCls, end-t)
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdRead, ch.idx, rank, bank, row)
-	}
+	ch.issued(t, CmdRead, rank, bank, b.openRow, b.openCls)
 	return end
 }
 
@@ -141,17 +130,11 @@ func (ch *Channel) CanWrite(t sim.Time, rank, bank int) bool {
 func (ch *Channel) Write(t sim.Time, rank, bank int) sim.Time {
 	r := ch.ranks[rank]
 	b := r.banks[bank]
-	row := b.openRow
 	end := b.write(t)
 	p := b.rowPar
 	r.noteWriteBurst(end, p.Duration(p.TWTR))
 	ch.claimBus(end, rank, busWrite)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteWrite(t, ch.idx, rank, bank, row, b.openCls, end-t)
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdWrite, ch.idx, rank, bank, row)
-	}
+	ch.issued(t, CmdWrite, rank, bank, b.openRow, b.openCls)
 	return end
 }
 
@@ -163,15 +146,8 @@ func (ch *Channel) CanPrecharge(t sim.Time, rank, bank int) bool {
 // Precharge issues PRE at t.
 func (ch *Channel) Precharge(t sim.Time, rank, bank int) {
 	b := ch.ranks[rank].banks[bank]
-	row := b.openRow
 	b.precharge(t)
-	if tel := ch.dev.tel; tel != nil {
-		p := b.rowPar
-		tel.notePrecharge(t, ch.idx, rank, bank, b.openCls, p.Duration(p.TRP))
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdPrecharge, ch.idx, rank, bank, row)
-	}
+	ch.issued(t, CmdPrecharge, rank, bank, b.openRow, b.openCls)
 }
 
 // RefreshDue reports whether rank owes a refresh at t.
@@ -188,12 +164,7 @@ func (ch *Channel) CanRefresh(t sim.Time, rank int) bool {
 func (ch *Channel) Refresh(t sim.Time, rank int) {
 	p := &ch.dev.slow
 	ch.ranks[rank].refresh(t, p.Duration(p.TRFC), p.Duration(p.TREFI))
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteRefresh(t, ch.idx, rank, p.Duration(p.TRFC))
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdRefresh, ch.idx, rank, -1, -1)
-	}
+	ch.issued(t, CmdRefresh, rank, -1, -1, RowSlow)
 }
 
 // CanMigrate reports whether a migration of srcRow may start on
@@ -207,13 +178,29 @@ func (ch *Channel) CanMigrate(t sim.Time, rank, bank, srcRow int) bool {
 // device's configured migration latency and returns its completion
 // time. srcRow labels the trace slice only; the command log reports -1.
 func (ch *Channel) Migrate(t sim.Time, rank, bank, srcRow int) sim.Time {
-	b := ch.ranks[rank].banks[bank]
-	b.migrate(t, ch.dev.migrationLatency)
-	if tel := ch.dev.tel; tel != nil {
-		tel.noteMigrate(t, ch.idx, rank, bank, srcRow, ch.dev.migrationLatency)
-	}
-	if log := ch.dev.cmdLog; log != nil {
-		log(t, CmdMigrate, ch.idx, rank, bank, -1)
-	}
+	ch.ranks[rank].banks[bank].migrate(t, ch.dev.migrationLatency)
+	ch.issued(t, CmdMigrate, rank, bank, srcRow, RowSlow)
 	return t + ch.dev.migrationLatency
+}
+
+// issued is the one point every command passes once it has taken
+// effect. It counts the command in the device tally, hands it to the
+// command log and, with a trace recorder attached, records its slice.
+// row is the row the command opened, accessed, closed or migrated (-1
+// for REF) and cls that row's class (REF and MIG count as RowSlow).
+// The command log reports MIG with row -1, the form the committed
+// golden command-stream digests hash.
+func (ch *Channel) issued(t sim.Time, kind CommandKind, rank, bank, row int, cls RowClass) {
+	d := ch.dev
+	d.cmds[kind][cls]++
+	if d.cmdLog != nil {
+		logRow := row
+		if kind == CmdMigrate {
+			logRow = -1
+		}
+		d.cmdLog(t, kind, ch.idx, rank, bank, logRow)
+	}
+	if d.trace != nil {
+		d.trace.record(t, kind, ch.idx, rank, bank, row, cls)
+	}
 }

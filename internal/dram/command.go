@@ -19,6 +19,9 @@ const (
 	CmdMigrate
 )
 
+// numKinds is the number of command kinds.
+const numKinds = int(CmdMigrate) + 1
+
 // String returns the conventional mnemonic.
 func (k CommandKind) String() string {
 	switch k {

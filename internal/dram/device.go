@@ -47,9 +47,15 @@ type Device struct {
 	// always present, so figure code can cost a run without telemetry.
 	emodel *energy.Model
 
-	// tel is the live instrument set (nil = telemetry off, the default;
-	// see AttachTelemetry).
-	tel *deviceTelemetry
+	// cmds counts every command issued since Reset by kind and row class
+	// (see Channel.issued). It is the device's one command count:
+	// CollectStats reads it against statsBase, the warm-up snapshot, and
+	// every dram.* metric samples it (see AttachTelemetry).
+	cmds, statsBase tally
+
+	// trace records command slices and cumulative energy (nil = off, the
+	// default; see AttachTelemetry).
+	trace *deviceTrace
 
 	// cmdLog, when non-nil, observes every command at issue time (nil =
 	// off, the default; see SetCommandLog). Rank/bank/row are -1 where a
@@ -92,9 +98,10 @@ func New(cfg Config) (*Device, error) {
 // them without changing the machine shape). It is also the second half
 // of New, so a rewound device equals a new one by construction. The
 // geometry is pinned: a reset never resizes the channel/rank/bank
-// arrays, so cfg.Geometry must equal the built one. Telemetry and the
-// command log detach — they are per-run attachments. The energy model
-// is retained (it is a pure function of the geometry).
+// arrays, so cfg.Geometry must equal the built one. The command tally
+// restarts from zero, and the trace and the command log detach — they
+// are per-run attachments. The energy model is retained (it is a pure
+// function of the geometry).
 func (d *Device) Reset(cfg Config) error {
 	if cfg.Geometry != d.geom {
 		return fmt.Errorf("dram: reset with geometry %+v on a device built as %+v", cfg.Geometry, d.geom)
@@ -113,7 +120,8 @@ func (d *Device) Reset(cfg Config) error {
 		return fmt.Errorf("dram: negative migration latency %d", cfg.MigrationLatency)
 	}
 	d.slow, d.fast, d.migrationLatency = cfg.Slow, cfg.Fast, cfg.MigrationLatency
-	d.tel = nil
+	d.cmds, d.statsBase = tally{}, tally{}
+	d.trace = nil
 	d.cmdLog = nil
 	// Initial refresh due times are staggered across ranks so all ranks
 	// do not refresh in lock-step (as real controllers do).
@@ -160,6 +168,16 @@ func (d *Device) EnergyModel() *energy.Model { return d.emodel }
 // ClockPeriod returns the DRAM command-clock period.
 func (d *Device) ClockPeriod() sim.Time { return d.slow.TCK }
 
+// tally counts commands by kind and by the class of the row each one
+// touched; REF and MIG touch no row and count as RowSlow.
+type tally [numKinds][2]uint64
+
+// Issued returns the commands of kind issued since Reset, both classes
+// (the warm-up boundary does not restart it; see CollectStats).
+func (d *Device) Issued(kind CommandKind) uint64 {
+	return d.cmds[kind][RowSlow] + d.cmds[kind][RowFast]
+}
+
 // Stats aggregates command counts across the whole device. The *Fast
 // fields count the subset of each command that touched a fast-subarray
 // row (the energy model prices the classes differently).
@@ -183,39 +201,21 @@ func (s Stats) EnergyCounts() energy.Counts {
 	}
 }
 
-// ResetStats zeroes all command counters (warm-up boundary); timing state
-// is untouched.
-func (d *Device) ResetStats() {
-	for _, ch := range d.channels {
-		for _, r := range ch.ranks {
-			r.Refreshes = 0
-			for _, b := range r.banks {
-				b.Activates, b.ActivatesFast, b.Reads, b.ReadsFast = 0, 0, 0, 0
-				b.Writes, b.WritesFast, b.Precharges, b.PrechargesFast = 0, 0, 0, 0
-				b.Migrations = 0
-			}
-		}
-	}
-}
+// ResetStats starts the statistics window (warm-up boundary): it
+// snapshots the command tally, which keeps counting. Timing state is
+// untouched.
+func (d *Device) ResetStats() { d.statsBase = d.cmds }
 
-// CollectStats sums per-bank and per-rank counters.
+// CollectStats returns the commands issued since the last ResetStats,
+// or since Reset if there was none.
 func (d *Device) CollectStats() Stats {
-	var s Stats
-	for _, ch := range d.channels {
-		for _, r := range ch.ranks {
-			s.Refreshes += r.Refreshes
-			for _, b := range r.banks {
-				s.Activates += b.Activates
-				s.ActivatesFast += b.ActivatesFast
-				s.Reads += b.Reads
-				s.ReadsFast += b.ReadsFast
-				s.Writes += b.Writes
-				s.WritesFast += b.WritesFast
-				s.Precharges += b.Precharges
-				s.PrechargesFast += b.PrechargesFast
-				s.Migrations += b.Migrations
-			}
-		}
+	n := func(k CommandKind, cls RowClass) uint64 { return d.cmds[k][cls] - d.statsBase[k][cls] }
+	all := func(k CommandKind) uint64 { return n(k, RowSlow) + n(k, RowFast) }
+	return Stats{
+		Activates: all(CmdActivate), ActivatesFast: n(CmdActivate, RowFast),
+		Reads: all(CmdRead), ReadsFast: n(CmdRead, RowFast),
+		Writes: all(CmdWrite), WritesFast: n(CmdWrite, RowFast),
+		Precharges: all(CmdPrecharge), PrechargesFast: n(CmdPrecharge, RowFast),
+		Refreshes: all(CmdRefresh), Migrations: all(CmdMigrate),
 	}
-	return s
 }

@@ -60,8 +60,8 @@ func TestFastRowUsesFastTiming(t *testing.T) {
 	if b.OpenClass() != RowFast {
 		t.Fatal("open class not fast")
 	}
-	if b.ActivatesFast != 1 || b.Activates != 1 {
-		t.Fatal("fast activate counters wrong")
+	if s := d.CollectStats(); s.ActivatesFast != 1 || s.Activates != 1 {
+		t.Fatalf("fast activate counts wrong: %+v", s)
 	}
 }
 

@@ -18,8 +18,6 @@ type Rank struct {
 	nextReadAfterWr  sim.Time // tWTR: earliest RD after a write burst
 	refreshBusyUntil sim.Time // tRFC window
 	nextRefreshDue   sim.Time // when the next REF should be issued
-
-	Refreshes uint64
 }
 
 // newRank allocates a rank and its banks; Device.Reset sets their state.
@@ -107,5 +105,4 @@ func (r *Rank) refresh(t, tRFC, tREFI sim.Time) {
 		// times in the past or refreshes pile up unboundedly.
 		r.nextRefreshDue = t + tREFI
 	}
-	r.Refreshes++
 }

@@ -23,6 +23,17 @@ var (
 	CorruptSweepRates = []float64{0, 0.001, 0.01, 0.1}
 )
 
+// faultVariants returns the DAS configurations of the three fault
+// sweeps, in MigFailSweepRates, WeakRowSweepRates and CorruptSweepRates
+// order. The sweeps share their rate-0 point, the session config.
+func (s *Session) faultVariants() [3][]config.Config {
+	return [3][]config.Config{
+		vary(s.Cfg, MigFailSweepRates, func(c *config.Config, r float64) { c.MigFailRate = r }),
+		vary(s.Cfg, WeakRowSweepRates, func(c *config.Config, r float64) { c.WeakRowRate = r }),
+		vary(s.Cfg, CorruptSweepRates, func(c *config.Config, r float64) { c.TagCorruptRate, c.TableCorruptRate = r, r }),
+	}
+}
+
 // faultRow is one sweep point aggregated over the workload set.
 type faultRow struct {
 	improvement float64
@@ -74,10 +85,9 @@ func (s *Session) FaultSweep() (*Figure, error) {
 		Title:  "Migration-failure sweep",
 		Header: []string{"fail rate", "DAS vs Std", "failures", "retries", "pinned rows", "breaker trips", "promotions"},
 	}
-	for _, rate := range MigFailSweepRates {
-		cfg := s.Cfg
-		cfg.MigFailRate = rate
-		row, err := s.faultPoint(cfg)
+	sweeps := s.faultVariants()
+	for i, rate := range MigFailSweepRates {
+		row, err := s.faultPoint(sweeps[0][i])
 		if err != nil {
 			return nil, fmt.Errorf("mig-fail %v: %w", rate, err)
 		}
@@ -92,10 +102,8 @@ func (s *Session) FaultSweep() (*Figure, error) {
 		Title:  "Weak-fast-row sweep",
 		Header: []string{"weak rate", "DAS vs Std", "weak services", "fenced groups", "promotions"},
 	}
-	for _, rate := range WeakRowSweepRates {
-		cfg := s.Cfg
-		cfg.WeakRowRate = rate
-		row, err := s.faultPoint(cfg)
+	for i, rate := range WeakRowSweepRates {
+		row, err := s.faultPoint(sweeps[1][i])
 		if err != nil {
 			return nil, fmt.Errorf("weak-row %v: %w", rate, err)
 		}
@@ -109,11 +117,8 @@ func (s *Session) FaultSweep() (*Figure, error) {
 		Title:  "Translation-corruption sweep",
 		Header: []string{"corrupt rate", "DAS vs Std", "tag drops", "table refetches", "promotions"},
 	}
-	for _, rate := range CorruptSweepRates {
-		cfg := s.Cfg
-		cfg.TagCorruptRate = rate
-		cfg.TableCorruptRate = rate
-		row, err := s.faultPoint(cfg)
+	for i, rate := range CorruptSweepRates {
+		row, err := s.faultPoint(sweeps[2][i])
 		if err != nil {
 			return nil, fmt.Errorf("corruption %v: %w", rate, err)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/area"
 	"repro/internal/config"
@@ -323,6 +324,7 @@ func (s *Session) Fig8() (*Figure, error) {
 		miss.Header = append(miss.Header, col)
 		prom.Header = append(prom.Header, col)
 	}
+	variants := s.dasVariants("8")
 	ratios := make(map[int][]float64)
 	for _, name := range names {
 		set := []string{name}
@@ -331,10 +333,8 @@ func (s *Session) Fig8() (*Figure, error) {
 			return nil, err
 		}
 		pRow, mRow, cRow := []string{name}, []string{name}, []string{name}
-		for _, th := range FilterThresholds {
-			cfg := s.Cfg
-			cfg.FilterThreshold = th
-			res, err := s.Cached(cfg, core.DAS, set)
+		for i, th := range FilterThresholds {
+			res, err := s.Cached(variants[i], core.DAS, set)
 			if err != nil {
 				return nil, err
 			}
@@ -362,6 +362,41 @@ func (s *Session) Fig8() (*Figure, error) {
 		Title:  "Filtering policies for row promotion",
 		Tables: []*stats.Table{perf, miss, prom},
 	}, nil
+}
+
+// vary returns one copy of base per value, with set applied to it.
+func vary[T any](base config.Config, values []T, set func(*config.Config, T)) []config.Config {
+	out := make([]config.Config, len(values))
+	for i, v := range values {
+		out[i] = base
+		set(&out[i], v)
+	}
+	return out
+}
+
+// dasVariants returns the DAS configurations a sweep figure runs
+// against each benchmark's baseline, one per value of its sweep slice
+// (nil for a figure that is not such a sweep). Figure 9a scales the
+// paper's TagCachePaperKB capacities to the simulated memory, at least
+// 1 KB each, so a small memory maps several of them to one run.
+func (s *Session) dasVariants(name string) []config.Config {
+	switch name {
+	case "8":
+		return vary(s.Cfg, FilterThresholds, func(c *config.Config, th int) { c.FilterThreshold = th })
+	case "9a":
+		scale := s.Cfg.MemoryScale()
+		return vary(s.Cfg, TagCachePaperKB, func(c *config.Config, kb int) { c.TagCacheKB = max(1, int(float64(kb)*scale)) })
+	case "9b":
+		return vary(s.Cfg, GroupSizes, func(c *config.Config, g int) { c.GroupSize = g })
+	case "9c":
+		return s.ratioVariants("random")
+	case "9d":
+		return s.ratioVariants("lru")
+	case "faults":
+		f := s.faultVariants()
+		return slices.Concat(f[0], f[1], f[2])
+	}
+	return nil
 }
 
 // sweepFigure runs DAS over single benchmarks for each variant config.
@@ -405,18 +440,10 @@ var TagCachePaperKB = []int{32, 64, 128, 256}
 
 // Fig9a regenerates Figure 9a: translation cache capacity sensitivity.
 func (s *Session) Fig9a() (*Figure, error) {
-	scale := s.Cfg.MemoryScale()
-	var variants []config.Config
+	variants := s.dasVariants("9a")
 	var cols []string
-	for _, kb := range TagCachePaperKB {
-		cfg := s.Cfg
-		scaled := int(float64(kb) * scale)
-		if scaled < 1 {
-			scaled = 1
-		}
-		cfg.TagCacheKB = scaled
-		variants = append(variants, cfg)
-		cols = append(cols, fmt.Sprintf("%dKB(=%dKB@8GB)", scaled, kb))
+	for i, kb := range TagCachePaperKB {
+		cols = append(cols, fmt.Sprintf("%dKB(=%dKB@8GB)", variants[i].TagCacheKB, kb))
 	}
 	return s.sweepFigure("Fig9a", "Translation cache capacities", variants, cols)
 }
@@ -426,34 +453,31 @@ var GroupSizes = []int{8, 16, 32, 64}
 
 // Fig9b regenerates Figure 9b: migration group size sensitivity.
 func (s *Session) Fig9b() (*Figure, error) {
-	var variants []config.Config
 	var cols []string
 	for _, g := range GroupSizes {
-		cfg := s.Cfg
-		cfg.GroupSize = g
-		variants = append(variants, cfg)
 		cols = append(cols, fmt.Sprintf("%d-row", g))
 	}
-	return s.sweepFigure("Fig9b", "Migration group sizes", variants, cols)
+	return s.sweepFigure("Fig9b", "Migration group sizes", s.dasVariants("9b"), cols)
 }
 
 // FastRatios is the Figure 9c/9d sweep (denominators of the fast-level
 // capacity ratio).
 var FastRatios = []int{32, 16, 8, 4}
 
+// ratioVariants returns the Figure 9c/9d configurations: one per
+// FastRatios denominator, with replacement policy repl.
+func (s *Session) ratioVariants(repl string) []config.Config {
+	return vary(s.Cfg, FastRatios, func(c *config.Config, d int) { c.FastDenom, c.Replacement = d, repl })
+}
+
 // fig9ratio builds Figure 9c (random) or 9d (LRU).
 func (s *Session) fig9ratio(id, repl string) (*Figure, error) {
-	var variants []config.Config
 	var cols []string
 	for _, d := range FastRatios {
-		cfg := s.Cfg
-		cfg.FastDenom = d
-		cfg.Replacement = repl
-		variants = append(variants, cfg)
 		cols = append(cols, fmt.Sprintf("1/%d", d))
 	}
 	title := fmt.Sprintf("Fast-level capacity ratios, %s replacement", repl)
-	return s.sweepFigure(id, title, variants, cols)
+	return s.sweepFigure(id, title, s.ratioVariants(repl), cols)
 }
 
 // Fig9c regenerates Figure 9c: fast-level ratios with random
@@ -463,6 +487,10 @@ func (s *Session) Fig9c() (*Figure, error) { return s.fig9ratio("Fig9c", "random
 // Fig9d regenerates Figure 9d: fast-level ratios with LRU replacement.
 func (s *Session) Fig9d() (*Figure, error) { return s.fig9ratio("Fig9d", "lru") }
 
+// powerDesigns are the designs the power figure prices against the
+// Standard baseline.
+var powerDesigns = []core.Design{core.SAS, core.CHARM, core.DAS, core.FS}
+
 // PowerFigure regenerates the Section 7.7 discussion as a table: the
 // relative DRAM array-energy proxy of each design.
 func (s *Session) PowerFigure() (*Figure, error) {
@@ -471,7 +499,6 @@ func (s *Session) PowerFigure() (*Figure, error) {
 		Title:  "Relative DRAM access-energy proxy (Standard = 1.00)",
 		Header: []string{"workload", "SAS-DRAM", "CHARM", "DAS-DRAM", "FS-DRAM"},
 	}
-	designs := []core.Design{core.SAS, core.CHARM, core.DAS, core.FS}
 	for _, name := range names {
 		set := []string{name}
 		base, err := s.Baseline(set)
@@ -479,7 +506,7 @@ func (s *Session) PowerFigure() (*Figure, error) {
 			return nil, err
 		}
 		row := []string{name}
-		for _, d := range designs {
+		for _, d := range powerDesigns {
 			res, err := s.Cached(s.Cfg, d, set)
 			if err != nil {
 				return nil, err

@@ -3,6 +3,7 @@ package exp
 import (
 	"sync/atomic"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -64,45 +65,61 @@ func (s *System) syncLive(now sim.Time) {
 	}
 }
 
-// InstrHorizon estimates the total instructions a figure will retire:
-// fresh runs per workload set x cores per set x the per-core quota.
-// It is an ETA denominator, not a contract — profiling prepasses and
-// cross-figure run reuse make the true count drift a little — so
-// consumers must treat progress/horizon as advisory. 0 means unknown
-// (or free: the static tables).
+// InstrHorizon is the total instructions a fresh session's figure will
+// retire: the per-core quota times the cores of every distinct run the
+// figure asks for, taken from the workload sets, design lists and sweep
+// variants its figure function iterates. Runs shared within the figure
+// count once, as the session memoizes them; profiling prepasses retire
+// nothing the live counters see. It is an ETA denominator: a 4-core
+// run's early finishers keep retiring until the last core reaches its
+// quota, and a session that already ran a shared run skips it, so
+// consumers treat progress/horizon as advisory. 0 means unknown (or
+// free: the static tables).
 func (s *Session) InstrHorizon(name string) uint64 {
-	quota := s.Cfg.InstrPerCore
-	nSingle := uint64(len(s.singles()))
-	mixSets, _ := s.mixSets()
-	nMix := uint64(len(mixSets))
-	switch name {
-	case "table1", "table2", "area":
-		return 0
-	case "7a":
-		return nSingle * 6 * quota // baseline + 5 comparison designs
-	case "7b":
-		return nSingle * 1 * quota // DAS only
-	case "7c":
-		return nSingle * 2 * quota // SAS + DAS
-	case "7d":
-		return nMix * 6 * 4 * quota
-	case "7e":
-		return nMix * 1 * 4 * quota
-	case "7f":
-		return nMix * 2 * 4 * quota
-	case "8":
-		return nSingle * (uint64(len(FilterThresholds)) + 1) * quota
-	case "9a", "9b":
-		return nSingle * 5 * quota // 4 sweep points + baseline
-	case "9c", "9d":
-		return nSingle * 4 * quota
-	case "power":
-		return nSingle * 5 * quota // 4 designs + baseline
-	case "faults":
-		return nSingle * 8 * quota
-	default:
-		return 0
+	seen := make(map[string]bool)
+	var cores uint64
+	add := func(cfg config.Config, sets [][]string, designs ...core.Design) {
+		for _, set := range sets {
+			for _, d := range designs {
+				key := wkey(set) // Cached serves Standard from the baseline
+				if d != core.Standard {
+					key = resultKey(cfg, d, set)
+				}
+				if !seen[key] {
+					seen[key] = true
+					cores += uint64(len(set))
+				}
+			}
+		}
 	}
+	singles := s.singleSets()
+	mixes, _ := s.mixSets()
+	multi := multiConfig(s.Cfg)
+	switch name {
+	case "7a":
+		add(s.Cfg, singles, append([]core.Design{core.Standard}, comparisonDesigns...)...)
+	case "7b":
+		add(s.Cfg, singles, core.DAS)
+	case "7c":
+		add(s.Cfg, singles, core.SAS, core.DAS)
+	case "7d":
+		add(multi, mixes, append([]core.Design{core.Standard}, comparisonDesigns...)...)
+	case "7e":
+		add(multi, mixes, core.DAS)
+	case "7f":
+		add(multi, mixes, core.SAS, core.DAS)
+	case "power":
+		add(s.Cfg, singles, append([]core.Design{core.Standard}, powerDesigns...)...)
+	case "energy":
+		add(s.Cfg, singles, energyDesigns...)
+	}
+	if variants := s.dasVariants(name); variants != nil {
+		add(s.Cfg, singles, core.Standard)
+		for _, cfg := range variants {
+			add(cfg, singles, core.DAS)
+		}
+	}
+	return cores * s.Cfg.InstrPerCore
 }
 
 // DesignInstrHorizon estimates the instructions a single-design run

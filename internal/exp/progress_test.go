@@ -67,3 +67,43 @@ func TestInstrHorizonEstimates(t *testing.T) {
 		t.Errorf("DesignInstrHorizon(das) = %d, want %d", got, want)
 	}
 }
+
+// TestInstrHorizonMatchesRuns renders every figure in a fresh session
+// over one benchmark and one mix and compares the instructions the
+// session retired with the figure's horizon. Single-programmed figures
+// retire their horizon to within 0.1%. The 4-core figures retire at
+// least it: a core that reaches its quota keeps retiring until the
+// last one does. The static tables retire nothing and estimate 0.
+func TestInstrHorizonMatchesRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every figure")
+	}
+	multi := map[string]bool{"7d": true, "7e": true, "7f": true}
+	for _, name := range FigureNames() {
+		cfg := tinyConfig()
+		cfg.InstrPerCore = 20_000
+		s := NewSession(cfg)
+		s.Benchmarks = []string{"mcf"}
+		s.Mixes = []string{"M1"}
+		horizon := s.InstrHorizon(name)
+		if _, err := s.Figure(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := s.LiveInstrs()
+		switch {
+		case horizon == 0:
+			if got != 0 {
+				t.Errorf("%s: retired %d instructions against a horizon of 0", name, got)
+			}
+		case multi[name]:
+			if got < horizon {
+				t.Errorf("%s: retired %d instructions, below the horizon %d", name, got, horizon)
+			}
+		default:
+			if diff := max(got, horizon) - min(got, horizon); diff*1000 > horizon {
+				t.Errorf("%s: retired %d instructions, horizon %d (off by more than 0.1%%)", name, got, horizon)
+			}
+		}
+		t.Logf("%-6s horizon %8d retired %8d", name, horizon, got)
+	}
+}

@@ -696,9 +696,6 @@ func (cc *chanCtl) issueRowCommandFrom(t sim.Time, q []*Request) bool {
 		if cc.ch.CanActivate(t, req.Coord.Rank, req.Coord.Bank, req.Class) {
 			cc.ch.Activate(t, req.Coord.Rank, req.Coord.Bank, req.Coord.Row, req.Class)
 			req.firstOpen = true
-			if tel := cc.ctl.tel; tel != nil {
-				tel.rowMisses.Inc()
-			}
 			if req.Trace != nil {
 				req.Trace.StampAct(t, cc.ctl.dev.EnergyModel().ActPJ[req.Class])
 			}

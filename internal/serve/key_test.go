@@ -133,3 +133,67 @@ func TestCanonicalizeRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCanonicalize checks both halves of the caching argument on
+// arbitrary requests. Idempotence: whenever Canonicalize accepts a
+// request, canonicalizing the job's own figure or design, lists and
+// marshalled config again yields the same key. Distinctness: the same
+// work under a second config gets a different key exactly when the two
+// canonical configs differ. Benchmarks and mixes arrive
+// comma-separated.
+func FuzzCanonicalize(f *testing.F) {
+	for _, s := range []struct{ figure, design, benchmarks, mixes, cfgA, cfgB string }{
+		{"7a", "", "", "", `{"seed": 42, "instr_per_core": 100000}`, `{"instr_per_core":100000,"seed":42}`},
+		{"7a", "", "", "", "{\n\t\"instr_per_core\": 100000,\n\t\"seed\": 42\n}", ""},
+		{"  7A ", "", "", "", `{"parallel":2}`, ""},
+		{"7a", "", "mcf", "M1", "", `{"seed": 7}`},
+		{"", "das", "mcf", "", `{"seed": 7}`, ""},
+		{"", "charm", "mcf,lbm", "", "", ""},
+		{"", "DAS-DRAM (FM)", " lbm , mcf", "", `{"closed_page":true}`, ""},
+	} {
+		f.Add(s.figure, s.design, s.benchmarks, s.mixes, []byte(s.cfgA), []byte(s.cfgB))
+	}
+	base := tinyConfig()
+	list := func(s string) []string {
+		if s == "" {
+			return nil
+		}
+		return strings.Split(s, ",")
+	}
+	f.Fuzz(func(t *testing.T, figure, design, benchmarks, mixes string, cfgA, cfgB []byte) {
+		req := Request{Figure: figure, Design: design, Benchmarks: list(benchmarks), Mixes: list(mixes)}
+		var jobs []*Job
+		for _, cfg := range [][]byte{cfgA, cfgB} {
+			req.Config = cfg
+			j, err := Canonicalize(req, base)
+			if err != nil {
+				continue
+			}
+			cfgJSON, err := json.Marshal(j.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := Request{Figure: j.Figure, Benchmarks: j.Benchmarks, Mixes: j.Mixes, Config: cfgJSON}
+			if j.HasDesign {
+				again.Design = j.Design.String()
+			}
+			j2, err := Canonicalize(again, base)
+			if err != nil {
+				t.Fatalf("canonical form of %+v rejected: %v", req, err)
+			}
+			if j2.Key != j.Key || j2.Hash != j.Hash {
+				t.Fatalf("canonicalizing twice moved the key:\n  %s\nvs\n  %s", j.Key, j2.Key)
+			}
+			jobs = append(jobs, j)
+		}
+		if len(jobs) < 2 {
+			return
+		}
+		a, b := jobs[0], jobs[1]
+		ca, _ := json.Marshal(a.Cfg)
+		cb, _ := json.Marshal(b.Cfg)
+		if same := string(ca) == string(cb); same != (a.Key == b.Key) {
+			t.Fatalf("configs equal: %v, keys equal: %v\n  %s\n  %s", same, a.Key == b.Key, a.Key, b.Key)
+		}
+	})
+}
