@@ -13,8 +13,9 @@ const (
 	bankActive                  // a row is open in the row buffer
 )
 
-// Bank models one DRAM bank's row buffer and timing constraints. All
-// "next*" fields are earliest-allowed absolute issue times.
+// Bank models one DRAM bank's row buffer and timing state. All "next*"
+// fields are earliest-allowed absolute issue times; the earliest*
+// horizons (earliest.go) are the one place that turns them into rules.
 type Bank struct {
 	state   bankState
 	openRow int
@@ -40,25 +41,6 @@ func (b *Bank) OpenRow() int { return b.openRow }
 // OpenClass returns the class of the open row.
 func (b *Bank) OpenClass() RowClass { return b.openCls }
 
-// Busy reports whether the bank is occupied by a migration at time t.
-func (b *Bank) Busy(t sim.Time) bool { return t < b.busyUntil }
-
-// lazyExpire closes the row of an active-start migration once the swap
-// has completed (the restore leaves the bank precharged). Banks are
-// passive, so the transition happens lazily on the next query.
-func (b *Bank) lazyExpire(t sim.Time) {
-	if b.migOpen && t >= b.busyUntil {
-		b.migOpen = false
-		b.state = bankIdle
-	}
-}
-
-// canActivate checks bank-local constraints for an ACT at time t.
-func (b *Bank) canActivate(t sim.Time) bool {
-	b.lazyExpire(t)
-	return b.state == bankIdle && t >= b.nextActivate && t >= b.busyUntil
-}
-
 // activate applies an ACT of row/cls with parameter set p at time t.
 func (b *Bank) activate(t sim.Time, row int, cls RowClass, p *timing.Params) {
 	b.state = bankActive
@@ -69,15 +51,6 @@ func (b *Bank) activate(t sim.Time, row int, cls RowClass, p *timing.Params) {
 	b.nextWrite = t + p.Duration(p.TRCD)
 	b.nextPrecharge = t + p.Duration(p.TRAS)
 	b.nextActivate = t + p.Duration(p.TRC)
-}
-
-// canRead checks bank-local constraints for a RD at time t. Reads need
-// no busy-window check: a migrating bank is only readable while its
-// source row sits in the row buffer (migOpen), which is exactly the case
-// the paper's migration circuit keeps servable.
-func (b *Bank) canRead(t sim.Time) bool {
-	b.lazyExpire(t)
-	return b.state == bankActive && t >= b.nextRead
 }
 
 // read applies a RD at time t and returns the time the data burst ends.
@@ -93,14 +66,6 @@ func (b *Bank) read(t sim.Time) sim.Time {
 		b.nextWrite = col
 	}
 	return t + p.Duration(p.ReadLatency())
-}
-
-// canWrite checks bank-local constraints for a WR at time t. Writes to a
-// migrating row buffer are NOT allowed: the restore is in flight and a
-// column write would be lost.
-func (b *Bank) canWrite(t sim.Time) bool {
-	b.lazyExpire(t)
-	return b.state == bankActive && t >= b.nextWrite && !b.migOpen
 }
 
 // write applies a WR at time t and returns the time the data burst ends.
@@ -119,12 +84,6 @@ func (b *Bank) write(t sim.Time) sim.Time {
 	return burstEnd
 }
 
-// canPrecharge checks bank-local constraints for a PRE at time t.
-func (b *Bank) canPrecharge(t sim.Time) bool {
-	b.lazyExpire(t)
-	return b.state == bankActive && t >= b.nextPrecharge && t >= b.busyUntil
-}
-
 // precharge applies a PRE at time t.
 func (b *Bank) precharge(t sim.Time) {
 	p := b.rowPar
@@ -132,21 +91,6 @@ func (b *Bank) precharge(t sim.Time) {
 	if act := t + p.Duration(p.TRP); act > b.nextActivate {
 		b.nextActivate = act
 	}
-}
-
-// canMigrate checks whether a swap of srcRow can start at time t: either
-// the bank is precharged (the migration performs its own activations) or
-// srcRow itself is open with its restore complete (the swap continues
-// straight out of the row buffer).
-func (b *Bank) canMigrate(t sim.Time, srcRow int) bool {
-	b.lazyExpire(t)
-	if t < b.busyUntil {
-		return false
-	}
-	if b.state == bankIdle {
-		return t >= b.nextActivate
-	}
-	return b.openRow == srcRow && t >= b.nextPrecharge
 }
 
 // migrate occupies the bank for d starting at t. If the source row is

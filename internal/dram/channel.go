@@ -52,26 +52,6 @@ func (ch *Channel) params(cls RowClass) *timing.Params {
 	return &ch.dev.slow
 }
 
-// busPenalty returns the extra delay before a new burst may start given
-// the previous burst's rank and direction.
-func (ch *Channel) busPenalty(rank int, dir busDir) sim.Time {
-	p := &ch.dev.slow
-	var pen sim.Time
-	if ch.busRank >= 0 && ch.busRank != rank {
-		pen += p.Duration(p.TRTR)
-	}
-	if ch.busDirection != busNone && ch.busDirection != dir {
-		pen += p.Duration(2) // bus turnaround bubble
-	}
-	return pen
-}
-
-// busFree reports whether a burst starting at start (for rank/dir) clears
-// the data bus.
-func (ch *Channel) busFree(start sim.Time, rank int, dir busDir) bool {
-	return start >= ch.busBusyUntil+ch.busPenalty(rank, dir)
-}
-
 // claimBus records a burst occupying [start, end) for rank/dir.
 func (ch *Channel) claimBus(end sim.Time, rank int, dir busDir) {
 	ch.busBusyUntil = end
@@ -79,11 +59,25 @@ func (ch *Channel) claimBus(end sim.Time, rank int, dir busDir) {
 	ch.busDirection = dir
 }
 
+// probe is the lazy-expiry half of a Can* predicate. Once t has reached
+// rankH, the rank-level horizon of the command being probed, it resolves
+// the bank's ended migration (lazyExpire) and reports true; before that
+// the command cannot issue, so it leaves the bank untouched and reports
+// false. Which probes resolve an expiry is visible to the controller
+// (DESIGN.md §5.2, "Lazy-expiry parity"), so this order is load-bearing.
+func (ch *Channel) probe(t sim.Time, rank, bank int, rankH sim.Time) bool {
+	if t < rankH {
+		return false
+	}
+	ch.ranks[rank].banks[bank].lazyExpire(t)
+	return true
+}
+
 // CanActivate reports whether ACT(rank, bank) of class cls may issue at t.
 func (ch *Channel) CanActivate(t sim.Time, rank, bank int, cls RowClass) bool {
 	p := ch.params(cls)
-	r := ch.ranks[rank]
-	return r.canActivate(t, p.Duration(p.TFAW)) && r.banks[bank].canActivate(t)
+	return ch.probe(t, rank, bank, ch.ranks[rank].earliestActivate(p.Duration(p.TFAW))) &&
+		ch.EarliestActivate(t, rank, bank, cls) <= t
 }
 
 // Activate issues ACT at t. The caller must have checked CanActivate.
@@ -97,13 +91,7 @@ func (ch *Channel) Activate(t sim.Time, rank, bank, row int, cls RowClass) {
 
 // CanRead reports whether RD(rank, bank) may issue at t.
 func (ch *Channel) CanRead(t sim.Time, rank, bank int) bool {
-	r := ch.ranks[rank]
-	b := r.banks[bank]
-	if !r.canRead(t) || !b.canRead(t) {
-		return false
-	}
-	p := b.rowPar
-	return ch.busFree(t+p.Duration(p.CL), rank, busRead)
+	return ch.probe(t, rank, bank, ch.ranks[rank].earliestRead()) && ch.EarliestRead(t, rank, bank) <= t
 }
 
 // Read issues RD at t and returns the absolute time the data burst ends.
@@ -117,13 +105,7 @@ func (ch *Channel) Read(t sim.Time, rank, bank int) sim.Time {
 
 // CanWrite reports whether WR(rank, bank) may issue at t.
 func (ch *Channel) CanWrite(t sim.Time, rank, bank int) bool {
-	r := ch.ranks[rank]
-	b := r.banks[bank]
-	if !r.canWrite(t) || !b.canWrite(t) {
-		return false
-	}
-	p := b.rowPar
-	return ch.busFree(t+p.Duration(p.CWL), rank, busWrite)
+	return ch.probe(t, rank, bank, ch.ranks[rank].refreshBusyUntil) && ch.EarliestWrite(t, rank, bank) <= t
 }
 
 // Write issues WR at t and returns the absolute time the data burst ends.
@@ -138,9 +120,11 @@ func (ch *Channel) Write(t sim.Time, rank, bank int) sim.Time {
 	return end
 }
 
-// CanPrecharge reports whether PRE(rank, bank) may issue at t.
+// CanPrecharge reports whether PRE(rank, bank) may issue at t. A PRE has
+// no rank-level constraint, so the probe always resolves the expiry.
 func (ch *Channel) CanPrecharge(t sim.Time, rank, bank int) bool {
-	return ch.ranks[rank].banks[bank].canPrecharge(t)
+	ch.ranks[rank].banks[bank].lazyExpire(t)
+	return ch.EarliestPrecharge(t, rank, bank) <= t
 }
 
 // Precharge issues PRE at t.
@@ -150,14 +134,21 @@ func (ch *Channel) Precharge(t sim.Time, rank, bank int) {
 	ch.issued(t, CmdPrecharge, rank, bank, b.openRow, b.openCls)
 }
 
-// RefreshDue reports whether rank owes a refresh at t.
-func (ch *Channel) RefreshDue(t sim.Time, rank int) bool {
-	return ch.ranks[rank].RefreshDue(t)
-}
-
-// CanRefresh reports whether REF(rank) may issue at t.
+// CanRefresh reports whether REF(rank) may issue at t. Past the rank's
+// tRFC window it resolves expiries bank by bank up to the first bank
+// that blocks the REF; that loop sets only the expiry order.
 func (ch *Channel) CanRefresh(t sim.Time, rank int) bool {
-	return ch.ranks[rank].canRefresh(t)
+	r := ch.ranks[rank]
+	if t < r.refreshBusyUntil {
+		return false
+	}
+	for _, b := range r.banks {
+		b.lazyExpire(t)
+		if b.earliestRefresh(t) > t {
+			break
+		}
+	}
+	return ch.EarliestRefresh(t, rank) <= t
 }
 
 // Refresh issues REF(rank) at t.
@@ -170,8 +161,7 @@ func (ch *Channel) Refresh(t sim.Time, rank int) {
 // CanMigrate reports whether a migration of srcRow may start on
 // (rank, bank) at t.
 func (ch *Channel) CanMigrate(t sim.Time, rank, bank, srcRow int) bool {
-	r := ch.ranks[rank]
-	return t >= r.refreshBusyUntil && r.banks[bank].canMigrate(t, srcRow)
+	return ch.probe(t, rank, bank, ch.ranks[rank].refreshBusyUntil) && ch.EarliestMigrate(t, rank, bank, srcRow) <= t
 }
 
 // Migrate starts a migration of srcRow occupying (rank, bank) for the

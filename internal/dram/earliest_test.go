@@ -8,7 +8,7 @@ import (
 
 // The Earliest* accessors promise, for state frozen at query time t:
 // Can*(Earliest*(t)) holds, and Can*(Earliest*(t)-1) does not (Earliest
-// is the exact threshold, not merely a lower bound). TestEarliestWalk
+// is the exact threshold, not merely a lower bound). FuzzEarliestWalk
 // drives a channel through randomized command sequences and asserts
 // both directions of that contract at every step for every accessor,
 // including across refresh windows and both migration forms
@@ -29,15 +29,23 @@ func checkEdge(t *testing.T, name string, step int, e sim.Time, can func(sim.Tim
 	}
 }
 
-func TestEarliestWalk(t *testing.T) {
+// FuzzEarliestWalk runs one walk per input: the fuzzer picks the walk's
+// seed, the migration latency in picoseconds (0 leaves migrations out)
+// and the number of steps (capped at 2000 to keep each input fast). The
+// seed corpus is seeds 1-4, each without migrations and with Table 1's
+// 146.25 ns swap, over 400 steps.
+func FuzzEarliestWalk(f *testing.F) {
 	for _, migLat := range []sim.Time{0, ns(146.25)} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			earliestWalk(t, seed, migLat)
+			f.Add(seed, uint32(migLat), uint16(400))
 		}
 	}
+	f.Fuzz(func(t *testing.T, seed uint64, migLat uint32, steps uint16) {
+		earliestWalk(t, seed, sim.Time(migLat), min(int(steps), 2000))
+	})
 }
 
-func earliestWalk(t *testing.T, seed uint64, migLat sim.Time) {
+func earliestWalk(t *testing.T, seed uint64, migLat sim.Time, steps int) {
 	d := testDevice(t, migLat)
 	ch := d.Channel(0)
 	rng := sim.NewRNG(seed)
@@ -51,7 +59,7 @@ func earliestWalk(t *testing.T, seed uint64, migLat sim.Time) {
 		issue func(at sim.Time)
 	}
 
-	for step := 0; step < 400; step++ {
+	for step := 0; step < steps; step++ {
 		var cands []candidate
 		for bk := 0; bk < banks; bk++ {
 			bk := bk
@@ -142,5 +150,70 @@ func earliestWalk(t *testing.T, seed uint64, migLat sim.Time) {
 		}
 		c.issue(at)
 		now = at
+	}
+}
+
+// TestProbesKeepLazyExpiryParity pins which queries resolve the open row
+// of an active-start migration whose swap has ended. No Earliest* query
+// does; a Can* probe does once the command's rank-level check passes,
+// and not before, and CanRefresh resolves banks in order only up to the
+// first bank that blocks (DESIGN.md §5.2, "Lazy-expiry parity").
+// Without it only the golden command digests would notice a probe
+// closing the row early.
+func TestProbesKeepLazyExpiryParity(t *testing.T) {
+	d := testDevice(t, ns(146.25))
+	ch := d.Channel(0)
+	r := ch.Rank(0)
+	p := d.SlowParams()
+	// Bank 3 swaps its open row 7 out; bank 1 holds a plain open row.
+	ch.Activate(0, 0, 3, 7, RowSlow)
+	ch.Activate(p.Duration(p.TRRD), 0, 1, 3, RowSlow)
+	end := ch.Migrate(p.Duration(p.TRAS), 0, 3, 7)
+	// A write on bank 1 just before the swap ends holds the rank's tWTR
+	// window past end, and an ACT on bank 2 just before end holds tRRD
+	// past it.
+	wr, act := end-ns(10), end-ns(2.5)
+	if !ch.CanWrite(wr, 0, 1) || !ch.CanActivate(act, 0, 2, RowSlow) {
+		t.Fatal("setup command refused")
+	}
+	ch.Write(wr, 0, 1)
+	ch.Activate(act, 0, 2, 5, RowSlow)
+	b := r.Bank(3)
+	open := func(what string) {
+		t.Helper()
+		if !b.HasOpenRow() {
+			t.Fatalf("%s closed the ended migration's row", what)
+		}
+	}
+	open("the setup")
+
+	for _, at := range []sim.Time{end, end + ns(100)} {
+		ch.EarliestActivate(at, 0, 3, RowSlow)
+		ch.EarliestRead(at, 0, 3)
+		ch.EarliestWrite(at, 0, 3)
+		ch.EarliestPrecharge(at, 0, 3)
+		ch.EarliestMigrate(at, 0, 3, 7)
+		ch.EarliestRefresh(at, 0)
+	}
+	open("an Earliest* query")
+
+	if r.earliestRead() <= end || ch.CanRead(end, 0, 3) {
+		t.Fatal("tWTR does not refuse the RD at the swap's end")
+	}
+	open("a CanRead refused by tWTR")
+	if r.earliestActivate(p.Duration(p.TFAW)) <= end || ch.CanActivate(end, 0, 3, RowSlow) {
+		t.Fatal("tRRD does not refuse the ACT at the swap's end")
+	}
+	open("a CanActivate refused by tRRD")
+	if ch.CanRefresh(end, 0) {
+		t.Fatal("REF allowed with bank 1's row open")
+	}
+	open("a CanRefresh stopped by bank 1")
+
+	if ch.CanPrecharge(end, 0, 3) {
+		t.Fatal("PRE allowed on a bank the swap left precharged")
+	}
+	if b.HasOpenRow() {
+		t.Fatal("an unrefused CanPrecharge left the ended migration's row open")
 	}
 }

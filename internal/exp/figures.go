@@ -51,16 +51,18 @@ func (s *Session) singleSets() [][]string {
 }
 
 // mixSets returns the M1-M8 benchmark lists (or the session's Mixes
-// override).
-func (s *Session) mixSets() ([][]string, []string) {
+// override) and their names. An override naming a mix the catalog does
+// not know is an error, and then no set is returned.
+func (s *Session) mixSets() ([][]string, []string, error) {
 	mixes := workload.Mixes()
 	if len(s.Mixes) > 0 {
-		mixes = nil
-		for _, name := range s.Mixes {
+		mixes = make([]workload.Mix, len(s.Mixes))
+		for i, name := range s.Mixes {
 			m, err := workload.LookupMix(name)
-			if err == nil {
-				mixes = append(mixes, m)
+			if err != nil {
+				return nil, nil, err
 			}
+			mixes[i] = m
 		}
 	}
 	var sets [][]string
@@ -69,7 +71,7 @@ func (s *Session) mixSets() ([][]string, []string) {
 		sets = append(sets, m.Benchmarks)
 		names = append(names, m.Name)
 	}
-	return sets, names
+	return sets, names, nil
 }
 
 // multiConfig adapts the session config for 4-core runs.
@@ -220,7 +222,10 @@ func (s *Session) Fig7a() (*Figure, error) {
 // Fig7d regenerates Figure 7d: multi-programmed performance
 // improvements over the M1-M8 mixes.
 func (s *Session) Fig7d() (*Figure, error) {
-	sets, names := s.mixSets()
+	sets, names, err := s.mixSets()
+	if err != nil {
+		return nil, err
+	}
 	return s.improvementFigure("Fig7d", "Multi-programming performance improvements",
 		multiConfig(s.Cfg), sets, names)
 }
@@ -261,7 +266,10 @@ func (s *Session) Fig7b() (*Figure, error) {
 // Fig7e regenerates Figure 7e: multi-programmed MPKI / PPKM /
 // footprints.
 func (s *Session) Fig7e() (*Figure, error) {
-	sets, names := s.mixSets()
+	sets, names, err := s.mixSets()
+	if err != nil {
+		return nil, err
+	}
 	return s.behaviourFigure("Fig7e", "Multi-programming MPKI, PPKM and footprints",
 		multiConfig(s.Cfg), sets, names)
 }
@@ -302,7 +310,10 @@ func (s *Session) Fig7c() (*Figure, error) {
 
 // Fig7f regenerates Figure 7f: multi-programmed access locations.
 func (s *Session) Fig7f() (*Figure, error) {
-	sets, names := s.mixSets()
+	sets, names, err := s.mixSets()
+	if err != nil {
+		return nil, err
+	}
 	return s.locationFigure("Fig7f", "Multi-programming access locations (static vs dynamic)",
 		multiConfig(s.Cfg), sets, names)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,29 @@ func TestFig7dDriver(t *testing.T) {
 	}
 	if !strings.Contains(fig.Render(), "M5") {
 		t.Fatal("Fig7d missing mix row")
+	}
+}
+
+// TestUnknownMixFails pins that a mix name the catalog does not know
+// fails every multi-programmed figure before anything runs, instead of
+// dropping out of the table, and that those figures then estimate no
+// progress horizon.
+func TestUnknownMixFails(t *testing.T) {
+	for _, mixes := range [][]string{{"M9"}, {"M1", "M9"}, {"m1"}} {
+		s := figSession()
+		s.Mixes = mixes
+		bad := strconv.Quote(mixes[len(mixes)-1])
+		for _, name := range []string{"7d", "7e", "7f"} {
+			if _, err := s.Figure(name); err == nil || !strings.Contains(err.Error(), bad) {
+				t.Errorf("mixes %v: %s returned %v, want an error naming %s", mixes, name, err, bad)
+			}
+			if h := s.InstrHorizon(name); h != 0 {
+				t.Errorf("mixes %v: InstrHorizon(%s) = %d, want 0", mixes, name, h)
+			}
+		}
+		if len(s.results) != 0 {
+			t.Errorf("mixes %v: %d runs simulated before the error", mixes, len(s.results))
+		}
 	}
 }
 

@@ -28,7 +28,9 @@ type liveProgress struct {
 func (s *Session) LiveEvents() uint64 { return s.live.events.Load() }
 
 // LiveInstrs reports instructions retired by this session including
-// runs still in flight, updated at the observation stride. Monotonic.
+// runs still in flight, updated at the observation stride. Each core
+// counts up to its quota only: a 4-core run's early finishers keep
+// retiring until the last core reaches its quota. Monotonic.
 func (s *Session) LiveInstrs() uint64 { return s.live.instrs.Load() }
 
 // LiveSimNS reports the furthest simulated time (ns) any of the
@@ -50,7 +52,7 @@ func (s *System) syncLive(now sim.Time) {
 	ev := s.Eng.Executed()
 	var in uint64
 	for _, c := range s.Cores {
-		in += c.RetiredTotal()
+		in += min(c.RetiredTotal(), s.Cfg.InstrPerCore)
 	}
 	s.live.events.Add(ev - s.lastLiveEv)
 	s.live.instrs.Add(in - s.lastLiveIn)
@@ -70,11 +72,10 @@ func (s *System) syncLive(now sim.Time) {
 // figure asks for, taken from the workload sets, design lists and sweep
 // variants its figure function iterates. Runs shared within the figure
 // count once, as the session memoizes them; profiling prepasses retire
-// nothing the live counters see. It is an ETA denominator: a 4-core
-// run's early finishers keep retiring until the last core reaches its
-// quota, and a session that already ran a shared run skips it, so
-// consumers treat progress/horizon as advisory. 0 means unknown (or
-// free: the static tables).
+// nothing the live counters see. It is an ETA denominator: a session
+// that already ran a shared run skips it, so consumers treat
+// progress/horizon as advisory. 0 means unknown (or free: the static
+// tables).
 func (s *Session) InstrHorizon(name string) uint64 {
 	seen := make(map[string]bool)
 	var cores uint64
@@ -93,7 +94,7 @@ func (s *Session) InstrHorizon(name string) uint64 {
 		}
 	}
 	singles := s.singleSets()
-	mixes, _ := s.mixSets()
+	mixes, _, _ := s.mixSets() // none for an unknown mix: 7d-7f fail on it
 	multi := multiConfig(s.Cfg)
 	switch name {
 	case "7a":

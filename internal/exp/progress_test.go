@@ -70,15 +70,13 @@ func TestInstrHorizonEstimates(t *testing.T) {
 
 // TestInstrHorizonMatchesRuns renders every figure in a fresh session
 // over one benchmark and one mix and compares the instructions the
-// session retired with the figure's horizon. Single-programmed figures
-// retire their horizon to within 0.1%. The 4-core figures retire at
-// least it: a core that reaches its quota keeps retiring until the
-// last one does. The static tables retire nothing and estimate 0.
+// session retired, as LiveInstrs counts them, with the figure's horizon.
+// Every figure, the 4-core ones included, retires its horizon to within
+// 0.1%. The static tables retire nothing and estimate 0.
 func TestInstrHorizonMatchesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every figure")
 	}
-	multi := map[string]bool{"7d": true, "7e": true, "7f": true}
 	for _, name := range FigureNames() {
 		cfg := tinyConfig()
 		cfg.InstrPerCore = 20_000
@@ -94,10 +92,6 @@ func TestInstrHorizonMatchesRuns(t *testing.T) {
 		case horizon == 0:
 			if got != 0 {
 				t.Errorf("%s: retired %d instructions against a horizon of 0", name, got)
-			}
-		case multi[name]:
-			if got < horizon {
-				t.Errorf("%s: retired %d instructions, below the horizon %d", name, got, horizon)
 			}
 		default:
 			if diff := max(got, horizon) - min(got, horizon); diff*1000 > horizon {

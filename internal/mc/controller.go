@@ -310,7 +310,7 @@ func (cc *chanCtl) idleQuiet(t sim.Time) bool {
 		return false
 	}
 	for r := 0; r < cc.ch.Ranks(); r++ {
-		if cc.refreshPending[r] || cc.ch.RefreshDue(t, r) {
+		if cc.refreshPending[r] || t >= cc.ch.Rank(r).NextRefreshDue() {
 			return false
 		}
 	}
@@ -412,7 +412,7 @@ func (cc *chanCtl) closeIdleRows(t sim.Time) bool {
 func (cc *chanCtl) issueRefresh(t sim.Time) bool {
 	for r := 0; r < cc.ch.Ranks(); r++ {
 		if !cc.refreshPending[r] {
-			if cc.ch.RefreshDue(t, r) {
+			if t >= cc.ch.Rank(r).NextRefreshDue() {
 				cc.refreshPending[r] = true
 			} else {
 				continue

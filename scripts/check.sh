@@ -127,6 +127,7 @@ echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
 go test -run '^$' -fuzz FuzzCanonicalize -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz FuzzEarliestWalk -fuzztime 10s ./internal/dram
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... >/dev/null
