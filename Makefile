@@ -49,7 +49,7 @@ explain:
 		-instr 200000 -out results_explain.txt
 
 energy:
-	$(GO) run ./cmd/dasbench -energy -benchmarks mcf,soplex \
+	$(GO) run ./cmd/dasbench -fig energy -benchmarks mcf,soplex \
 		-instr 200000 -out results_energy.txt
 
 clean:

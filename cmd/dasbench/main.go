@@ -9,7 +9,7 @@
 //	dasbench -fig 7d -instr 2000000
 //	dasbench -fig 7a -cpuprofile cpu.pprof -memprofile mem.pprof
 //	dasbench -explain standard,das -out results_explain.txt
-//	dasbench -energy -out results_energy.txt
+//	dasbench -fig energy -out results_energy.txt
 //
 // Figure text goes to stdout (and -out) and is byte-stable: it is the
 // golden artifact asserted by internal/exp's regression tests. All
@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -52,7 +53,6 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dasbench", flag.ExitOnError)
 	var (
 		figs     = fs.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
-		energyF  = fs.Bool("energy", false, "append the perf-per-watt figure (instructions/uJ, EDP vs Standard, pJ/instr decomposition) to the selected figures")
 		instr    = fs.Uint64("instr", 0, "instructions per core (0 = config default)")
 		cfgPath  = fs.String("config", "", "JSON config file (default: episode-scaled Table 1)")
 		fullScal = fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
@@ -88,6 +88,22 @@ func run(args []string, stdout io.Writer) error {
 		invariants   = fs.Bool("invariants", true, "verify management invariants after every committed swap")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Check the -benchmarks and -mixes names now, so a bad one fails
+	// before any figure renders.
+	split := func(list string) []string {
+		if list == "" {
+			return nil
+		}
+		return strings.Split(list, ",")
+	}
+	benchmarks, err := workload.NormalizeBenchmarks(split(*benchSel))
+	if err != nil {
+		return err
+	}
+	mixes, err := workload.NormalizeMixes(split(*mixSel))
+	if err != nil {
 		return err
 	}
 	// set holds the flags given on the command line: fault and invariant
@@ -187,12 +203,7 @@ func run(args []string, stdout io.Writer) error {
 
 	s := exp.NewSession(cfg)
 	s.DisablePool = *nopool
-	if *benchSel != "" {
-		s.Benchmarks = strings.Split(*benchSel, ",")
-	}
-	if *mixSel != "" {
-		s.Mixes = strings.Split(*mixSel, ",")
-	}
+	s.Benchmarks, s.Mixes = benchmarks, mixes
 	var explainA, explainB core.Design
 	if *explainSel != "" {
 		// Parse up front so a bad design pair fails before any figure runs.
@@ -240,20 +251,14 @@ func run(args []string, stdout io.Writer) error {
 
 	wanted := strings.Split(*figs, ",")
 	if *figs == "all" {
+		// energy is deliberately not part of "all": the committed
+		// results_*.txt goldens predate the energy model.
 		wanted = []string{"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"}
 	} else if *figs == "tables" {
 		wanted = []string{"table1", "table2", "area"}
 	}
 	if *explainSel != "" && !set["fig"] {
 		wanted = nil // -explain alone skips the default tables
-	}
-	if *energyF {
-		// Deliberately not part of "all": the committed results_*.txt
-		// goldens predate the energy model and must stay byte-identical.
-		if !set["fig"] && *explainSel == "" {
-			wanted = nil // -energy alone skips the default tables
-		}
-		wanted = append(wanted, "energy")
 	}
 
 	// The figures render in order, then the -explain report; each goes

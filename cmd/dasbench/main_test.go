@@ -45,3 +45,41 @@ func TestConfigFileFaultSettings(t *testing.T) {
 		t.Errorf("config-file fault settings were dropped: output equals the fault-free run:\n%s", file)
 	}
 }
+
+// TestBenchmarkAndMixListsAreTrimmed: -benchmarks and -mixes entries
+// are trimmed like -fig entries, so a spaced list renders the plain
+// list's bytes, and an unknown name fails before any figure (or the
+// -out file) is written.
+func TestBenchmarkAndMixListsAreTrimmed(t *testing.T) {
+	render := func(args ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	for _, c := range [][3]string{
+		{"7b", "-benchmarks", "mcf,soplex"},
+		{"7d", "-mixes", "M1,M8"},
+	} {
+		plain := render("-fig", c[0], c[1], c[2], "-instr", "20000")
+		spaced := render("-fig", c[0], c[1], strings.ReplaceAll(c[2], ",", ", "), "-instr", "20000")
+		if spaced != plain {
+			t.Errorf("-fig %s %s: spaced list renders differently:\n%s\nplain:\n%s", c[0], c[1], spaced, plain)
+		}
+	}
+
+	var out strings.Builder
+	outPath := filepath.Join(t.TempDir(), "out.txt")
+	err := run([]string{"-fig", "table1,7b", "-benchmarks", "mcf,foo", "-out", outPath}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"foo"`) {
+		t.Errorf("-benchmarks mcf,foo: err = %v, want an error naming \"foo\"", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-benchmarks mcf,foo wrote %q before failing", out.String())
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Errorf("-benchmarks mcf,foo created the -out file (stat: %v)", err)
+	}
+}

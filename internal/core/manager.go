@@ -39,7 +39,8 @@ type FaultStats struct {
 	MigBreakerTrips uint64
 }
 
-// Stats counts management activity over the measurement window.
+// Stats counts management activity since Reset (exp.System takes the
+// measurement window as a difference of two readings).
 type Stats struct {
 	// Promotions counts committed row swaps (migration completions).
 	Promotions uint64
@@ -228,30 +229,6 @@ func (m *Manager) UsableBytes() uint64 { return m.tableBase }
 
 // TableBase returns the first byte of the reserved table region.
 func (m *Manager) TableBase() uint64 { return m.tableBase }
-
-// ResetStats zeroes management statistics (warm-up boundary). Fault
-// counters are preserved: they record the device's one-time degradation
-// adaptation (pinning, fencing, breaker trips), which is concentrated
-// in warm-up and would vanish from a window-scoped report.
-func (m *Manager) ResetStats() {
-	perCore := m.Stats.PerCorePromotions
-	faults := m.Stats.Faults
-	m.Stats = Stats{}
-	m.Stats.Faults = faults
-	if perCore != nil {
-		for i := range perCore {
-			perCore[i] = 0
-		}
-		m.Stats.PerCorePromotions = perCore
-	}
-	if m.tagCache != nil {
-		m.tagCache.Lookups = 0
-		m.tagCache.Hits = 0
-	}
-	if m.filter != nil {
-		m.filter.Rejects = 0
-	}
-}
 
 // Reset rewinds the manager to its just-constructed state for in-place
 // reuse (exp.SystemPool), adopting cfg's management knobs; it is also

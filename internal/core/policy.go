@@ -152,9 +152,6 @@ func NewFilter(threshold, capacity int) (*Filter, error) {
 	return f, nil
 }
 
-// Threshold returns the configured promotion threshold.
-func (f *Filter) Threshold() int { return f.threshold }
-
 // Reset clears all counters and the tracked-row table, leaving the
 // filter indistinguishable from a fresh NewFilter with the same
 // parameters. Map buckets and the order ring's backing are retained.

@@ -22,9 +22,6 @@ func TestTagCacheHitAfterInsert(t *testing.T) {
 	if tc.Lookups != 2 || tc.Hits != 1 {
 		t.Fatalf("counters: %d lookups %d hits", tc.Lookups, tc.Hits)
 	}
-	if got := tc.HitRatio(); got != 0.5 {
-		t.Fatalf("hit ratio %v", got)
-	}
 }
 
 func TestTagCacheInsertIdempotent(t *testing.T) {

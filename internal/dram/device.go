@@ -49,9 +49,9 @@ type Device struct {
 
 	// cmds counts every command issued since Reset by kind and row class
 	// (see Channel.issued). It is the device's one command count:
-	// CollectStats reads it against statsBase, the warm-up snapshot, and
-	// every dram.* metric samples it (see AttachTelemetry).
-	cmds, statsBase tally
+	// CollectStats reads it, and every dram.* metric samples it (see
+	// AttachTelemetry).
+	cmds tally
 
 	// trace records command slices and cumulative energy (nil = off, the
 	// default; see AttachTelemetry).
@@ -120,7 +120,7 @@ func (d *Device) Reset(cfg Config) error {
 		return fmt.Errorf("dram: negative migration latency %d", cfg.MigrationLatency)
 	}
 	d.slow, d.fast, d.migrationLatency = cfg.Slow, cfg.Fast, cfg.MigrationLatency
-	d.cmds, d.statsBase = tally{}, tally{}
+	d.cmds = tally{}
 	d.trace = nil
 	d.cmdLog = nil
 	// Initial refresh due times are staggered across ranks so all ranks
@@ -172,8 +172,7 @@ func (d *Device) ClockPeriod() sim.Time { return d.slow.TCK }
 // touched; REF and MIG touch no row and count as RowSlow.
 type tally [numKinds][2]uint64
 
-// Issued returns the commands of kind issued since Reset, both classes
-// (the warm-up boundary does not restart it; see CollectStats).
+// Issued returns the commands of kind issued since Reset, both classes.
 func (d *Device) Issued(kind CommandKind) uint64 {
 	return d.cmds[kind][RowSlow] + d.cmds[kind][RowFast]
 }
@@ -201,21 +200,26 @@ func (s Stats) EnergyCounts() energy.Counts {
 	}
 }
 
-// ResetStats starts the statistics window (warm-up boundary): it
-// snapshots the command tally, which keeps counting. Timing state is
-// untouched.
-func (d *Device) ResetStats() { d.statsBase = d.cmds }
-
-// CollectStats returns the commands issued since the last ResetStats,
-// or since Reset if there was none.
-func (d *Device) CollectStats() Stats {
-	n := func(k CommandKind, cls RowClass) uint64 { return d.cmds[k][cls] - d.statsBase[k][cls] }
-	all := func(k CommandKind) uint64 { return n(k, RowSlow) + n(k, RowFast) }
+// Sub returns the commands counted in s and not in base, an earlier
+// CollectStats of the same device: the window between the two reads.
+func (s Stats) Sub(base Stats) Stats {
 	return Stats{
-		Activates: all(CmdActivate), ActivatesFast: n(CmdActivate, RowFast),
-		Reads: all(CmdRead), ReadsFast: n(CmdRead, RowFast),
-		Writes: all(CmdWrite), WritesFast: n(CmdWrite, RowFast),
-		Precharges: all(CmdPrecharge), PrechargesFast: n(CmdPrecharge, RowFast),
-		Refreshes: all(CmdRefresh), Migrations: all(CmdMigrate),
+		Activates: s.Activates - base.Activates, ActivatesFast: s.ActivatesFast - base.ActivatesFast,
+		Reads: s.Reads - base.Reads, ReadsFast: s.ReadsFast - base.ReadsFast,
+		Writes: s.Writes - base.Writes, WritesFast: s.WritesFast - base.WritesFast,
+		Precharges: s.Precharges - base.Precharges, PrechargesFast: s.PrechargesFast - base.PrechargesFast,
+		Refreshes: s.Refreshes - base.Refreshes, Migrations: s.Migrations - base.Migrations,
+	}
+}
+
+// CollectStats returns the commands issued since Reset.
+func (d *Device) CollectStats() Stats {
+	fast := func(k CommandKind) uint64 { return d.cmds[k][RowFast] }
+	return Stats{
+		Activates: d.Issued(CmdActivate), ActivatesFast: fast(CmdActivate),
+		Reads: d.Issued(CmdRead), ReadsFast: fast(CmdRead),
+		Writes: d.Issued(CmdWrite), WritesFast: fast(CmdWrite),
+		Precharges: d.Issued(CmdPrecharge), PrechargesFast: fast(CmdPrecharge),
+		Refreshes: d.Issued(CmdRefresh), Migrations: d.Issued(CmdMigrate),
 	}
 }

@@ -153,17 +153,19 @@ func TestTraceRecordsCommandSlices(t *testing.T) {
 // independent tally of the issued commands: each dram.cmd.* value is a
 // count, each dram.occupancy_ps.* value the sum of the commands'
 // durations, and each dram.energy_pj.* value the sum of their prices,
-// split by the class of the row touched. A ResetStats between commands
-// (the warm-up boundary) restarts CollectStats, which then counts only
-// the later commands, while the metrics keep their running totals.
+// split by the class of the row touched. A CollectStats snapshot taken
+// between commands (a warm-up boundary) and subtracted from the final
+// CollectStats leaves only the later commands, while the metrics keep
+// their running totals.
 func TestMetricsMatchIssuedCommands(t *testing.T) {
 	d := testDevice(t, ns(146.25))
 	reg := telemetry.New()
 	d.AttachTelemetry(reg, nil)
-	const warm = 1 // ResetStats between the slow and the fast ACT
+	const warm = 1 // the snapshot falls between the slow and the fast ACT
+	var base Stats
 	cmds := issueEveryCommand(t, d, func(i int) {
 		if i == warm {
-			d.ResetStats()
+			base = d.CollectStats()
 		}
 	})
 
@@ -223,7 +225,7 @@ func TestMetricsMatchIssuedCommands(t *testing.T) {
 			t.Errorf("%s not registered", name)
 		}
 	}
-	if s := d.CollectStats(); s != later {
-		t.Errorf("CollectStats after ResetStats = %+v, want only the later commands %+v", s, later)
+	if s := d.CollectStats().Sub(base); s != later {
+		t.Errorf("CollectStats minus the warm-up snapshot = %+v, want only the later commands %+v", s, later)
 	}
 }

@@ -236,3 +236,42 @@ func TestTraceTracksHaveOneOwner(t *testing.T) {
 		}
 	}
 }
+
+// TestTimelineCountersNeverDecrease: every counter in a metrics
+// timeline counts from its component's Reset and never restarts (the
+// measurement window is exp.System's snapshot, not a reset), so no
+// series falls from one epoch to the next. The 10 µs epochs straddle
+// the warm-up boundary, and weak rows and migration failures move the
+// fault counters too. Gauges (queue depths, live and pending MSHRs)
+// and the histograms' mean and quantiles may fall, and are skipped.
+func TestTimelineCountersNeverDecrease(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.InstrPerCore = 100_000
+	cfg.WeakRowRate = 0.2
+	cfg.MigFailRate = 0.1
+	s := NewSession(cfg)
+	s.Benchmarks = []string{"mcf"}
+	s.Observe = &ObserveOptions{Metrics: true, IntervalPS: 10_000_000}
+	if _, err := s.Fig7a(); err != nil {
+		t.Fatal(err)
+	}
+	gauge := regexp.MustCompile(`^mc\.queue\.|\.mshr_(live|pending)$|\.(mean|p50|p99)$`)
+	obs := s.Observers()
+	if len(obs) == 0 {
+		t.Fatal("no observed runs")
+	}
+	for _, o := range obs {
+		last := make(map[string]float64)
+		for _, e := range o.Timeline.Epochs() {
+			for _, m := range e.Metrics {
+				if gauge.MatchString(m.Name) {
+					continue
+				}
+				if prev, ok := last[m.Name]; ok && m.Value < prev {
+					t.Errorf("%s: %s fell from %v to %v at %d ps", o.Label, m.Name, prev, m.Value, e.AtPS)
+				}
+				last[m.Name] = m.Value
+			}
+		}
+	}
+}

@@ -50,6 +50,9 @@ type System struct {
 	// Per-core counter snapshots: [core][0]=at warm-up, [1]=at quota.
 	missSnap [][2]uint64
 	promSnap [][2]uint64
+	// warm is the shared counters when the last core crossed warm-up:
+	// the start of the measurement window (see onWarmup and collect).
+	warm shared
 
 	// pool, when non-nil, owns this machine's memory lifecycle: RunContext
 	// leaves the engine attached (instead of releasing its storage to the
@@ -207,6 +210,7 @@ func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []str
 	s.lastLiveEv, s.lastLiveIn = 0, 0
 	clear(s.missSnap)
 	clear(s.promSnap)
+	s.warm = shared{}
 	return prof, nil
 }
 
@@ -219,29 +223,41 @@ func (s *System) free() {
 	s.Eng.Release()
 }
 
+// shared is one reading of the counters all cores share. Every
+// component counts from its Reset and never restarts, so a measurement
+// window is the difference of two readings.
+type shared struct {
+	ctl                      mc.Stats
+	dev                      dram.Stats
+	promotions, tableFetches uint64
+	tagLookups, tagHits      uint64
+	filterRejects            uint64
+}
+
+// readShared reads the shared counters. Its ctl copy shares the live
+// PerCore array, which no window reads.
+func (s *System) readShared() shared {
+	r := shared{ctl: s.Ctl.Stats, dev: s.Dev.CollectStats(),
+		promotions: s.Mgr.Stats.Promotions, tableFetches: s.Mgr.Stats.TableFetches}
+	if tc := s.Mgr.TagCache(); tc != nil {
+		r.tagLookups, r.tagHits = tc.Lookups, tc.Hits
+	}
+	if f := s.Mgr.Filter(); f != nil {
+		r.filterRejects = f.Rejects
+	}
+	return r
+}
+
 // onWarmup snapshots per-core counters and, once every core has crossed
-// its warm-up boundary, resets the shared statistics.
+// its warm-up boundary, the shared ones: the shared measurement window
+// starts when the last core is warm, and per-core windows subtract
+// their own snapshots.
 func (s *System) onWarmup(id int) {
 	s.missSnap[id][0] = s.LLC.Stats.PerCoreMisses[id]
 	s.promSnap[id][0] = perCorePromotion(s.Mgr, id)
 	s.warmupsTo--
 	if s.warmupsTo == 0 {
-		// Shared-counter measurement window starts when the last core is
-		// warm; per-core windows subtract their own snapshots.
-		base := make([]uint64, len(s.Cores))
-		for i := range base {
-			base[i] = s.LLC.Stats.PerCoreMisses[i]
-		}
-		s.LLC.ResetStats()
-		copy(s.LLC.Stats.PerCoreMisses, base) // keep per-core continuity
-		s.Ctl.ResetStats()
-		s.Dev.ResetStats()
-		promBase := make([]uint64, len(s.Cores))
-		for i := range promBase {
-			promBase[i] = perCorePromotion(s.Mgr, i)
-		}
-		s.Mgr.ResetStats()
-		copy(s.Mgr.Stats.PerCorePromotions, promBase)
+		s.warm = s.readShared()
 	}
 }
 
@@ -262,9 +278,9 @@ func (s *System) onQuota(id int) {
 // watchdog builds the no-progress detector over this system: requests
 // are outstanding whenever controller queues, migrations, translation
 // fetches or core memory operations are in flight, and progress is any
-// demand/meta/migration service or instruction retirement. Observation
-// is host-driven (no simulation events), so enabling it never perturbs
-// results.
+// RD, WR or MIG the device issues or any instruction retirement.
+// Observation is host-driven (no simulation events), so enabling it
+// never perturbs results.
 func (s *System) watchdog() *sim.Watchdog {
 	outstanding := func() int {
 		r, w := s.Ctl.QueueDepths()
@@ -275,8 +291,7 @@ func (s *System) watchdog() *sim.Watchdog {
 		return n
 	}
 	progress := func() uint64 {
-		cs := &s.Ctl.Stats
-		p := cs.Reads + cs.Writes + cs.MetaReads + cs.MetaWrites + cs.Migrations
+		p := s.Dev.Issued(dram.CmdRead) + s.Dev.Issued(dram.CmdWrite) + s.Dev.Issued(dram.CmdMigrate)
 		for _, c := range s.Cores {
 			p += c.RetiredTotal()
 		}
@@ -446,22 +461,29 @@ func (s *System) collect() *Result {
 		}
 		r.PerCore = append(r.PerCore, cr)
 	}
-	cs := s.Ctl.Stats
-	r.Access = stats.Dist{RowBuffer: cs.ServedRowBuffer, Fast: cs.ServedFast, Slow: cs.ServedSlow}
-	r.DevStats = s.Dev.CollectStats()
-	r.Promotions = s.Mgr.Stats.Promotions
-	if total := cs.Reads + cs.Writes; total > 0 {
+	// The shared window: each field is its end value minus s.warm.
+	end, w := s.readShared(), &s.warm
+	cs, ws := &end.ctl, &w.ctl
+	r.Access = stats.Dist{
+		RowBuffer: cs.ServedRowBuffer - ws.ServedRowBuffer,
+		Fast:      cs.ServedFast - ws.ServedFast,
+		Slow:      cs.ServedSlow - ws.ServedSlow,
+	}
+	r.DevStats = end.dev.Sub(w.dev)
+	r.Promotions = end.promotions - w.promotions
+	reads, writes := cs.Reads-ws.Reads, cs.Writes-ws.Writes
+	if total := reads + writes; total > 0 {
 		r.PromPerAccess = float64(r.Promotions) / float64(total)
-		r.AvgReadLatencyNS = cs.ReadLatencySum.NS() / float64(cs.Reads)
-		r.ReadLatHist = cs.ReadLatHist
+		r.AvgReadLatencyNS = (cs.ReadLatencySum - ws.ReadLatencySum).NS() / float64(reads)
+		for i := range r.ReadLatHist {
+			r.ReadLatHist[i] = cs.ReadLatHist[i] - ws.ReadLatHist[i]
+		}
 	}
-	if tc := s.Mgr.TagCache(); tc != nil {
-		r.TagHitRatio = tc.HitRatio()
+	if lookups := end.tagLookups - w.tagLookups; lookups > 0 {
+		r.TagHitRatio = float64(end.tagHits-w.tagHits) / float64(lookups)
 	}
-	r.TableFetches = s.Mgr.Stats.TableFetches
-	if f := s.Mgr.Filter(); f != nil {
-		r.FilterRejects = f.Rejects
-	}
+	r.TableFetches = end.tableFetches - w.tableFetches
+	r.FilterRejects = end.filterRejects - w.filterRejects
 	r.EnergyProxy = energyProxy(r.DevStats)
 	for _, c := range s.Cores {
 		r.InstrsTotal += c.Stats.Retired

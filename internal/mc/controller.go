@@ -48,20 +48,18 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Stats counts controller activity (demand traffic unless noted).
+// Stats counts the controller's demand traffic since Reset. Translation
+// (Meta) traffic and migrations are counted once, by the device's
+// command tally.
 type Stats struct {
 	Reads, Writes   uint64
 	ServedRowBuffer uint64
 	ServedFast      uint64
 	ServedSlow      uint64
-	MetaReads       uint64
-	MetaWrites      uint64
-	Migrations      uint64
 	ReadLatencySum  sim.Time // enqueue -> data burst end, demand reads
 	// ReadLatHist buckets demand-read latencies (ns): <50, <100, <200,
 	// <500, <1000, >=1000.
 	ReadLatHist [6]uint64
-	MigWaitSum  sim.Time // migration enqueue -> issue
 	// PerCore breaks down demand accesses by service kind, indexed by
 	// core then ServiceKind.
 	PerCore [][3]uint64
@@ -128,7 +126,8 @@ func (c *Controller) Reset(cfg Config) error {
 	}
 	c.cfg = cfg
 	c.tel = nil
-	c.ResetStats()
+	clear(c.Stats.PerCore)
+	c.Stats = Stats{PerCore: c.Stats.PerCore}
 	clock := sim.NewClock(c.dev.ClockPeriod())
 	c.initCtlSched(c.eng, clock)
 	for _, cc := range c.chans {
@@ -243,13 +242,6 @@ func (c *Controller) PendingMigrations() int {
 		n += len(cc.migQ)
 	}
 	return n
-}
-
-// ResetStats zeroes the counters (warm-up boundary).
-func (c *Controller) ResetStats() {
-	perCore := c.Stats.PerCore
-	clear(perCore)
-	c.Stats = Stats{PerCore: perCore}
 }
 
 // chanCtl schedules one channel.
@@ -458,8 +450,6 @@ func (cc *chanCtl) issueMigration(t sim.Time) bool {
 			if len(cc.traced) > 0 {
 				cc.creditBlocked(op.rank, op.bank, end-t, false)
 			}
-			cc.ctl.Stats.Migrations++
-			cc.ctl.Stats.MigWaitSum += t - op.enqueued
 			cc.migQ = append(cc.migQ[:qi], cc.migQ[qi+1:]...)
 			cc.unreserve(op)
 			done := op.done
@@ -747,17 +737,13 @@ func (cc *chanCtl) serviceKind(req *Request) ServiceKind {
 	return ServiceSlow
 }
 
-// account updates the service statistics at issue time.
+// account counts a demand access in Stats at issue time (the device's
+// tally counts translation traffic).
 func (cc *chanCtl) account(req *Request, isWrite bool) {
-	s := &cc.ctl.Stats
 	if req.Meta {
-		if isWrite {
-			s.MetaWrites++
-		} else {
-			s.MetaReads++
-		}
 		return
 	}
+	s := &cc.ctl.Stats
 	if isWrite {
 		s.Writes++
 	} else {
@@ -767,9 +753,6 @@ func (cc *chanCtl) account(req *Request, isWrite bool) {
 	switch kind {
 	case ServiceRowBuffer:
 		s.ServedRowBuffer++
-		if tel := cc.ctl.tel; tel != nil {
-			tel.rowHits.Inc()
-		}
 	case ServiceFast:
 		s.ServedFast++
 	case ServiceSlow:

@@ -121,10 +121,10 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 		j.Figure = figure
 	}
 	var err error
-	if j.Benchmarks, err = normalizeBenchmarks(req.Benchmarks); err != nil {
+	if j.Benchmarks, err = workload.NormalizeBenchmarks(req.Benchmarks); err != nil {
 		return nil, err
 	}
-	if j.Mixes, err = normalizeMixes(req.Mixes); err != nil {
+	if j.Mixes, err = workload.NormalizeMixes(req.Mixes); err != nil {
 		return nil, err
 	}
 	if j.HasDesign {
@@ -150,50 +150,6 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 func validFigure(name string) bool {
 	for _, n := range exp.FigureNames() {
 		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// normalizeBenchmarks trims and validates benchmark names against the
-// Table 2 catalog. Order is preserved: it is the core assignment, so
-// ["mcf","lbm"] and ["lbm","mcf"] are genuinely different simulations.
-func normalizeBenchmarks(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	catalog := workload.AllSingleNames()
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if !contains(catalog, n) {
-			return nil, fmt.Errorf("request: unknown benchmark %q", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// normalizeMixes trims and validates mix names (M1..M8).
-func normalizeMixes(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if _, err := workload.LookupMix(n); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
 			return true
 		}
 	}

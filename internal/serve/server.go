@@ -59,9 +59,6 @@ type Options struct {
 	// ProgressInterval is the SSE frame period of /jobs/<key>/events
 	// (0 = DefaultProgressInterval).
 	ProgressInterval time.Duration
-	// JobTraceDepth bounds the completed lifecycle-span ring
-	// (0 = jobtrace.DefaultDepth).
-	JobTraceDepth int
 	// PoolBytes budgets the server's machine pool: simulation jobs check
 	// built systems out of it and back in, so sweeps over one machine
 	// shape stop paying per-point allocation (0 = exp.DefaultPoolBytes;
@@ -177,7 +174,7 @@ func New(opt Options) *Server {
 		opt:    opt,
 		runner: opt.Runner,
 		reg:    telemetry.New(),
-		jt:     jobtrace.NewRecorder(opt.JobTraceDepth),
+		jt:     jobtrace.NewRecorder(jobtrace.DefaultDepth),
 		cache:  make(map[string]*entry),
 		byHash: make(map[uint64]*entry),
 		queue:  make(chan *job, opt.QueueDepth),

@@ -37,11 +37,6 @@ func (c Clock) Duration(cycles int64) Time {
 	return Time(cycles) * c.period
 }
 
-// CycleAt returns the index of the cycle containing time t.
-func (c Clock) CycleAt(t Time) int64 {
-	return int64(t / c.period)
-}
-
 // NextEdge returns the earliest cycle boundary at or after t.
 func (c Clock) NextEdge(t Time) Time {
 	r := t % c.period

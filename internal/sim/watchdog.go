@@ -52,9 +52,8 @@ type Watchdog struct {
 
 // NewWatchdog builds a watchdog. outstanding reports in-flight
 // operations; progress is any counter that moves whenever the system
-// does useful work (it may also move backward, e.g. across a stats
-// reset — only change matters); report, which may be nil, renders the
-// stuck state for the error. A non-positive window selects
+// does useful work (only change matters); report, which may be nil,
+// renders the stuck state for the error. A non-positive window selects
 // DefaultWatchdogWindow.
 func NewWatchdog(window Time, outstanding func() int, progress func() uint64, report func() string) *Watchdog {
 	if window <= 0 {

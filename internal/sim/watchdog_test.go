@@ -57,8 +57,8 @@ func TestWatchdogProgressResetsWindow(t *testing.T) {
 }
 
 func TestWatchdogBackwardProgressCounts(t *testing.T) {
-	// A stats reset may move the counter backward; any change is
-	// progress.
+	// Only change matters: a counter that moves backward is progress
+	// too.
 	progress := uint64(100)
 	wd := NewWatchdog(100*Nanosecond,
 		func() int { return 1 },

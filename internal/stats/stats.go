@@ -9,22 +9,10 @@ import (
 	"strings"
 )
 
-// Gmean returns the geometric mean of xs; it panics on non-positive
-// inputs because the paper's gmean columns are over positive speedups.
-// Rendering paths that aggregate measured (possibly degenerate) values
-// should use GmeanErr instead and surface the error.
-func Gmean(xs []float64) float64 {
-	g, err := GmeanErr(xs)
-	if err != nil {
-		panic("stats: " + err.Error())
-	}
-	return g
-}
-
 // GmeanErr returns the geometric mean of xs, or an error naming the
 // first non-positive input (a geometric mean is only defined over
-// positive values). An empty slice yields 0 with no error, matching
-// Gmean.
+// positive values; the paper's gmean columns are over positive
+// speedups). An empty slice yields 0 with no error.
 func GmeanErr(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, nil
@@ -39,18 +27,11 @@ func GmeanErr(xs []float64) (float64, error) {
 	return math.Exp(sum / float64(len(xs))), nil
 }
 
-// GmeanImprovement converts per-workload speedup ratios (design IPC /
-// baseline IPC) into the paper's "performance improvement" percentage.
-// Like Gmean it panics on non-positive ratios; figure rendering uses
-// GmeanImprovementErr.
-func GmeanImprovement(ratios []float64) float64 {
-	return (Gmean(ratios) - 1) * 100
-}
-
-// GmeanImprovementErr is GmeanImprovement with the error path of
-// GmeanErr: a run that produced a zero or negative IPC ratio (a
-// crashed or degenerate measurement) becomes a diagnosable error
-// instead of a panic in the middle of figure rendering.
+// GmeanImprovementErr converts per-workload speedup ratios (design IPC
+// / baseline IPC) into the paper's "performance improvement"
+// percentage. A run that produced a zero or negative IPC ratio (a
+// crashed or degenerate measurement) becomes GmeanErr's diagnosable
+// error instead of a number in the middle of figure rendering.
 func GmeanImprovementErr(ratios []float64) (float64, error) {
 	g, err := GmeanErr(ratios)
 	if err != nil {
@@ -74,24 +55,13 @@ func Mean(xs []float64) float64 {
 // Percent formats a fraction as a percentage string.
 func Percent(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 
-// Percentile returns the q-quantile (0 <= q <= 1) of xs by the
+// PercentileErr returns the q-quantile (0 <= q <= 1) of xs by the
 // nearest-rank method on a sorted copy: the smallest element such that
 // at least q of the sample is <= it. Nearest rank returns an actual
 // observation (no interpolation), so p99 of a latency sample is a
-// latency that really occurred. An empty sample yields 0; q is clamped.
-// Callers that must distinguish "no data" from a genuine zero quantile
-// should use PercentileErr.
-func Percentile(xs []float64, q float64) float64 {
-	p, err := PercentileErr(xs, q)
-	if err != nil {
-		return 0
-	}
-	return p
-}
-
-// PercentileErr is Percentile with an explicit empty-sample error: a
-// percentile of nothing is undefined, and reporting paths that print
-// quantiles of measured samples should surface that instead of a
+// latency that really occurred; q is clamped. An empty sample is an
+// error: a percentile of nothing is undefined, and reporting paths that
+// print quantiles of measured samples should surface that instead of a
 // silent 0.
 func PercentileErr(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {

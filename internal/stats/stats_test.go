@@ -8,24 +8,15 @@ import (
 )
 
 func TestGmean(t *testing.T) {
-	if g := Gmean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("gmean(2,8) = %v", g)
+	if g, err := GmeanErr([]float64{2, 8}); err != nil || math.Abs(g-4) > 1e-12 {
+		t.Fatalf("gmean(2,8) = %v, %v", g, err)
 	}
-	if g := Gmean([]float64{1, 1, 1}); g != 1 {
-		t.Fatalf("gmean of ones = %v", g)
+	if g, err := GmeanErr([]float64{1, 1, 1}); err != nil || g != 1 {
+		t.Fatalf("gmean of ones = %v, %v", g, err)
 	}
-	if g := Gmean(nil); g != 0 {
-		t.Fatalf("gmean of empty = %v", g)
+	if g, err := GmeanErr(nil); err != nil || g != 0 {
+		t.Fatalf("gmean of empty = %v, %v", g, err)
 	}
-}
-
-func TestGmeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on zero input")
-		}
-	}()
-	Gmean([]float64{1, 0})
 }
 
 func TestGmeanErr(t *testing.T) {
@@ -55,10 +46,10 @@ func TestGmeanErr(t *testing.T) {
 
 func TestGmeanImprovement(t *testing.T) {
 	// Two workloads at +10% and +21% -> gmean ratio 1.1533... -> 15.3%.
-	got := GmeanImprovement([]float64{1.10, 1.21})
+	got, err := GmeanImprovementErr([]float64{1.10, 1.21})
 	want := (math.Sqrt(1.10*1.21) - 1) * 100
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("improvement %v, want %v", got, want)
+	if err != nil || math.Abs(got-want) > 1e-9 {
+		t.Fatalf("improvement %v, %v, want %v", got, err, want)
 	}
 }
 
@@ -74,8 +65,8 @@ func TestGmeanBetweenMinMaxProperty(t *testing.T) {
 			lo = math.Min(lo, xs[i])
 			hi = math.Max(hi, xs[i])
 		}
-		g := Gmean(xs)
-		return g >= lo-1e-9 && g <= hi+1e-9
+		g, err := GmeanErr(xs)
+		return err == nil && g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -166,21 +157,15 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {0.2, 1}, {0.5, 3}, {0.8, 4}, {0.95, 5}, {1, 5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.q); got != c.want {
-			t.Errorf("Percentile(%v, %v) = %v, want %v", xs, c.q, got, c.want)
+		if got, err := PercentileErr(xs, c.q); err != nil || got != c.want {
+			t.Errorf("PercentileErr(%v, %v) = %v, %v, want %v", xs, c.q, got, err, c.want)
 		}
 	}
 	if xs[0] != 5 || xs[4] != 3 {
-		t.Fatalf("Percentile mutated its input: %v", xs)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	if got := Percentile([]float64{7}, 0.99); got != 7 {
-		t.Errorf("single-element p99 = %v, want 7", got)
+		t.Fatalf("PercentileErr mutated its input: %v", xs)
 	}
 	// Nearest rank returns an actual observation.
-	if got := Percentile(xs, 0.73); got != 4 {
+	if got, _ := PercentileErr(xs, 0.73); got != 4 {
 		t.Errorf("p73 of 1..5 = %v, want 4 (ceil(0.73*5) = 4th)", got)
 	}
 }
@@ -220,9 +205,5 @@ func TestPercentileErr(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: PercentileErr(%v, %v) = %v, want %v", c.name, c.xs, c.q, got, c.want)
 		}
-	}
-	// The delegating Percentile maps the error case to 0.
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
 	}
 }

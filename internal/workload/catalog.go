@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Catalog returns the ten single-programmed workload profiles of Table 2.
 //
@@ -128,6 +131,36 @@ func LookupMix(name string) (Mix, error) {
 		}
 	}
 	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
+}
+
+// NormalizeBenchmarks trims each benchmark name and checks it against
+// the catalog. Order is preserved: it is the core assignment, so
+// ["mcf","lbm"] and ["lbm","mcf"] are different simulations. An empty
+// list yields nil.
+func NormalizeBenchmarks(names []string) ([]string, error) {
+	return normalize(names, func(n string) error { _, err := Lookup(n); return err })
+}
+
+// NormalizeMixes trims each mix name and checks it against Table 2's
+// M1-M8. An empty list yields nil.
+func NormalizeMixes(names []string) ([]string, error) {
+	return normalize(names, func(n string) error { _, err := LookupMix(n); return err })
+}
+
+// normalize trims each name and returns the first lookup error.
+func normalize(names []string, lookup func(string) error) ([]string, error) {
+	if len(names) == 0 {
+		return nil, nil
+	}
+	out := make([]string, 0, len(names))
+	for _, n := range names {
+		n = strings.TrimSpace(n)
+		if err := lookup(n); err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }
 
 // AllSingleNames returns the benchmark names in catalog order.

@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestCatalogProfilesValid(t *testing.T) {
 	names := make(map[string]bool)
@@ -67,6 +71,26 @@ func TestLookupUnknown(t *testing.T) {
 	}
 	if _, err := LookupMix("M99"); err == nil {
 		t.Fatal("unknown mix accepted")
+	}
+}
+
+// TestNormalizeNames: benchmark and mix lists are trimmed, keep their
+// order (the core assignment) and fail on the first unknown name.
+func TestNormalizeNames(t *testing.T) {
+	if got, err := NormalizeBenchmarks([]string{" soplex", "mcf "}); err != nil || !slices.Equal(got, []string{"soplex", "mcf"}) {
+		t.Errorf("NormalizeBenchmarks = %q, %v", got, err)
+	}
+	if got, err := NormalizeMixes([]string{"M8", " M1"}); err != nil || !slices.Equal(got, []string{"M8", "M1"}) {
+		t.Errorf("NormalizeMixes = %q, %v", got, err)
+	}
+	if got, err := NormalizeBenchmarks(nil); got != nil || err != nil {
+		t.Errorf("NormalizeBenchmarks(nil) = %q, %v", got, err)
+	}
+	if _, err := NormalizeBenchmarks([]string{"mcf", " foo"}); err == nil || !strings.Contains(err.Error(), `"foo"`) {
+		t.Errorf("unknown benchmark: err = %v, want one naming \"foo\"", err)
+	}
+	if _, err := NormalizeMixes([]string{"M1", "m8"}); err == nil || !strings.Contains(err.Error(), `"m8"`) {
+		t.Errorf("unknown mix: err = %v, want one naming \"m8\"", err)
 	}
 }
 

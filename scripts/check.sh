@@ -65,11 +65,29 @@ echo "== telemetry determinism: observed run renders identical figures"
 # Same figure with the full telemetry stack enabled (metrics timeline +
 # trace export): the rendered figure must be byte-identical to the
 # uninstrumented run, proving observation never perturbs simulation.
+# The 0.01 ms epochs put several snapshots on each side of warm-up.
 go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 \
-    -metrics-out "$tmp_sink" -timeline "$tmp_sink.trace" >"$tmp_obs" 2>/dev/null
+    -timeline-interval 0.01 -metrics-out "$tmp_sink" -timeline "$tmp_sink.trace" >"$tmp_obs" 2>/dev/null
 cmp "$tmp_quad" "$tmp_obs"
 test -s "$tmp_sink" && test -s "$tmp_sink.trace"
 rm -f "$tmp_sink.trace"
+
+echo "== monotone counters: no timeline counter falls between epochs"
+# Every counter counts from its component's Reset and the measurement
+# window is a snapshot, not a reset, so in each run no series of the
+# timeline CSV above (run,epoch_ns,metric,value) may fall from one epoch
+# to the next. Gauges (mc.queue.*, *.mshr_live, *.mshr_pending) and the
+# histograms' .mean/.p50/.p99 may fall and are skipped. The run label
+# is everything before the last three fields, since labels may be
+# quoted and contain commas.
+awk -F',' 'NR == 1 { next }
+    { m = $(NF-1) }
+    m ~ /^mc\.queue\./ || m ~ /\.mshr_(live|pending)$/ || m ~ /\.(mean|p50|p99)$/ { next }
+    { run = $0; sub(/,[^,]*,[^,]*,[^,]*$/, "", run); k = run SUBSEP m; v = $NF + 0
+      if ((k in last) && v < last[k]) { print run ": " m " fell from " last[k] " to " v; bad = 1 }
+      last[k] = v; seen++ }
+    END { if (seen == 0) bad = 1; exit bad }' "$tmp_sink" ||
+    { echo "metrics timeline: a counter series decreased (or the timeline is empty)"; exit 1; }
 
 echo "== request-trace determinism: sampled tracing renders identical figures"
 # Same figure again with the per-request flight recorder sampling 1-in-7
@@ -102,15 +120,15 @@ awk -F',' 'NR == 1 { next }
     { echo "reqtrace: component sum_ns or energy_pj rows do not sum to total (or violations > 0)"; exit 1; }
 rm -f "$tmp_sink.req"
 
-echo "== energy report (dasbench -energy): perf-per-watt across all designs"
+echo "== energy report (dasbench -fig energy): perf-per-watt across all designs"
 # The perf-per-watt report must regenerate the committed
 # results_energy.txt byte for byte (the `make energy` command), and
-# enabling it alongside a figure must leave that figure's bytes
+# rendering it after a figure must leave that figure's bytes
 # untouched — energy metering is pure accounting, never a timing input.
-go run ./cmd/dasbench -energy -benchmarks mcf,soplex -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
+go run ./cmd/dasbench -fig energy -benchmarks mcf,soplex -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
 grep -q "Perf/watt: instructions per microjoule" "$tmp_ref"
 cmp "$tmp_ref" results_energy.txt
-go run ./cmd/dasbench -fig 7a -energy -benchmarks mcf,soplex -instr 200000 >"$tmp_obs" 2>/dev/null
+go run ./cmd/dasbench -fig 7a,energy -benchmarks mcf,soplex -instr 200000 >"$tmp_obs" 2>/dev/null
 head -n "$(wc -l <"$tmp_quad")" "$tmp_obs" | cmp - "$tmp_quad"
 grep -q "Perf/watt: instructions per microjoule" "$tmp_obs"
 
