@@ -49,11 +49,15 @@ func metricName(d core.Design) string {
 // improvement percentage.
 func runImprovement(b *testing.B, s *exp.Session, cfg config.Config, d core.Design, set []string) float64 {
 	b.Helper()
-	_, imp, err := s.CachedVs(cfg, d, set)
+	base, err := s.Baseline(set)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return imp
+	res, err := s.Cached(cfg, d, set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Improvement(base)
 }
 
 // BenchmarkTable1Baseline measures the Standard-DRAM configuration of

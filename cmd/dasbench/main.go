@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -52,7 +53,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dasbench", flag.ExitOnError)
 	var (
-		figs     = fs.String("fig", "tables", "comma-separated figures: 7a,7b,7c,7d,7e,7f,8,9a,9b,9c,9d,power,energy,area,table1,table2,faults,all,tables")
+		figs     = fs.String("fig", "tables", "comma-separated figures, or all or tables: "+strings.Join(exp.FigureNames(), ","))
 		instr    = fs.Uint64("instr", 0, "instructions per core (0 = config default)")
 		cfgPath  = fs.String("config", "", "JSON config file (default: episode-scaled Table 1)")
 		fullScal = fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory instead of the episode-scaled 1 GB")
@@ -111,6 +112,26 @@ func run(args []string, stdout io.Writer) error {
 	// settings survive otherwise.
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	// Expand the -fig aliases and check every name against the figure
+	// catalog now, so a bad one also fails before any output.
+	wanted := strings.Split(*figs, ",")
+	if *figs == "all" {
+		// energy is deliberately not part of "all": the committed
+		// results_*.txt goldens predate the energy model.
+		wanted = []string{"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"}
+	} else if *figs == "tables" {
+		wanted = []string{"table1", "table2", "area"}
+	}
+	if *explainSel != "" && !set["fig"] {
+		wanted = nil // -explain alone skips the default tables
+	}
+	for i, name := range wanted {
+		wanted[i] = strings.TrimSpace(strings.ToLower(name))
+		if !slices.Contains(exp.FigureNames(), wanted[i]) {
+			return fmt.Errorf("-fig: unknown figure %q", wanted[i])
+		}
+	}
 
 	cfg := config.Scaled()
 	if *fullScal {
@@ -249,18 +270,6 @@ func run(args []string, stdout io.Writer) error {
 	}()
 	s.Ctx = ctx
 
-	wanted := strings.Split(*figs, ",")
-	if *figs == "all" {
-		// energy is deliberately not part of "all": the committed
-		// results_*.txt goldens predate the energy model.
-		wanted = []string{"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"}
-	} else if *figs == "tables" {
-		wanted = []string{"table1", "table2", "area"}
-	}
-	if *explainSel != "" && !set["fig"] {
-		wanted = nil // -explain alone skips the default tables
-	}
-
 	// The figures render in order, then the -explain report; each goes
 	// through the same render, CSV, perf and publish steps.
 	type report struct {
@@ -269,7 +278,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var reports []report
 	for _, name := range wanted {
-		name = strings.TrimSpace(strings.ToLower(name))
 		reports = append(reports, report{name, func() (*exp.Figure, error) { return s.Figure(name) }})
 	}
 	if *explainSel != "" {

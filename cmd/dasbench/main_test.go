@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestConfigFileFaultSettings(t *testing.T) {
 // TestBenchmarkAndMixListsAreTrimmed: -benchmarks and -mixes entries
 // are trimmed like -fig entries, so a spaced list renders the plain
 // list's bytes, and an unknown name fails before any figure (or the
-// -out file) is written.
+// -out file) is written. So does an unknown -fig name.
 func TestBenchmarkAndMixListsAreTrimmed(t *testing.T) {
 	render := func(args ...string) string {
 		t.Helper()
@@ -70,16 +71,22 @@ func TestBenchmarkAndMixListsAreTrimmed(t *testing.T) {
 		}
 	}
 
-	var out strings.Builder
-	outPath := filepath.Join(t.TempDir(), "out.txt")
-	err := run([]string{"-fig", "table1,7b", "-benchmarks", "mcf,foo", "-out", outPath}, &out)
-	if err == nil || !strings.Contains(err.Error(), `"foo"`) {
-		t.Errorf("-benchmarks mcf,foo: err = %v, want an error naming \"foo\"", err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("-benchmarks mcf,foo wrote %q before failing", out.String())
-	}
-	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
-		t.Errorf("-benchmarks mcf,foo created the -out file (stat: %v)", err)
+	for _, c := range [][]string{
+		{"-fig", "table1,7b", "-benchmarks", "mcf,foo"},
+		{"-fig", "table1,nosuchfig"},
+	} {
+		var out strings.Builder
+		outPath := filepath.Join(t.TempDir(), "out.txt")
+		bad := strconv.Quote(strings.Split(c[len(c)-1], ",")[1])
+		err := run(append(c, "-out", outPath), &out)
+		if err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%v: err = %v, want an error naming %s", c, err, bad)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v wrote %q before failing", c, out.String())
+		}
+		if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+			t.Errorf("%v created the -out file (stat: %v)", c, err)
+		}
 	}
 }

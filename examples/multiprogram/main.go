@@ -41,12 +41,12 @@ func main() {
 
 	fmt.Println("\ndesign comparison:")
 	for _, design := range []core.Design{core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS} {
-		res, improvement, err := session.RunVs(cfg, design, mix.Benchmarks)
+		res, err := session.Cached(cfg, design, mix.Benchmarks)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rb, fast, slow := res.Access.Fractions()
 		fmt.Printf("  %-14s %+6.2f%%  (rb %.0f%% / fast %.0f%% / slow %.0f%%, %d promotions)\n",
-			design, improvement, rb*100, fast*100, slow*100, res.Promotions)
+			design, res.Improvement(baseline), rb*100, fast*100, slow*100, res.Promotions)
 	}
 }

@@ -19,17 +19,21 @@ func main() {
 	cfg.InstrPerCore = 2_000_000
 	benchmark := []string{"GemsFDTD"}
 	session := exp.NewSession(cfg)
+	baseline, err := session.Baseline(benchmark)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("== promotion filter thresholds (Section 7.3) ==")
 	for _, threshold := range []int{1, 2, 4, 8} {
 		variant := cfg
 		variant.FilterThreshold = threshold
-		res, improvement, err := session.RunVs(variant, core.DAS, benchmark)
+		res, err := session.Cached(variant, core.DAS, benchmark)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("threshold %d: %+6.2f%%  promotions/access %.3f%%  fast-level miss ratio %.1f%%  filtered %d\n",
-			threshold, improvement, res.PromPerAccess*100,
+			threshold, res.Improvement(baseline), res.PromPerAccess*100,
 			res.Access.FastLevelMissRatio()*100, res.FilterRejects)
 	}
 
@@ -37,10 +41,10 @@ func main() {
 	for _, policy := range []string{"lru", "random", "sequential", "counter"} {
 		variant := cfg
 		variant.Replacement = policy
-		_, improvement, err := session.RunVs(variant, core.DAS, benchmark)
+		res, err := session.Cached(variant, core.DAS, benchmark)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10s: %+6.2f%%\n", policy, improvement)
+		fmt.Printf("%-10s: %+6.2f%%\n", policy, res.Improvement(baseline))
 	}
 }

@@ -27,10 +27,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	das, improvement, err := session.RunVs(cfg, core.DAS, benchmark)
+	das, err := session.Cached(cfg, core.DAS, benchmark)
 	if err != nil {
 		log.Fatal(err)
 	}
+	improvement := das.Improvement(baseline)
 
 	fmt.Printf("benchmark:            %s\n", benchmark[0])
 	fmt.Printf("standard DRAM IPC:    %.3f (MPKI %.1f)\n",

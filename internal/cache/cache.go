@@ -172,9 +172,6 @@ func New(cfg Config, eng *sim.Engine, lower mem.Component, cores int) (*Cache, e
 // Name returns the configured name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// Config returns the configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) blockAddr(addr uint64) uint64 { return addr >> c.blkBits << c.blkBits }
 
 // set returns the ways of block's set.

@@ -91,8 +91,7 @@ type Manager struct {
 	reqFreeMu sync.Mutex
 	reqFree   []*ctlReq
 
-	static  *StaticAssignment
-	profile *RowProfile
+	static *StaticAssignment
 
 	tableBase  uint64
 	tableBytes uint64
@@ -207,21 +206,11 @@ func (m *Manager) fail(err error) {
 // SetStaticAssignment installs the profiled fast-row set (SAS/CHARM).
 func (m *Manager) SetStaticAssignment(a *StaticAssignment) { m.static = a }
 
-// EnableProfiling starts recording per-row demand-read counts and
-// returns the profile being filled.
-func (m *Manager) EnableProfiling() *RowProfile {
-	m.profile = NewRowProfile()
-	return m.profile
-}
-
 // TagCache exposes the translation cache (nil for non-dynamic designs).
 func (m *Manager) TagCache() *TagCache { return m.tagCache }
 
 // Filter exposes the promotion filter (nil for non-dynamic designs).
 func (m *Manager) Filter() *Filter { return m.filter }
-
-// Layout exposes the migration-group layout (nil for non-dynamic designs).
-func (m *Manager) Layout() *Layout { return m.layout }
 
 // UsableBytes returns the capacity available to workloads: total memory
 // minus the reserved translation-table region.
@@ -234,8 +223,8 @@ func (m *Manager) TableBase() uint64 { return m.tableBase }
 // reuse (exp.SystemPool), adopting cfg's management knobs; it is also
 // the second half of NewManager. The design is pinned (the pool keys
 // machines by design), as are the engine, controller, and geometry;
-// everything attached per run — LLC, static assignment, profile, fault
-// injector, telemetry — detaches. Touched migration groups return to a
+// everything attached per run — LLC, static assignment, fault injector,
+// telemetry — detaches. Touched migration groups return to a
 // freelist (reusable when GroupSize and FastDenom carry over), the
 // layout, tag cache and filter are built when none exists or the shape
 // changed and reset in place otherwise, and the victim picker seeds
@@ -250,7 +239,7 @@ func (m *Manager) Reset(cfg Config) error {
 	old := m.cfg
 	m.cfg = cfg
 	m.llc = nil
-	m.static, m.profile = nil, nil
+	m.static = nil
 	m.faults = nil
 	m.checkInv = false
 	m.tableRetries = nil
@@ -314,9 +303,6 @@ func (m *Manager) Access(req *mem.Request) {
 	}
 	coord := m.geom.Decode(req.Addr)
 	rowID := m.geom.RowID(coord)
-	if m.profile != nil && !req.Write {
-		m.profile.Record(rowID)
-	}
 	switch m.cfg.Design {
 	case Standard:
 		m.enqueue(req, coord, dram.RowSlow, rowID, false)

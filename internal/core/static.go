@@ -7,10 +7,11 @@ import (
 	"repro/internal/dram"
 )
 
-// RowProfile records per-row demand access counts, collected during a
-// baseline (Standard) run. The static designs (SAS-DRAM, CHARM) consume
-// it to pre-assign the hottest rows to the fast level, mirroring the
-// paper's offline profiling of each workload.
+// RowProfile records per-row access counts, collected by an offline
+// functional pass over each workload's instruction stream (exp's
+// ProfilePass). The static designs (SAS-DRAM, CHARM) consume it to
+// pre-assign the hottest rows to the fast level, mirroring the paper's
+// offline profiling of each workload.
 //
 // Global row ids are dense (Geometry.RowID), so the counts live in a
 // flat slice grown on demand: the profiling pass records tens of

@@ -198,12 +198,6 @@ func (c *Core) touchPage(page uint64) {
 	}
 }
 
-// ID returns the core index.
-func (c *Core) ID() int { return c.id }
-
-// Clock returns the core clock.
-func (c *Core) Clock() sim.Clock { return c.clock }
-
 // Start begins execution. warmup retired instructions are excluded from
 // statistics (onWarmup fires when the boundary is crossed); once quota
 // instructions retire, onQuota fires and the core keeps running

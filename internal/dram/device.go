@@ -22,18 +22,6 @@ type Config struct {
 	MigrationLatency sim.Time
 }
 
-// DefaultConfig returns the Table 1 asymmetric configuration:
-// DDR3-1600 slow/fast sets and 146.25 ns migration latency (3 tRC_fast
-// equivalents: two 1.5 tRC migrations of a full swap's critical path).
-func DefaultConfig() Config {
-	return Config{
-		Geometry:         Default8GB(),
-		Slow:             timing.DDR31600Slow(),
-		Fast:             timing.DDR31600Fast(),
-		MigrationLatency: sim.FromNS(146.25),
-	}
-}
-
 // Device is the top-level DRAM model: a set of independent channels
 // sharing nothing but the configuration.
 type Device struct {

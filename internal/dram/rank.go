@@ -32,9 +32,6 @@ func newRank(banks int) *Rank {
 // Bank returns bank i.
 func (r *Rank) Bank(i int) *Bank { return r.banks[i] }
 
-// Banks returns the number of banks.
-func (r *Rank) Banks() int { return len(r.banks) }
-
 // recordAct pushes an ACT time into the tFAW window and applies tRRD.
 func (r *Rank) recordAct(t, tRRD sim.Time) {
 	r.actWindow[r.actHead] = t

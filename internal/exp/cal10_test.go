@@ -18,26 +18,16 @@ func TestCalibration10M(t *testing.T) {
 	s := NewSession(cfg)
 	for _, name := range []string{"astar", "cactusADM", "GemsFDTD", "lbm", "leslie3d", "libquantum", "mcf", "milc", "omnetpp", "soplex"} {
 		start := time.Now()
-		base, err := s.Baseline([]string{name})
-		if err != nil {
-			t.Fatal(err)
+		run := func(d core.Design) *Result {
+			res, err := s.Cached(cfg, d, []string{name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		das, imp, err := s.RunVs(cfg, core.DAS, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, impSAS, err := s.RunVs(cfg, core.SAS, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, impFS, err := s.RunVs(cfg, core.FS, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, impFM, err := s.RunVs(cfg, core.DASFM, []string{name})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, das := run(core.Standard), run(core.DAS)
+		imp, impSAS := das.Improvement(base), run(core.SAS).Improvement(base)
+		impFS, impFM := run(core.FS).Improvement(base), run(core.DASFM).Improvement(base)
 		rb, fast, slow := das.Access.Fractions()
 		t.Logf("%-11s wall=%v IPC=%.2f MPKI=%4.1f | DAS %+6.2f%% FM %+6.2f%% SAS %+6.2f%% FS %+6.2f%% | PPKM=%5.1f rb/f/s=%.2f/%.2f/%.2f tag=%.2f",
 			name, time.Since(start).Round(time.Second), base.PerCore[0].IPC, base.PerCore[0].MPKI,

@@ -3,6 +3,8 @@ package exp
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // The engine's determinism contract (see internal/sim): figure output
@@ -12,30 +14,47 @@ import (
 // against a linear-scan model of the (at, seq) order, and by the
 // goldens, which pin end-to-end output.
 
-// renderFig7a computes a two-benchmark Fig7a with the given session
-// parallelism, prewarming baselines so the concurrent path actually
-// runs runs in parallel rather than serializing on the memo locks.
-func renderFig7a(t *testing.T, par int) string {
+// renderFig7a computes a two-benchmark Fig7a.
+func renderFig7a(t *testing.T) string {
 	t.Helper()
 	s := NewSession(tinyConfig())
-	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
-	if err := s.Prewarm(s.singleSets()); err != nil {
-		t.Fatal(err)
-	}
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fig.Render()
 }
 
-// TestDeterminismAcrossParallelism renders the same figure with a
-// serial session and a GOMAXPROCS-wide one; concurrent sessions run
-// independent engines, so the rendered text must be byte-identical.
+// explainStandardDAS renders Explain(Standard, DAS) over two benchmarks,
+// which runs its four runs concurrently up to par at a time, then Fig 7b,
+// which draws on the DAS runs made there. The session must trace
+// requests (Observe.ReqTraceN > 0).
+func explainStandardDAS(t *testing.T, s *Session, par int) string {
+	t.Helper()
+	s.Parallelism = par
+	s.Benchmarks = []string{"mcf", "libquantum"}
+	explain, err := s.Explain(core.Standard, core.DAS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := s.Figure("7b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return explain.Render() + fig.Render()
+}
+
+// TestDeterminismAcrossParallelism renders the same figures with a
+// serial session and a concurrent one; concurrent runs use independent
+// engines, so the rendered text must be byte-identical.
 func TestDeterminismAcrossParallelism(t *testing.T) {
-	serial := renderFig7a(t, 1)
-	wide := renderFig7a(t, max(2, runtime.GOMAXPROCS(0)))
+	render := func(par int) string {
+		s := NewSession(tinyConfig())
+		s.Observe = &ObserveOptions{ReqTraceN: 3}
+		return explainStandardDAS(t, s, par)
+	}
+	serial, wide := render(1), render(max(2, runtime.GOMAXPROCS(0)))
 	if serial != wide {
 		t.Fatalf("figure output depends on session parallelism:\nserial:\n%s\nparallel:\n%s", serial, wide)
 	}
@@ -45,8 +64,8 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 // fresh sessions; pooled queue backings and recycled requests must not
 // leak state across runs.
 func TestDeterminismRepeatedSessions(t *testing.T) {
-	a := renderFig7a(t, 1)
-	b := renderFig7a(t, 1)
+	a := renderFig7a(t)
+	b := renderFig7a(t)
 	if a != b {
 		t.Fatalf("figure output differs between identical sessions:\n%s\nvs:\n%s", a, b)
 	}

@@ -204,11 +204,15 @@ func TestConfigDesignsProduceDifferentTiming(t *testing.T) {
 	// End-to-end sanity at tiny scale: FS must beat Standard.
 	cfg := tinyConfig()
 	s := NewSession(cfg)
-	_, imp, err := s.RunVs(cfg, core.FS, []string{"soplex"})
+	base, err := s.Baseline([]string{"soplex"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imp <= 0 {
+	fs, err := s.Cached(cfg, core.FS, []string{"soplex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imp := fs.Improvement(base); imp <= 0 {
 		t.Fatalf("FS-DRAM improvement %.2f%%, must be positive", imp)
 	}
 }

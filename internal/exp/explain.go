@@ -23,8 +23,7 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	if s.Observe == nil || s.Observe.ReqTraceN <= 0 {
 		return nil, fmt.Errorf("exp: Explain requires Observe.ReqTraceN > 0 (request tracing off)")
 	}
-	sets := s.singleSets()
-	names := s.singles()
+	sets, names, _ := s.singleSets()
 
 	// Run both designs over every workload in parallel (memoized, so
 	// figures already computed this session are reused).
@@ -44,7 +43,7 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 
 	// Look each run's recorder up by its result key.
 	recorder := func(d core.Design, set []string) (*reqtrace.Recorder, error) {
-		key := resultKey(s.cfgFor(set), d, set)
+		_, key := s.memoKey(s.Cfg, d, set)
 		for _, o := range s.Observers() {
 			if o.Label == key && o.Req != nil {
 				if l := o.Req.Latency(); l.Violations() > 0 {

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 
 	"repro/internal/area"
 	"repro/internal/config"
@@ -32,22 +32,19 @@ func (f *Figure) Render() string {
 	return out
 }
 
-// singles returns the benchmark list a session's figures iterate: the
-// session's Benchmarks override if set, else the full Table 2 catalog.
-func (s *Session) singles() []string {
-	if len(s.Benchmarks) > 0 {
-		return s.Benchmarks
+// singleSets returns each single-programmed benchmark as its own set,
+// labelled by its name: the session's Benchmarks override if set, else
+// the full Table 2 catalog.
+func (s *Session) singleSets() ([][]string, []string, error) {
+	names := s.Benchmarks
+	if len(names) == 0 {
+		names = workload.AllSingleNames()
 	}
-	return workload.AllSingleNames()
-}
-
-// singleSets returns each single-programmed benchmark as its own set.
-func (s *Session) singleSets() [][]string {
-	var sets [][]string
-	for _, n := range s.singles() {
-		sets = append(sets, []string{n})
+	sets := make([][]string, len(names))
+	for i, n := range names {
+		sets[i] = []string{n}
 	}
-	return sets
+	return sets, names, nil
 }
 
 // mixSets returns the M1-M8 benchmark lists (or the session's Mixes
@@ -74,104 +71,106 @@ func (s *Session) mixSets() ([][]string, []string, error) {
 	return sets, names, nil
 }
 
-// multiConfig adapts the session config for 4-core runs.
-func multiConfig(cfg config.Config) config.Config {
-	cfg.Cores = 4
-	return cfg
+// column is one column of a figure's run grid: a design under the
+// session config or under one sweep point of it.
+type column struct {
+	label  string // the column's table header
+	cfg    config.Config
+	design core.Design
 }
 
-// comparisonDesigns are the five non-baseline designs of Figure 7.
-var comparisonDesigns = []core.Design{core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS}
+// grid is the runs one figure draws on: every column over every row's
+// workload set. A figure normalized to Standard puts the baseline in
+// column 0.
+type grid struct {
+	sets  [][]string
+	names []string // row labels
+	cols  []column
+	res   [][]*Result // res[row][col], filled by fetch
+}
 
-// improvementFigure builds a Fig 7a/7d-style table: one row per
-// workload set, one column per design, gmean last.
-func (s *Session) improvementFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title:  title,
-		Header: []string{"workload", "SAS-DRAM", "CHARM", "DAS-DRAM", "DAS-DRAM(FM)", "FS-DRAM"},
-	}
-	ratios := make(map[core.Design][]float64)
-	for i, set := range sets {
-		row := []string{rowNames[i]}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range comparisonDesigns {
-			res, err := s.Cached(cfg, d, set)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", rowNames[i], d, err)
-			}
-			ratio := res.Speedup(base)
-			ratios[d] = append(ratios[d], ratio)
-			row = append(row, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
-		}
-		tbl.AddRow(row...)
-	}
-	gm := []string{"gmean"}
-	for _, d := range comparisonDesigns {
-		imp, err := stats.GmeanImprovementErr(ratios[d])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v gmean: %w", id, d, err)
-		}
-		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
-	}
-	tbl.AddRow(gm...)
-	tbl.Caption = "Performance improvement over Standard (homogeneous) DRAM."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+// figureEntry states one figure once: the rows and columns of its run
+// grid, and how it is drawn from the fetched grid. The tables that run
+// nothing have no rows.
+type figureEntry struct {
+	name string
+	rows func(*Session) (sets [][]string, names []string, err error)
+	cols func(*Session) []column
+	draw func(*Session, *grid) (*Figure, error)
+}
+
+// catalog is every figure Figure renders, in presentation order. It is
+// also what InstrHorizon counts, so a figure's runs are stated here and
+// nowhere else.
+var catalog = []figureEntry{
+	{name: "table1", draw: func(s *Session, _ *grid) (*Figure, error) { return Table1(s.Cfg), nil }},
+	{name: "table2", draw: func(*Session, *grid) (*Figure, error) { return Table2(), nil }},
+	{name: "area", draw: func(*Session, *grid) (*Figure, error) { return AreaFigure(), nil }},
+	{"7a", (*Session).singleSets, designs(core.AllDesigns()...),
+		drawSpeedups("Fig7a", "Single-programming performance improvements", improvementCaption)},
+	{"7b", (*Session).singleSets, designs(core.DAS),
+		drawBehaviour("Fig7b", "Single-programming MPKI, PPKM and footprints")},
+	{"7c", (*Session).singleSets, designs(core.SAS, core.DAS),
+		drawLocations("Fig7c", "Single-programming access locations (static vs dynamic)")},
+	{"7d", (*Session).mixSets, designs(core.AllDesigns()...),
+		drawSpeedups("Fig7d", "Multi-programming performance improvements", improvementCaption)},
+	{"7e", (*Session).mixSets, designs(core.DAS),
+		drawBehaviour("Fig7e", "Multi-programming MPKI, PPKM and footprints")},
+	{"7f", (*Session).mixSets, designs(core.SAS, core.DAS),
+		drawLocations("Fig7f", "Multi-programming access locations (static vs dynamic)")},
+	{"8", (*Session).singleSets,
+		sweep(FilterThresholds, func(c *config.Config, th int) { c.FilterThreshold = th },
+			func(_ config.Config, th int) string { return fmt.Sprintf("thr=%d", th) }),
+		drawFig8},
+	// Figure 9a scales the paper's capacities to the simulated memory,
+	// at least 1 KB each, so a small memory maps several to one run.
+	{"9a", (*Session).singleSets,
+		sweep(TagCachePaperKB, func(c *config.Config, kb int) { c.TagCacheKB = max(1, int(float64(kb)*c.MemoryScale())) },
+			func(c config.Config, kb int) string { return fmt.Sprintf("%dKB(=%dKB@8GB)", c.TagCacheKB, kb) }),
+		drawSpeedups("Fig9a", "Translation cache capacities", "")},
+	{"9b", (*Session).singleSets,
+		sweep(GroupSizes, func(c *config.Config, g int) { c.GroupSize = g },
+			func(_ config.Config, g int) string { return fmt.Sprintf("%d-row", g) }),
+		drawSpeedups("Fig9b", "Migration group sizes", "")},
+	{"9c", (*Session).singleSets, ratioSweep("random"),
+		drawSpeedups("Fig9c", "Fast-level capacity ratios, random replacement", "")},
+	{"9d", (*Session).singleSets, ratioSweep("lru"),
+		drawSpeedups("Fig9d", "Fast-level capacity ratios, lru replacement", "")},
+	{"power", (*Session).singleSets, designs(core.Standard, core.SAS, core.CHARM, core.DAS, core.FS), drawPower},
+	{"energy", (*Session).singleSets, designs(core.AllDesigns()...), drawEnergy},
+	{"faults", (*Session).singleSets, faultColumns, drawFaults},
 }
 
 // FigureNames lists every name Figure dispatches, in presentation
 // order. "tables" and "all" are the dasbench aliases expanded by the
 // CLI, not dispatchable names, so they are absent here.
 func FigureNames() []string {
-	return []string{"table1", "table2", "area",
-		"7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d",
-		"power", "energy", "faults"}
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return names
 }
 
-// Figure dispatches a figure name to its driver. It is the single entry
+// lookup returns the catalog entry of a figure name, nil if none.
+func lookup(name string) *figureEntry {
+	for i := range catalog {
+		if catalog[i].name == name {
+			return &catalog[i]
+		}
+	}
+	return nil
+}
+
+// Figure renders a figure of the catalog by name. It is the single entry
 // point shared by the CLI (dasbench -fig) and the serving layer
 // (dasserve requests), so both expose exactly the same catalog.
 func (s *Session) Figure(name string) (*Figure, error) {
-	switch name {
-	case "table1":
-		return Table1(s.Cfg), nil
-	case "table2":
-		return Table2(), nil
-	case "area":
-		return AreaFigure(), nil
-	case "7a":
-		return s.Fig7a()
-	case "7b":
-		return s.Fig7b()
-	case "7c":
-		return s.Fig7c()
-	case "7d":
-		return s.Fig7d()
-	case "7e":
-		return s.Fig7e()
-	case "7f":
-		return s.Fig7f()
-	case "8":
-		return s.Fig8()
-	case "9a":
-		return s.Fig9a()
-	case "9b":
-		return s.Fig9b()
-	case "9c":
-		return s.Fig9c()
-	case "9d":
-		return s.Fig9d()
-	case "power":
-		return s.PowerFigure()
-	case "energy":
-		return s.EnergyFigure()
-	case "faults":
-		return s.FaultSweep()
-	default:
+	e := lookup(name)
+	if e == nil {
 		return nil, fmt.Errorf("unknown figure %q", name)
 	}
+	return s.render(e)
 }
 
 // DesignFigure runs one design over one benchmark set (one core per
@@ -182,192 +181,235 @@ func (s *Session) DesignFigure(design core.Design, benchmarks []string) (*Figure
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("exp: design run needs at least one benchmark")
 	}
-	base, err := s.Baseline(benchmarks)
+	return s.render(designEntry(design, benchmarks))
+}
+
+// designEntry is DesignFigure's entry: the Standard baseline and the
+// design over the one benchmark set.
+func designEntry(design core.Design, benchmarks []string) *figureEntry {
+	return &figureEntry{
+		rows: func(*Session) ([][]string, []string, error) {
+			return [][]string{benchmarks}, []string{wkey(benchmarks)}, nil
+		},
+		cols: designs(core.Standard, design),
+		draw: drawDesign,
+	}
+}
+
+// grid lays out the entry's run grid for this session, without running
+// it.
+func (s *Session) grid(e *figureEntry) (*grid, error) {
+	g := &grid{}
+	if e.rows == nil {
+		return g, nil
+	}
+	var err error
+	if g.sets, g.names, err = e.rows(s); err != nil {
+		return nil, err
+	}
+	g.cols = e.cols(s)
+	return g, nil
+}
+
+// render fetches the entry's grid and draws the figure from it.
+func (s *Session) render(e *figureEntry) (*Figure, error) {
+	g, err := s.grid(e)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Cached(s.Cfg, design, benchmarks)
-	if err != nil {
+	if err := s.fetch(g); err != nil {
 		return nil, err
 	}
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("%v over %s", design, wkey(benchmarks)),
-		Header: []string{"core", "benchmark", "IPC", "improvement", "rb", "fast", "slow"},
-	}
-	rb, fast, slow := res.Access.Fractions()
-	for i, c := range res.PerCore {
-		imp := (c.IPC/base.PerCore[i].IPC - 1) * 100
-		loc := []string{"", "", ""}
-		if i == 0 { // access locations are system-wide, print once
-			loc = []string{stats.Percent(rb), stats.Percent(fast), stats.Percent(slow)}
+	return e.draw(s, g)
+}
+
+// fetch runs the grid row by row through the run memo, so a run the
+// grid repeats, or an earlier figure made, runs once.
+func (s *Session) fetch(g *grid) error {
+	g.res = make([][]*Result, len(g.sets))
+	for i, set := range g.sets {
+		for _, c := range g.cols {
+			res, err := s.Cached(c.cfg, c.design, set)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", g.names[i], c.label, err)
+			}
+			g.res[i] = append(g.res[i], res)
 		}
-		tbl.AddRow(fmt.Sprintf("%d", i), c.Benchmark,
-			fmt.Sprintf("%.3f", c.IPC), fmt.Sprintf("%+.2f%%", imp),
-			loc[0], loc[1], loc[2])
 	}
-	if design != core.Standard {
-		tbl.AddRow("", "mean", "", fmt.Sprintf("%+.2f%%", res.Improvement(base)), "", "", "")
-	}
-	tbl.Caption = "Improvement is per-core IPC versus the Standard baseline of the same benchmarks."
-	return &Figure{ID: "Run", Title: tbl.Title, Tables: []*stats.Table{tbl}}, nil
+	return nil
 }
 
-// Fig7a regenerates Figure 7a: single-programmed performance
-// improvements.
-func (s *Session) Fig7a() (*Figure, error) {
-	return s.improvementFigure("Fig7a", "Single-programming performance improvements",
-		s.Cfg, s.singleSets(), s.singles())
-}
-
-// Fig7d regenerates Figure 7d: multi-programmed performance
-// improvements over the M1-M8 mixes.
-func (s *Session) Fig7d() (*Figure, error) {
-	sets, names, err := s.mixSets()
-	if err != nil {
-		return nil, err
-	}
-	return s.improvementFigure("Fig7d", "Multi-programming performance improvements",
-		multiConfig(s.Cfg), sets, names)
-}
-
-// behaviourFigure builds a Fig 7b/7e-style table: MPKI, PPKM and
-// footprint per workload under DAS-DRAM.
-func (s *Session) behaviourFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title:  title,
-		Header: []string{"workload", "MPKI", "PPKM", "footprint(MB)"},
-	}
-	for i, set := range sets {
-		res, err := s.Cached(cfg, core.DAS, set)
-		if err != nil {
-			return nil, err
+// designs returns one column per design under the session config,
+// headed by the design's name without spaces.
+func designs(ds ...core.Design) func(*Session) []column {
+	return func(s *Session) []column {
+		cols := make([]column, len(ds))
+		for i, d := range ds {
+			cols[i] = column{strings.ReplaceAll(d.String(), " ", ""), s.Cfg, d}
 		}
-		var mpki, ppkm, fp float64
-		for _, c := range res.PerCore {
-			mpki += c.MPKI
-			ppkm += c.PPKM
-			fp += c.FootprintMB
+		return cols
+	}
+}
+
+// sweep returns a sweep figure's columns: the Standard baseline, then
+// DAS for each value, under the session config with set applied and
+// headed by label.
+func sweep[T any](values []T, set func(*config.Config, T), label func(config.Config, T) string) func(*Session) []column {
+	return func(s *Session) []column {
+		cols := designs(core.Standard)(s)
+		for _, v := range values {
+			cfg := s.Cfg
+			set(&cfg, v)
+			cols = append(cols, column{label(cfg, v), cfg, core.DAS})
 		}
-		n := float64(len(res.PerCore))
-		tbl.AddRow(rowNames[i], fmt.Sprintf("%.1f", mpki/n), fmt.Sprintf("%.1f", ppkm/n),
-			fmt.Sprintf("%.0f", fp))
+		return cols
 	}
-	tbl.Caption = "Measured under DAS-DRAM; MPKI/PPKM are per-core means, footprint is the set total."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// Fig7b regenerates Figure 7b: single-programmed MPKI / PPKM /
-// footprints.
-func (s *Session) Fig7b() (*Figure, error) {
-	return s.behaviourFigure("Fig7b", "Single-programming MPKI, PPKM and footprints",
-		s.Cfg, s.singleSets(), s.singles())
-}
-
-// Fig7e regenerates Figure 7e: multi-programmed MPKI / PPKM /
-// footprints.
-func (s *Session) Fig7e() (*Figure, error) {
-	sets, names, err := s.mixSets()
-	if err != nil {
-		return nil, err
-	}
-	return s.behaviourFigure("Fig7e", "Multi-programming MPKI, PPKM and footprints",
-		multiConfig(s.Cfg), sets, names)
-}
-
-// locationFigure builds a Fig 7c/7f-style table: access-location
-// distribution for a static design (SAS) and the dynamic design (DAS).
-func (s *Session) locationFigure(id, title string, cfg config.Config, sets [][]string, rowNames []string) (*Figure, error) {
-	tbl := &stats.Table{
-		Title: title,
-		Header: []string{"workload",
-			"static rb", "static fast", "static slow",
-			"dynamic rb", "dynamic fast", "dynamic slow"},
-	}
-	for i, set := range sets {
-		sas, err := s.Cached(cfg, core.SAS, set)
-		if err != nil {
-			return nil, err
-		}
-		das, err := s.Cached(cfg, core.DAS, set)
-		if err != nil {
-			return nil, err
-		}
-		srb, sf, ss := sas.Access.Fractions()
-		drb, df, ds := das.Access.Fractions()
-		tbl.AddRow(rowNames[i],
-			stats.Percent(srb), stats.Percent(sf), stats.Percent(ss),
-			stats.Percent(drb), stats.Percent(df), stats.Percent(ds))
-	}
-	tbl.Caption = "Share of demand DRAM accesses served by the row buffer, fast level and slow level."
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// Fig7c regenerates Figure 7c: single-programmed access locations.
-func (s *Session) Fig7c() (*Figure, error) {
-	return s.locationFigure("Fig7c", "Single-programming access locations (static vs dynamic)",
-		s.Cfg, s.singleSets(), s.singles())
-}
-
-// Fig7f regenerates Figure 7f: multi-programmed access locations.
-func (s *Session) Fig7f() (*Figure, error) {
-	sets, names, err := s.mixSets()
-	if err != nil {
-		return nil, err
-	}
-	return s.locationFigure("Fig7f", "Multi-programming access locations (static vs dynamic)",
-		multiConfig(s.Cfg), sets, names)
 }
 
 // FilterThresholds is the Figure 8 sweep.
 var FilterThresholds = []int{1, 2, 4, 8}
 
-// Fig8 regenerates Figure 8: filtering-policy sweep — performance
-// improvement (8a), fast-level miss ratio (8b) and promotions per
-// access (8c) per threshold.
-func (s *Session) Fig8() (*Figure, error) {
-	names := s.singles()
-	perf := &stats.Table{Title: "Fig 8a: performance improvement", Header: []string{"workload"}}
-	miss := &stats.Table{Title: "Fig 8b: fast-level miss ratio", Header: []string{"workload"}}
-	prom := &stats.Table{Title: "Fig 8c: row promotions / memory access", Header: []string{"workload"}}
-	for _, th := range FilterThresholds {
-		col := fmt.Sprintf("thr=%d", th)
-		perf.Header = append(perf.Header, col)
-		miss.Header = append(miss.Header, col)
-		prom.Header = append(prom.Header, col)
+// TagCachePaperKB is the Figure 9a sweep in the paper's full-scale
+// capacities; the harness scales them with simulated memory.
+var TagCachePaperKB = []int{32, 64, 128, 256}
+
+// GroupSizes is the Figure 9b sweep.
+var GroupSizes = []int{8, 16, 32, 64}
+
+// FastRatios is the Figure 9c/9d sweep (denominators of the fast-level
+// capacity ratio).
+var FastRatios = []int{32, 16, 8, 4}
+
+// ratioSweep returns the Figure 9c/9d columns: one per FastRatios
+// denominator, with replacement policy repl.
+func ratioSweep(repl string) func(*Session) []column {
+	return sweep(FastRatios, func(c *config.Config, d int) { c.FastDenom, c.Replacement = d, repl },
+		func(_ config.Config, d int) string { return fmt.Sprintf("1/%d", d) })
+}
+
+// table tabulates cell(result, baseline) for every column after the
+// Standard baseline in column 0, one row per workload set.
+func (g *grid) table(title string, cell func(r, base *Result) string) *stats.Table {
+	tbl := &stats.Table{Title: title, Header: []string{"workload"}}
+	for _, c := range g.cols[1:] {
+		tbl.Header = append(tbl.Header, c.label)
 	}
-	variants := s.dasVariants("8")
-	ratios := make(map[int][]float64)
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
+	for i, row := range g.res {
+		cells := []string{g.names[i]}
+		for _, r := range row[1:] {
+			cells = append(cells, cell(r, row[0]))
 		}
-		pRow, mRow, cRow := []string{name}, []string{name}, []string{name}
-		for i, th := range FilterThresholds {
-			res, err := s.Cached(variants[i], core.DAS, set)
-			if err != nil {
-				return nil, err
-			}
-			ratio := res.Speedup(base)
-			ratios[th] = append(ratios[th], ratio)
-			pRow = append(pRow, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
-			mRow = append(mRow, stats.Percent(res.Access.FastLevelMissRatio()))
-			cRow = append(cRow, stats.Percent(res.PromPerAccess))
-		}
-		perf.AddRow(pRow...)
-		miss.AddRow(mRow...)
-		prom.AddRow(cRow...)
+		tbl.AddRow(cells...)
 	}
+	return tbl
+}
+
+// gmean returns column col's gmean improvement (%) over the baseline
+// across the workload sets.
+func (g *grid) gmean(col int) (float64, error) {
+	ratios := make([]float64, len(g.res))
+	for i, row := range g.res {
+		ratios[i] = row[col].Speedup(row[0])
+	}
+	imp, err := stats.GmeanImprovementErr(ratios)
+	if err != nil {
+		return 0, fmt.Errorf("%s gmean: %w", g.cols[col].label, err)
+	}
+	return imp, nil
+}
+
+// speedupTable tabulates each column's improvement over the baseline,
+// with each column's gmean over the workload sets last.
+func (g *grid) speedupTable(id, title string) (*stats.Table, error) {
+	tbl := g.table(title, func(r, base *Result) string { return fmt.Sprintf("%+.2f%%", r.Improvement(base)) })
 	gm := []string{"gmean"}
-	for _, th := range FilterThresholds {
-		imp, err := stats.GmeanImprovementErr(ratios[th])
+	for col := 1; col < len(g.cols); col++ {
+		imp, err := g.gmean(col)
 		if err != nil {
-			return nil, fmt.Errorf("Fig8: threshold %d gmean: %w", th, err)
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
 		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
 	}
-	perf.AddRow(gm...)
+	tbl.AddRow(gm...)
+	return tbl, nil
+}
+
+const improvementCaption = "Performance improvement over Standard (homogeneous) DRAM."
+
+// drawSpeedups draws a one-table speedup figure: Fig 7a/7d over designs,
+// Fig 9a-9d over sweep points.
+func drawSpeedups(id, title, caption string) func(*Session, *grid) (*Figure, error) {
+	return func(_ *Session, g *grid) (*Figure, error) {
+		tbl, err := g.speedupTable(id, title)
+		if err != nil {
+			return nil, err
+		}
+		tbl.Caption = caption
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// drawBehaviour draws a Fig 7b/7e-style table: MPKI, PPKM and footprint
+// per workload under DAS-DRAM, the grid's one column.
+func drawBehaviour(id, title string) func(*Session, *grid) (*Figure, error) {
+	return func(_ *Session, g *grid) (*Figure, error) {
+		tbl := &stats.Table{
+			Title:  title,
+			Header: []string{"workload", "MPKI", "PPKM", "footprint(MB)"},
+		}
+		for i, row := range g.res {
+			var mpki, ppkm, fp float64
+			for _, c := range row[0].PerCore {
+				mpki += c.MPKI
+				ppkm += c.PPKM
+				fp += c.FootprintMB
+			}
+			n := float64(len(row[0].PerCore))
+			tbl.AddRow(g.names[i], fmt.Sprintf("%.1f", mpki/n), fmt.Sprintf("%.1f", ppkm/n),
+				fmt.Sprintf("%.0f", fp))
+		}
+		tbl.Caption = "Measured under DAS-DRAM; MPKI/PPKM are per-core means, footprint is the set total."
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// drawLocations draws a Fig 7c/7f-style table: the access-location
+// distribution of a static design (SAS, column 0) and the dynamic design
+// (DAS, column 1).
+func drawLocations(id, title string) func(*Session, *grid) (*Figure, error) {
+	return func(_ *Session, g *grid) (*Figure, error) {
+		tbl := &stats.Table{
+			Title: title,
+			Header: []string{"workload",
+				"static rb", "static fast", "static slow",
+				"dynamic rb", "dynamic fast", "dynamic slow"},
+		}
+		for i, row := range g.res {
+			srb, sf, ss := row[0].Access.Fractions()
+			drb, df, ds := row[1].Access.Fractions()
+			tbl.AddRow(g.names[i],
+				stats.Percent(srb), stats.Percent(sf), stats.Percent(ss),
+				stats.Percent(drb), stats.Percent(df), stats.Percent(ds))
+		}
+		tbl.Caption = "Share of demand DRAM accesses served by the row buffer, fast level and slow level."
+		return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
+	}
+}
+
+// drawFig8 draws Figure 8, the filtering-policy sweep: performance
+// improvement (8a), fast-level miss ratio (8b) and promotions per access
+// (8c) per threshold.
+func drawFig8(_ *Session, g *grid) (*Figure, error) {
+	perf, err := g.speedupTable("Fig8", "Fig 8a: performance improvement")
+	if err != nil {
+		return nil, err
+	}
+	miss := g.table("Fig 8b: fast-level miss ratio", func(r, _ *Result) string {
+		return stats.Percent(r.Access.FastLevelMissRatio())
+	})
+	prom := g.table("Fig 8c: row promotions / memory access", func(r, _ *Result) string {
+		return stats.Percent(r.PromPerAccess)
+	})
 	return &Figure{
 		ID:     "Fig8",
 		Title:  "Filtering policies for row promotion",
@@ -375,210 +417,40 @@ func (s *Session) Fig8() (*Figure, error) {
 	}, nil
 }
 
-// vary returns one copy of base per value, with set applied to it.
-func vary[T any](base config.Config, values []T, set func(*config.Config, T)) []config.Config {
-	out := make([]config.Config, len(values))
-	for i, v := range values {
-		out[i] = base
-		set(&out[i], v)
-	}
-	return out
-}
-
-// dasVariants returns the DAS configurations a sweep figure runs
-// against each benchmark's baseline, one per value of its sweep slice
-// (nil for a figure that is not such a sweep). Figure 9a scales the
-// paper's TagCachePaperKB capacities to the simulated memory, at least
-// 1 KB each, so a small memory maps several of them to one run.
-func (s *Session) dasVariants(name string) []config.Config {
-	switch name {
-	case "8":
-		return vary(s.Cfg, FilterThresholds, func(c *config.Config, th int) { c.FilterThreshold = th })
-	case "9a":
-		scale := s.Cfg.MemoryScale()
-		return vary(s.Cfg, TagCachePaperKB, func(c *config.Config, kb int) { c.TagCacheKB = max(1, int(float64(kb)*scale)) })
-	case "9b":
-		return vary(s.Cfg, GroupSizes, func(c *config.Config, g int) { c.GroupSize = g })
-	case "9c":
-		return s.ratioVariants("random")
-	case "9d":
-		return s.ratioVariants("lru")
-	case "faults":
-		f := s.faultVariants()
-		return slices.Concat(f[0], f[1], f[2])
-	}
-	return nil
-}
-
-// sweepFigure runs DAS over single benchmarks for each variant config.
-func (s *Session) sweepFigure(id, title string, variants []config.Config, colNames []string) (*Figure, error) {
-	names := s.singles()
-	tbl := &stats.Table{Title: title, Header: append([]string{"workload"}, colNames...)}
-	ratios := make([][]float64, len(variants))
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for vi, cfg := range variants {
-			res, err := s.Cached(cfg, core.DAS, set)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, colNames[vi], err)
-			}
-			ratio := res.Speedup(base)
-			ratios[vi] = append(ratios[vi], ratio)
-			row = append(row, fmt.Sprintf("%+.2f%%", (ratio-1)*100))
-		}
-		tbl.AddRow(row...)
-	}
-	gm := []string{"gmean"}
-	for vi := range variants {
-		imp, err := stats.GmeanImprovementErr(ratios[vi])
-		if err != nil {
-			return nil, fmt.Errorf("%s: variant %d gmean: %w", id, vi, err)
-		}
-		gm = append(gm, fmt.Sprintf("%+.2f%%", imp))
-	}
-	tbl.AddRow(gm...)
-	return &Figure{ID: id, Title: title, Tables: []*stats.Table{tbl}}, nil
-}
-
-// TagCachePaperKB is the Figure 9a sweep in the paper's full-scale
-// capacities; the harness scales them with simulated memory.
-var TagCachePaperKB = []int{32, 64, 128, 256}
-
-// Fig9a regenerates Figure 9a: translation cache capacity sensitivity.
-func (s *Session) Fig9a() (*Figure, error) {
-	variants := s.dasVariants("9a")
-	var cols []string
-	for i, kb := range TagCachePaperKB {
-		cols = append(cols, fmt.Sprintf("%dKB(=%dKB@8GB)", variants[i].TagCacheKB, kb))
-	}
-	return s.sweepFigure("Fig9a", "Translation cache capacities", variants, cols)
-}
-
-// GroupSizes is the Figure 9b sweep.
-var GroupSizes = []int{8, 16, 32, 64}
-
-// Fig9b regenerates Figure 9b: migration group size sensitivity.
-func (s *Session) Fig9b() (*Figure, error) {
-	var cols []string
-	for _, g := range GroupSizes {
-		cols = append(cols, fmt.Sprintf("%d-row", g))
-	}
-	return s.sweepFigure("Fig9b", "Migration group sizes", s.dasVariants("9b"), cols)
-}
-
-// FastRatios is the Figure 9c/9d sweep (denominators of the fast-level
-// capacity ratio).
-var FastRatios = []int{32, 16, 8, 4}
-
-// ratioVariants returns the Figure 9c/9d configurations: one per
-// FastRatios denominator, with replacement policy repl.
-func (s *Session) ratioVariants(repl string) []config.Config {
-	return vary(s.Cfg, FastRatios, func(c *config.Config, d int) { c.FastDenom, c.Replacement = d, repl })
-}
-
-// fig9ratio builds Figure 9c (random) or 9d (LRU).
-func (s *Session) fig9ratio(id, repl string) (*Figure, error) {
-	var cols []string
-	for _, d := range FastRatios {
-		cols = append(cols, fmt.Sprintf("1/%d", d))
-	}
-	title := fmt.Sprintf("Fast-level capacity ratios, %s replacement", repl)
-	return s.sweepFigure(id, title, s.ratioVariants(repl), cols)
-}
-
-// Fig9c regenerates Figure 9c: fast-level ratios with random
-// replacement.
-func (s *Session) Fig9c() (*Figure, error) { return s.fig9ratio("Fig9c", "random") }
-
-// Fig9d regenerates Figure 9d: fast-level ratios with LRU replacement.
-func (s *Session) Fig9d() (*Figure, error) { return s.fig9ratio("Fig9d", "lru") }
-
-// powerDesigns are the designs the power figure prices against the
-// Standard baseline.
-var powerDesigns = []core.Design{core.SAS, core.CHARM, core.DAS, core.FS}
-
-// PowerFigure regenerates the Section 7.7 discussion as a table: the
-// relative DRAM array-energy proxy of each design.
-func (s *Session) PowerFigure() (*Figure, error) {
-	names := s.singles()
-	tbl := &stats.Table{
-		Title:  "Relative DRAM access-energy proxy (Standard = 1.00)",
-		Header: []string{"workload", "SAS-DRAM", "CHARM", "DAS-DRAM", "FS-DRAM"},
-	}
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for _, d := range powerDesigns {
-			res, err := s.Cached(s.Cfg, d, set)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", res.EnergyProxy/base.EnergyProxy))
-		}
-		tbl.AddRow(row...)
-	}
+// drawPower draws the Section 7.7 discussion as a table: the relative
+// DRAM array-energy proxy of each design.
+func drawPower(_ *Session, g *grid) (*Figure, error) {
+	tbl := g.table("Relative DRAM access-energy proxy (Standard = 1.00)", func(r, base *Result) string {
+		return fmt.Sprintf("%.3f", r.EnergyProxy/base.EnergyProxy)
+	})
 	tbl.Caption = "Energy proxy: slow activate-restore cycle = 1, fast cycle = 0.45, column burst = 0.25, migration = 4 (Section 7.7)."
 	return &Figure{ID: "Power", Title: "Power implications (Section 7.7)", Tables: []*stats.Table{tbl}}, nil
 }
 
-// energyDesigns is every design the energy figure compares, baseline
-// first.
-var energyDesigns = []core.Design{
-	core.Standard, core.SAS, core.CHARM, core.DAS, core.DASFM, core.FS,
-}
-
-// energyDesignCols are the column headers matching energyDesigns.
-var energyDesignCols = []string{
-	"Standard", "SAS-DRAM", "CHARM", "DAS-DRAM", "DAS-DRAM(FM)", "FS-DRAM",
-}
-
-// EnergyFigure renders the perf-per-watt comparison of all six designs
+// drawEnergy draws the perf-per-watt comparison of all six designs
 // under the analytical energy model (internal/energy): instructions per
 // microjoule of DRAM energy, energy-delay product relative to Standard,
 // and a per-command pJ/instruction decomposition. Pure accounting over
-// runs the other figures already share — rendering it never changes any
+// runs the other figures already share — drawing it never changes any
 // command stream or figure byte.
-func (s *Session) EnergyFigure() (*Figure, error) {
-	names := s.singles()
-	perWatt := &stats.Table{
-		Title:  "Perf/watt: instructions per microjoule of DRAM energy",
-		Header: append([]string{"workload"}, energyDesignCols...),
+func drawEnergy(_ *Session, g *grid) (*Figure, error) {
+	header := []string{"workload"}
+	for _, c := range g.cols {
+		header = append(header, c.label)
 	}
-	edp := &stats.Table{
-		Title:  "Energy-delay product relative to Standard (lower is better)",
-		Header: append([]string{"workload"}, energyDesignCols...),
-	}
-	ipuj := make(map[core.Design][]float64)
-	edps := make(map[core.Design][]float64)
+	perWatt := &stats.Table{Title: "Perf/watt: instructions per microjoule of DRAM energy", Header: header}
+	edp := &stats.Table{Title: "Energy-delay product relative to Standard (lower is better)", Header: header}
+	ipuj := make([][]float64, len(g.cols))
+	edps := make([][]float64, len(g.cols))
 	// Per-design component accumulation (exact integer pJ) for the
 	// decomposition table.
-	sumE := make(map[core.Design]*energy.Breakdown)
-	sumInstr := make(map[core.Design]uint64)
-	for _, d := range energyDesigns {
-		sumE[d] = &energy.Breakdown{}
-	}
-	for _, name := range names {
-		set := []string{name}
-		base, err := s.Baseline(set)
-		if err != nil {
-			return nil, err
-		}
+	sumE := make([]energy.Breakdown, len(g.cols))
+	sumInstr := make([]uint64, len(g.cols))
+	for i, row := range g.res {
+		base := row[0]
 		baseEDP := float64(base.Energy.TotalPJ()) * base.SimulatedNS
-		pRow, eRow := []string{name}, []string{name}
-		for _, d := range energyDesigns {
-			res, err := s.Cached(s.Cfg, d, set)
-			if err != nil {
-				return nil, fmt.Errorf("energy: %s/%v: %w", name, d, err)
-			}
+		pRow, eRow := []string{g.names[i]}, []string{g.names[i]}
+		for d, res := range row {
 			uj := float64(res.Energy.TotalPJ()) / 1e6
 			perUJ := 0.0
 			if uj > 0 {
@@ -592,24 +464,24 @@ func (s *Session) EnergyFigure() (*Figure, error) {
 			edps[d] = append(edps[d], rel)
 			pRow = append(pRow, fmt.Sprintf("%.0f", perUJ))
 			eRow = append(eRow, fmt.Sprintf("%.3f", rel))
-			accumulateBreakdown(sumE[d], res.Energy)
+			accumulateBreakdown(&sumE[d], res.Energy)
 			sumInstr[d] += res.InstrsTotal
 		}
 		perWatt.AddRow(pRow...)
 		edp.AddRow(eRow...)
 	}
 	pGm, eGm := []string{"gmean"}, []string{"gmean"}
-	for _, d := range energyDesigns {
-		g, err := stats.GmeanErr(ipuj[d])
+	for d, c := range g.cols {
+		gm, err := stats.GmeanErr(ipuj[d])
 		if err != nil {
-			return nil, fmt.Errorf("energy: %v instr/uJ gmean: %w", d, err)
+			return nil, fmt.Errorf("energy: %s instr/uJ gmean: %w", c.label, err)
 		}
-		pGm = append(pGm, fmt.Sprintf("%.0f", g))
-		g, err = stats.GmeanErr(edps[d])
+		pGm = append(pGm, fmt.Sprintf("%.0f", gm))
+		gm, err = stats.GmeanErr(edps[d])
 		if err != nil {
-			return nil, fmt.Errorf("energy: %v EDP gmean: %w", d, err)
+			return nil, fmt.Errorf("energy: %s EDP gmean: %w", c.label, err)
 		}
-		eGm = append(eGm, fmt.Sprintf("%.3f", g))
+		eGm = append(eGm, fmt.Sprintf("%.3f", gm))
 	}
 	perWatt.AddRow(pGm...)
 	edp.AddRow(eGm...)
@@ -621,7 +493,7 @@ func (s *Session) EnergyFigure() (*Figure, error) {
 		Header: []string{"design", "act", "pre", "rd", "wr",
 			"ref", "mig", "background", "total"},
 	}
-	for i, d := range energyDesigns {
+	for d, c := range g.cols {
 		b := sumE[d]
 		per := func(pj int64) string {
 			if sumInstr[d] == 0 {
@@ -629,7 +501,7 @@ func (s *Session) EnergyFigure() (*Figure, error) {
 			}
 			return fmt.Sprintf("%.1f", float64(pj)/float64(sumInstr[d]))
 		}
-		decomp.AddRow(energyDesignCols[i],
+		decomp.AddRow(c.label,
 			per(b.ActSlowPJ+b.ActFastPJ), per(b.PreSlowPJ+b.PreFastPJ),
 			per(b.RdSlowPJ+b.RdFastPJ), per(b.WrSlowPJ+b.WrFastPJ),
 			per(b.RefPJ), per(b.MigPJ), per(b.BackgroundPJ), per(b.TotalPJ()))
@@ -655,6 +527,32 @@ func accumulateBreakdown(dst *energy.Breakdown, b energy.Breakdown) {
 	dst.RefPJ += b.RefPJ
 	dst.MigPJ += b.MigPJ
 	dst.BackgroundPJ += b.BackgroundPJ
+}
+
+// drawDesign draws DesignFigure: per-core IPC of the design (column 1)
+// against the Standard baseline (column 0) over one benchmark set.
+func drawDesign(_ *Session, g *grid) (*Figure, error) {
+	base, res, design := g.res[0][0], g.res[0][1], g.cols[1].design
+	tbl := &stats.Table{
+		Title:  fmt.Sprintf("%v over %s", design, g.names[0]),
+		Header: []string{"core", "benchmark", "IPC", "improvement", "rb", "fast", "slow"},
+	}
+	rb, fast, slow := res.Access.Fractions()
+	for i, c := range res.PerCore {
+		imp := (c.IPC/base.PerCore[i].IPC - 1) * 100
+		loc := []string{"", "", ""}
+		if i == 0 { // access locations are system-wide, print once
+			loc = []string{stats.Percent(rb), stats.Percent(fast), stats.Percent(slow)}
+		}
+		tbl.AddRow(fmt.Sprintf("%d", i), c.Benchmark,
+			fmt.Sprintf("%.3f", c.IPC), fmt.Sprintf("%+.2f%%", imp),
+			loc[0], loc[1], loc[2])
+	}
+	if design != core.Standard {
+		tbl.AddRow("", "mean", "", fmt.Sprintf("%+.2f%%", res.Improvement(base)), "", "", "")
+	}
+	tbl.Caption = "Improvement is per-core IPC versus the Standard baseline of the same benchmarks."
+	return &Figure{ID: "Run", Title: tbl.Title, Tables: []*stats.Table{tbl}}, nil
 }
 
 // Table1 renders the system configuration (Table 1).

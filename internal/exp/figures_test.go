@@ -19,7 +19,7 @@ func figSession() *Session {
 
 func TestFig7aDriver(t *testing.T) {
 	s := figSession()
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestFig7aDriver(t *testing.T) {
 
 func TestFig7bcDriversShareRuns(t *testing.T) {
 	s := figSession()
-	if _, err := s.Fig7a(); err != nil {
+	if _, err := s.Figure("7a"); err != nil {
 		t.Fatal(err)
 	}
 	before := len(s.results)
-	if _, err := s.Fig7b(); err != nil {
+	if _, err := s.Figure("7b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fig7c(); err != nil {
+	if _, err := s.Figure("7c"); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.results) != before {
@@ -55,7 +55,7 @@ func TestFig7bcDriversShareRuns(t *testing.T) {
 func TestFig7dDriver(t *testing.T) {
 	s := figSession()
 	s.Cfg.InstrPerCore = 50_000
-	fig, err := s.Fig7d()
+	fig, err := s.Figure("7d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestUnknownMixFails(t *testing.T) {
 func TestFig8Driver(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"soplex"}
-	fig, err := s.Fig8()
+	fig, err := s.Figure("8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,8 @@ func TestFig8Driver(t *testing.T) {
 func TestFig9Drivers(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"libquantum"}
-	for name, f := range map[string]func() (*Figure, error){
-		"9a": s.Fig9a, "9b": s.Fig9b, "9c": s.Fig9c, "9d": s.Fig9d,
-	} {
-		fig, err := f()
+	for _, name := range []string{"9a", "9b", "9c", "9d"} {
+		fig, err := s.Figure(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,7 +122,7 @@ func TestFig9Drivers(t *testing.T) {
 func TestPowerFigureDriver(t *testing.T) {
 	s := figSession()
 	s.Benchmarks = []string{"libquantum"}
-	fig, err := s.PowerFigure()
+	fig, err := s.Figure("power")
 	if err != nil {
 		t.Fatal(err)
 	}

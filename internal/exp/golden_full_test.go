@@ -31,8 +31,8 @@ func TestGoldenResultsSingleFull(t *testing.T) {
 	cfg.InstrPerCore = 10_000_000
 	s := NewSession(cfg)
 	var out strings.Builder
-	for _, f := range []func() (*Figure, error){s.Fig7a, s.Fig7b, s.Fig7c, s.PowerFigure} {
-		fig, err := f()
+	for _, name := range []string{"7a", "7b", "7c", "power"} {
+		fig, err := s.Figure(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,31 @@ func goldenCompare(t *testing.T, name, got string) {
 func TestGoldenFig7a(t *testing.T) {
 	s := NewSession(tinyConfig())
 	s.Benchmarks = []string{"mcf", "soplex"}
-	fig, err := s.Fig7a()
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "golden_fig7a.txt", fig.Render())
+}
+
+// TestGoldenFigures pins every figure of the catalog, rendered in
+// FigureNames order from one session over one benchmark and one mix, so
+// later figures draw partly on runs earlier ones memoized.
+func TestGoldenFigures(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.InstrPerCore = 20_000
+	s := NewSession(cfg)
+	s.Benchmarks = []string{"mcf"}
+	s.Mixes = []string{"M1"}
+	var out strings.Builder
+	for _, name := range FigureNames() {
+		fig, err := s.Figure(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out.WriteString(fig.Render())
+	}
+	goldenCompare(t, "golden_figures.txt", out.String())
 }
 
 // TestGoldenFaultSweep pins the fault-injection sweep (migration
@@ -77,7 +97,7 @@ func TestGoldenFaultSweep(t *testing.T) {
 	cfg.InstrPerCore = 100_000
 	s := NewSession(cfg)
 	s.Benchmarks = []string{"mcf"}
-	fig, err := s.FaultSweep()
+	fig, err := s.Figure("faults")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,16 +11,22 @@ import (
 
 // observedFig7a renders a two-benchmark Fig7a with telemetry fully
 // enabled and returns the figure text plus the merged sink bytes.
-func observedFig7a(t *testing.T, par int) (fig, timelineCSV, trace string) {
+func observedFig7a(t *testing.T) (fig, timelineCSV, trace string) {
 	t.Helper()
 	s := NewSession(tinyConfig())
-	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
 	s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
-	f, err := s.Fig7a()
+	f, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	csv, trace := sinkBytes(t, s)
+	return f.Render(), csv, trace
+}
+
+// sinkBytes returns a session's merged timeline CSV and trace bytes.
+func sinkBytes(t *testing.T, s *Session) (timelineCSV, trace string) {
+	t.Helper()
 	var csvBuf, traceBuf bytes.Buffer
 	if err := s.WriteTimelineCSV(&csvBuf); err != nil {
 		t.Fatal(err)
@@ -28,7 +34,7 @@ func observedFig7a(t *testing.T, par int) (fig, timelineCSV, trace string) {
 	if err := s.WriteTrace(&traceBuf); err != nil {
 		t.Fatal(err)
 	}
-	return f.Render(), csvBuf.String(), traceBuf.String()
+	return csvBuf.String(), traceBuf.String()
 }
 
 // TestTelemetryDoesNotPerturbFigures is the core guarantee: a fully
@@ -37,19 +43,30 @@ func observedFig7a(t *testing.T, par int) (fig, timelineCSV, trace string) {
 // nil-guarded issue sites, never through engine events, so enabling it
 // must not move a single simulated command.
 func TestTelemetryDoesNotPerturbFigures(t *testing.T) {
-	plain := renderFig7a(t, 1)
-	observed, _, _ := observedFig7a(t, 1)
+	plain := renderFig7a(t)
+	observed, _, _ := observedFig7a(t)
 	if plain != observed {
 		t.Fatalf("telemetry perturbed figure output:\nplain:\n%s\nobserved:\n%s", plain, observed)
 	}
 }
 
-// TestTelemetrySinksDeterministic renders the observed figure serially
-// and at full parallelism: merged sink output sorts by run label, so
-// the bytes must not depend on host scheduling or completion order.
+// TestTelemetrySinksDeterministic renders Explain(Standard, DAS) with
+// telemetry fully enabled, serially and with concurrent runs: merged
+// sink output sorts by run label, so neither the figure bytes nor the
+// sink bytes may depend on host scheduling or completion order.
 func TestTelemetrySinksDeterministic(t *testing.T) {
-	_, csvSerial, traceSerial := observedFig7a(t, 1)
-	_, csvWide, traceWide := observedFig7a(t, max(2, runtime.GOMAXPROCS(0)))
+	observed := func(par int) (fig, csv, trace string) {
+		s := NewSession(tinyConfig())
+		s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
+		fig = explainStandardDAS(t, s, par)
+		csv, trace = sinkBytes(t, s)
+		return fig, csv, trace
+	}
+	figSerial, csvSerial, traceSerial := observed(1)
+	figWide, csvWide, traceWide := observed(max(2, runtime.GOMAXPROCS(0)))
+	if figSerial != figWide {
+		t.Errorf("figure output depends on session parallelism")
+	}
 	if csvSerial != csvWide {
 		t.Errorf("timeline CSV depends on session parallelism")
 	}
@@ -67,7 +84,7 @@ func TestTelemetrySinksDeterministic(t *testing.T) {
 // ts+dur, instant events a scope, flow events an id, counter events an
 // args.value, and metadata naming each process.
 func TestTraceExportIsValidTraceEventJSON(t *testing.T) {
-	_, _, trace := observedFig7a(t, 1)
+	_, _, trace := observedFig7a(t)
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		TraceEvents     []struct {
@@ -157,7 +174,7 @@ func TestTraceTracksHaveOneOwner(t *testing.T) {
 		s := NewSession(cfg)
 		s.Benchmarks = []string{"mcf"}
 		s.Observe = obs
-		f, err := s.Fig7a()
+		f, err := s.Figure("7a")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +269,7 @@ func TestTimelineCountersNeverDecrease(t *testing.T) {
 	s := NewSession(cfg)
 	s.Benchmarks = []string{"mcf"}
 	s.Observe = &ObserveOptions{Metrics: true, IntervalPS: 10_000_000}
-	if _, err := s.Fig7a(); err != nil {
+	if _, err := s.Figure("7a"); err != nil {
 		t.Fatal(err)
 	}
 	gauge := regexp.MustCompile(`^mc\.queue\.|\.mshr_(live|pending)$|\.(mean|p50|p99)$`)

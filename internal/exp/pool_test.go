@@ -57,7 +57,7 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 			if got != sys {
 				t.Fatal("pool returned a different machine")
 			}
-			if _, err := got.Reset(cfg, sc.design, sc.benchmarks, caseStatic(t, cfg, sc), false); err != nil {
+			if err := got.Reset(cfg, sc.design, sc.benchmarks, caseStatic(t, cfg, sc)); err != nil {
 				t.Fatalf("Reset: %v", err)
 			}
 			n, sum := digestRun(t, got, sc.name)
@@ -113,11 +113,11 @@ func TestResetRejectsShapeChange(t *testing.T) {
 		for i := range benchmarks {
 			benchmarks[i] = "mcf"
 		}
-		if _, err := sys.Reset(cfg, tc.design, benchmarks, nil, false); err == nil {
+		if err := sys.Reset(cfg, tc.design, benchmarks, nil); err == nil {
 			t.Errorf("Reset accepted a changed %s", tc.name)
 		}
 	}
-	if _, err := sys.Reset(base, core.DAS, []string{"mcf"}, nil, false); err != nil {
+	if err := sys.Reset(base, core.DAS, []string{"mcf"}, nil); err != nil {
 		t.Fatalf("same-shape Reset after the rejections: %v", err)
 	}
 	if _, err := sys.Run(); err != nil {
@@ -167,7 +167,7 @@ func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 	run := func(s *Session) (csv, trace string) {
 		s.Benchmarks = []string{"mcf"}
 		s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
-		if _, err := s.Fig7a(); err != nil {
+		if _, err := s.Figure("7a"); err != nil {
 			t.Fatal(err)
 		}
 		var csvBuf, traceBuf bytes.Buffer
@@ -333,7 +333,7 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 						return
 					}
 					sys.pool = pool
-				} else if _, err := sys.Reset(run, core.DAS, benchmarks, nil, false); err != nil {
+				} else if err := sys.Reset(run, core.DAS, benchmarks, nil); err != nil {
 					errc <- err
 					return
 				}

@@ -3,7 +3,6 @@ package exp
 import (
 	"sync/atomic"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -68,67 +67,42 @@ func (s *System) syncLive(now sim.Time) {
 }
 
 // InstrHorizon is the total instructions a fresh session's figure will
-// retire: the per-core quota times the cores of every distinct run the
-// figure asks for, taken from the workload sets, design lists and sweep
-// variants its figure function iterates. Runs shared within the figure
-// count once, as the session memoizes them; profiling prepasses retire
-// nothing the live counters see. It is an ETA denominator: a session
-// that already ran a shared run skips it, so consumers treat
-// progress/horizon as advisory. 0 means unknown (or free: the static
-// tables).
+// retire: the per-core quota times the cores of every distinct run in
+// the figure's catalog grid. Runs the grid repeats count once, as the
+// run memo serves them; profiling prepasses retire nothing the live
+// counters see. It is an ETA denominator: a session that already ran a
+// shared run skips it, so consumers treat progress/horizon as advisory.
+// 0 means unknown (an unknown name or mix) or free (the static tables).
 func (s *Session) InstrHorizon(name string) uint64 {
-	seen := make(map[string]bool)
-	var cores uint64
-	add := func(cfg config.Config, sets [][]string, designs ...core.Design) {
-		for _, set := range sets {
-			for _, d := range designs {
-				key := wkey(set) // Cached serves Standard from the baseline
-				if d != core.Standard {
-					key = resultKey(cfg, d, set)
-				}
-				if !seen[key] {
-					seen[key] = true
-					cores += uint64(len(set))
-				}
-			}
-		}
+	e := lookup(name)
+	if e == nil {
+		return 0
 	}
-	singles := s.singleSets()
-	mixes, _, _ := s.mixSets() // none for an unknown mix: 7d-7f fail on it
-	multi := multiConfig(s.Cfg)
-	switch name {
-	case "7a":
-		add(s.Cfg, singles, append([]core.Design{core.Standard}, comparisonDesigns...)...)
-	case "7b":
-		add(s.Cfg, singles, core.DAS)
-	case "7c":
-		add(s.Cfg, singles, core.SAS, core.DAS)
-	case "7d":
-		add(multi, mixes, append([]core.Design{core.Standard}, comparisonDesigns...)...)
-	case "7e":
-		add(multi, mixes, core.DAS)
-	case "7f":
-		add(multi, mixes, core.SAS, core.DAS)
-	case "power":
-		add(s.Cfg, singles, append([]core.Design{core.Standard}, powerDesigns...)...)
-	case "energy":
-		add(s.Cfg, singles, energyDesigns...)
-	}
-	if variants := s.dasVariants(name); variants != nil {
-		add(s.Cfg, singles, core.Standard)
-		for _, cfg := range variants {
-			add(cfg, singles, core.DAS)
-		}
-	}
-	return cores * s.Cfg.InstrPerCore
+	return s.horizon(e)
 }
 
 // DesignInstrHorizon estimates the instructions a single-design run
 // (serve's design requests, dasbench -design) will retire.
 func (s *Session) DesignInstrHorizon(design core.Design, benchmarks []string) uint64 {
-	quota := uint64(len(benchmarks)) * s.Cfg.InstrPerCore
-	if design == core.Standard {
-		return quota
+	return s.horizon(designEntry(design, benchmarks))
+}
+
+// horizon counts the instructions of the distinct runs in the entry's
+// grid, keyed as Cached keys them.
+func (s *Session) horizon(e *figureEntry) uint64 {
+	g, err := s.grid(e)
+	if err != nil {
+		return 0
 	}
-	return 2 * quota // baseline + design
+	seen := make(map[string]bool)
+	var cores uint64
+	for _, set := range g.sets {
+		for _, c := range g.cols {
+			if _, key := s.memoKey(c.cfg, c.design, set); !seen[key] {
+				seen[key] = true
+				cores += uint64(len(set))
+			}
+		}
+	}
+	return cores * s.Cfg.InstrPerCore
 }

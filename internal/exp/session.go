@@ -12,10 +12,11 @@ import (
 	"repro/internal/core"
 )
 
-// Session caches Standard-DRAM baseline runs (and the row profiles they
-// produce) so that every design and sweep point of a figure reuses the
-// same baseline, exactly as the paper normalizes every bar to the same
-// standard-DRAM run.
+// Session memoizes runs, so that every figure drawing on a run shares
+// it, and every design and sweep point of a figure is normalized to the
+// same Standard-DRAM run of its workload set, as in the paper. It also
+// memoizes the row profiles and static assignments the static designs
+// need.
 type Session struct {
 	Cfg config.Config
 	// Parallelism bounds concurrent runs (defaults to GOMAXPROCS).
@@ -55,7 +56,7 @@ type Session struct {
 	Ctx context.Context
 
 	mu        sync.Mutex
-	baselines map[string]*baselineEntry
+	profiles  map[string]*profileEntry
 	results   map[string]*resultEntry
 	observers observerSet
 
@@ -88,14 +89,12 @@ type resultEntry struct {
 	err  error
 }
 
-type baselineEntry struct {
-	once sync.Once
-	res  *Result
-	err  error
-
-	profOnce sync.Once
-	profile  *core.RowProfile
-	profErr  error
+// profileEntry is a benchmark set's row profile and the static
+// assignments built from it.
+type profileEntry struct {
+	once    sync.Once
+	profile *core.RowProfile
+	err     error
 
 	statics map[int]*core.StaticAssignment // keyed by fast denominator
 	staticM sync.Mutex
@@ -106,7 +105,7 @@ func NewSession(cfg config.Config) *Session {
 	return &Session{
 		Cfg:         cfg,
 		Parallelism: runtime.GOMAXPROCS(0),
-		baselines:   make(map[string]*baselineEntry),
+		profiles:    make(map[string]*profileEntry),
 		results:     make(map[string]*resultEntry),
 	}
 }
@@ -122,22 +121,14 @@ func (s *Session) context() context.Context {
 
 func wkey(benchmarks []string) string { return strings.Join(benchmarks, "+") }
 
-// cfgFor adapts the session config to a benchmark set: one core per
-// benchmark (a set of four is a Table 2 mix on a 4-core system).
-func (s *Session) cfgFor(benchmarks []string) config.Config {
-	c := s.Cfg
-	c.Cores = len(benchmarks)
-	return c
-}
-
-// entry returns (creating once) the cache slot for a benchmark set.
-func (s *Session) entry(benchmarks []string) *baselineEntry {
+// entry returns (creating once) the profile slot for a benchmark set.
+func (s *Session) entry(benchmarks []string) *profileEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.baselines[wkey(benchmarks)]
+	e, ok := s.profiles[wkey(benchmarks)]
 	if !ok {
-		e = &baselineEntry{statics: make(map[int]*core.StaticAssignment)}
-		s.baselines[wkey(benchmarks)] = e
+		e = &profileEntry{statics: make(map[int]*core.StaticAssignment)}
+		s.profiles[wkey(benchmarks)] = e
 	}
 	return e
 }
@@ -187,7 +178,7 @@ func (s *Session) build(cfg config.Config, design core.Design, benchmarks []stri
 	p := s.machinePool()
 	if p != nil {
 		if sys := p.Get(&cfg, design); sys != nil {
-			if _, err := sys.Reset(cfg, design, benchmarks, static, false); err == nil {
+			if err := sys.Reset(cfg, design, benchmarks, static); err == nil {
 				return sys, nil
 			}
 			// A rejected cfg or benchmark list must not re-pool a
@@ -220,37 +211,22 @@ func (s *Session) finishRun(sys *System, err error) {
 	}
 }
 
-// Baseline runs (once) the Standard design for the benchmark set.
+// Baseline returns the Standard run of the benchmark set, the run every
+// figure normalizes to: one more memoized run (see Cached).
 func (s *Session) Baseline(benchmarks []string) (*Result, error) {
-	e := s.entry(benchmarks)
-	e.once.Do(func() {
-		cfg := s.cfgFor(benchmarks)
-		sys, err := s.build(cfg, core.Standard, benchmarks, nil)
-		if err != nil {
-			e.err = err
-			return
-		}
-		obs := newObserver(resultKey(cfg, core.Standard, benchmarks), cfg.Seed, s.Observe)
-		sys.AttachObserver(obs)
-		sys.attachLive(&s.live)
-		e.res, e.err = sys.RunContext(s.context())
-		if e.err == nil {
-			s.observers.add(obs)
-		}
-		s.finishRun(sys, e.err)
-		s.countRun(e.res)
-	})
-	return e.res, e.err
+	return s.Cached(s.Cfg, core.Standard, benchmarks)
 }
 
 // Profile returns (computing once) the offline long-window row profile
 // for the benchmark set.
 func (s *Session) Profile(benchmarks []string) (*core.RowProfile, error) {
 	e := s.entry(benchmarks)
-	e.profOnce.Do(func() {
-		e.profile, e.profErr = ProfilePass(s.cfgFor(benchmarks), benchmarks)
+	e.once.Do(func() {
+		cfg := s.Cfg
+		cfg.Cores = len(benchmarks) // one core per benchmark
+		e.profile, e.err = ProfilePass(cfg, benchmarks)
 	})
-	return e.profile, e.profErr
+	return e.profile, e.err
 }
 
 // StaticAssignment returns (building once) the profiled fast-row set for
@@ -271,10 +247,9 @@ func (s *Session) StaticAssignment(benchmarks []string, fastDenom int) (*core.St
 	return a, nil
 }
 
-// Run executes one design over a benchmark set using cfg (which may be a
-// sweep variant of the session config differing only in management
-// parameters; the cached baseline remains valid because Standard DRAM
-// ignores them).
+// Run executes one design over a benchmark set using cfg, which may be
+// a sweep variant of the session config. It does not memoize; Cached
+// does.
 func (s *Session) Run(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
 	cfg.Cores = len(benchmarks)
 	var static *core.StaticAssignment
@@ -313,13 +288,22 @@ func resultKey(cfg config.Config, design core.Design, benchmarks []string) strin
 		cfg.TagCorruptRate, cfg.TableCorruptRate, cfg.FaultSeed)
 }
 
-// Cached runs (once) a design over benchmarks with cfg and memoizes the
-// result, so figures sharing runs (e.g. 7a/7b/7c) reuse them.
-func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
+// memoKey returns the config a run of design over benchmarks uses and
+// its key in the run memo. Standard DRAM ignores every sweep knob, so a
+// Standard run always takes the session config: each benchmark set has
+// one baseline, whatever sweep point asks for it.
+func (s *Session) memoKey(cfg config.Config, design core.Design, benchmarks []string) (config.Config, string) {
 	if design == core.Standard {
-		return s.Baseline(benchmarks)
+		cfg = s.Cfg
 	}
-	key := resultKey(cfg, design, benchmarks)
+	return cfg, resultKey(cfg, design, benchmarks)
+}
+
+// Cached runs (once) a design over benchmarks with cfg and memoizes the
+// result, so figures sharing runs (e.g. 7a/7b/7c) reuse them. It is the
+// session's one run memo; see memoKey for the Standard baseline.
+func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
+	cfg, key := s.memoKey(cfg, design, benchmarks)
 	s.mu.Lock()
 	e, ok := s.results[key]
 	if !ok {
@@ -329,38 +313,6 @@ func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []str
 	s.mu.Unlock()
 	e.once.Do(func() { e.res, e.err = s.Run(cfg, design, benchmarks) })
 	return e.res, e.err
-}
-
-// CachedVs is Cached plus the improvement over the Standard baseline.
-func (s *Session) CachedVs(cfg config.Config, design core.Design, benchmarks []string) (*Result, float64, error) {
-	base, err := s.Baseline(benchmarks)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := s.Cached(cfg, design, benchmarks)
-	if err != nil {
-		return nil, 0, err
-	}
-	if design == core.Standard {
-		return base, 0, nil
-	}
-	return res, res.Improvement(base), nil
-}
-
-// RunVs runs design and returns (result, improvement-vs-baseline%).
-func (s *Session) RunVs(cfg config.Config, design core.Design, benchmarks []string) (*Result, float64, error) {
-	base, err := s.Baseline(benchmarks)
-	if err != nil {
-		return nil, 0, err
-	}
-	if design == core.Standard {
-		return base, 0, nil
-	}
-	res, err := s.Run(cfg, design, benchmarks)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.Improvement(base), nil
 }
 
 // job is one unit of parallel work.
@@ -402,18 +354,4 @@ func (s *Session) runAll(jobs []job) error {
 		}
 	}
 	return nil
-}
-
-// Prewarm computes the baselines for all benchmark sets in parallel so
-// subsequent figure runs parallelize fully.
-func (s *Session) Prewarm(sets [][]string) error {
-	jobs := make([]job, 0, len(sets))
-	for _, set := range sets {
-		set := set
-		jobs = append(jobs, func() error {
-			_, err := s.Baseline(set)
-			return err
-		})
-	}
-	return s.runAll(jobs)
 }

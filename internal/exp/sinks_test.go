@@ -34,7 +34,7 @@ func TestGoldenObservedSinks(t *testing.T) {
 	s := NewSession(cfg)
 	s.Benchmarks = []string{"mcf"}
 	s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 5}
-	if _, err := s.Fig7a(); err != nil {
+	if _, err := s.Figure("7a"); err != nil {
 		t.Fatal(err)
 	}
 	sinks := []struct {

@@ -54,15 +54,14 @@ func TestSmokeAllDesigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range core.AllDesigns()[1:] {
-		res, imp, err := s.RunVs(cfg, d, []string{"mcf"})
+		res, err := s.Cached(cfg, d, []string{"mcf"})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
 		t.Logf("%-14s IPC=%.3f improvement=%+.2f%% promotions=%d tagHit=%.2f",
-			d, res.PerCore[0].IPC, imp, res.Promotions, res.TagHitRatio)
+			d, res.PerCore[0].IPC, res.Improvement(base), res.Promotions, res.TagHitRatio)
 		if res.PerCore[0].IPC <= 0 {
 			t.Fatalf("%v: non-positive IPC", d)
 		}
-		_ = base
 	}
 }

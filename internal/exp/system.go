@@ -62,10 +62,12 @@ type System struct {
 }
 
 // Build wires a system running the named benchmarks, one per core.
-// static supplies the profiled fast-row set (required for SAS/CHARM);
-// profile enables row-heat recording (used on baseline runs). Build
-// only constructs the components; the per-run setup is prepare, which
-// Reset shares, so a built and a rewound machine start from one path.
+// static supplies the profiled fast-row set (required for SAS/CHARM).
+// With profile set, Build also returns the benchmarks' row profile from
+// ProfilePass, the one the static designs assign from; otherwise the
+// profile is nil. Build only constructs the components; the per-run
+// setup is prepare, which Reset shares, so a built and a rewound machine
+// start from one path.
 func Build(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment, profile bool) (*System, *core.RowProfile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -116,7 +118,13 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 		sys.L1s = append(sys.L1s, l1)
 		sys.Cores = append(sys.Cores, c)
 	}
-	prof, err := sys.prepare(cfg, design, benchmarks, static, profile)
+	if err := sys.prepare(cfg, design, benchmarks, static); err != nil {
+		return nil, nil, err
+	}
+	if !profile {
+		return sys, nil, nil
+	}
+	prof, err := ProfilePass(cfg, benchmarks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,46 +145,46 @@ func Build(cfg config.Config, design core.Design, benchmarks []string, static *c
 // Per-run attachments (observer, live progress) are dropped; re-attach
 // before running. Byte-identity with a fresh Build of the same
 // arguments is pinned by TestPooledRunsByteIdentical.
-func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment, profile bool) (*core.RowProfile, error) {
+func (s *System) Reset(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if got, built := keyFor(&cfg, design), keyFor(&s.Cfg, s.Design); got != built {
-		return nil, fmt.Errorf("exp: reset cannot change the machine shape (%+v on a machine built as %+v)", got, built)
+		return fmt.Errorf("exp: reset cannot change the machine shape (%+v on a machine built as %+v)", got, built)
 	}
 	s.Eng.Reset()
 	if err := s.Dev.Reset(cfg.DRAMConfig(design)); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.Ctl.Reset(cfg.ControllerConfig()); err != nil {
-		return nil, err
+		return err
 	}
 	mgrCfg, err := cfg.ManagerConfig(design)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.Mgr.Reset(mgrCfg); err != nil {
-		return nil, err
+		return err
 	}
 	s.LLC.Reset()
 	for i := range s.Cores {
 		s.L2s[i].Reset()
 		s.L1s[i].Reset()
 	}
-	return s.prepare(cfg, design, benchmarks, static, profile)
+	return s.prepare(cfg, design, benchmarks, static)
 }
 
 // prepare is the per-run setup Build and Reset share, applied to
 // components that are freshly built or rewound: it attaches the run's
-// static assignment, fault injector, invariant checks, row profile and
-// the LLC to the manager, gives each core its benchmark's generator,
+// static assignment, fault injector, invariant checks and the LLC to
+// the manager, gives each core its benchmark's generator,
 // and rewinds the system's own counters and snapshots.
-func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment, profile bool) (*core.RowProfile, error) {
+func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment) error {
 	if len(benchmarks) != cfg.Cores {
-		return nil, fmt.Errorf("exp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
+		return fmt.Errorf("exp: %d benchmarks for %d cores", len(benchmarks), cfg.Cores)
 	}
 	if design.Static() && static == nil {
-		return nil, fmt.Errorf("exp: %v requires a static assignment (run a Standard baseline first)", design)
+		return fmt.Errorf("exp: %v requires a static assignment (run a Standard baseline first)", design)
 	}
 	if static != nil {
 		s.Mgr.SetStaticAssignment(static)
@@ -184,22 +192,18 @@ func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []str
 	if fc := cfg.FaultConfig(); fc.Enabled() {
 		inj, err := fault.NewInjector(fc)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Mgr.SetFaults(inj)
 	}
 	if cfg.CheckInvariants {
 		s.Mgr.EnableInvariantChecks()
 	}
-	var prof *core.RowProfile
-	if profile {
-		prof = s.Mgr.EnableProfiling()
-	}
 	s.Mgr.SetLLC(s.LLC)
 	for i, name := range benchmarks {
 		gen, err := MakeGenerator(cfg, name, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Cores[i].Reset(gen)
 	}
@@ -211,7 +215,7 @@ func (s *System) prepare(cfg config.Config, design core.Design, benchmarks []str
 	clear(s.missSnap)
 	clear(s.promSnap)
 	s.warm = shared{}
-	return prof, nil
+	return nil
 }
 
 // free returns the engine's storage to the sim pools and severs the

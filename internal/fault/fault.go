@@ -106,9 +106,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, weakSeed: rng.Uint64(), rng: rng.Split()}, nil
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // WeakRow reports whether physical row physRow is weak. The decision is
 // a stateless hash of (seed, physRow): stable across queries and query
 // orders, modeling a fixed manufacturing defect map.

@@ -317,9 +317,6 @@ func NewRecorder(label string, sampleN int, seed uint64) *Recorder {
 	}
 }
 
-// Label returns the run label.
-func (r *Recorder) Label() string { return r.label }
-
 // SampleN returns the sampling stride (trace one load in N).
 func (r *Recorder) SampleN() uint64 { return r.sampleN }
 

@@ -34,7 +34,6 @@ type Writer struct {
 	w        *bufio.Writer
 	lastAddr uint64
 	gap      uint64
-	count    uint64
 	buf      [binary.MaxVarintLen64 + 1]byte
 	err      error
 }
@@ -53,7 +52,6 @@ func (t *Writer) Append(in workload.Instr) error {
 	if t.err != nil {
 		return t.err
 	}
-	t.count++
 	if !in.Mem {
 		t.gap++
 		return nil
@@ -87,9 +85,6 @@ func (t *Writer) flushGap() error {
 	_, t.err = t.w.Write(t.buf[:1+n])
 	return t.err
 }
-
-// Count reports instructions appended so far.
-func (t *Writer) Count() uint64 { return t.count }
 
 // Flush completes the trace (call before closing the underlying file).
 func (t *Writer) Flush() error {

@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+# The full-length golden hides behind a build tag; vet it so it keeps
+# compiling against the figure API.
+go vet -tags golden_full ./internal/exp
 
 echo "== gofmt"
 # Every tracked Go file (the nested bench/ module's too) must already be
