@@ -49,6 +49,23 @@ func main() {
 	}
 }
 
+// notInAll are the catalog entries -fig all leaves out: all renders the
+// paper's own tables and figures, while the energy model and the fault
+// sweep go beyond the paper and are asked for by name.
+var notInAll = []string{"energy", "faults"}
+
+// figureList expands -fig: the aliases all and tables from the exp
+// catalog, and otherwise a comma-separated list of names.
+func figureList(figs string) []string {
+	switch figs {
+	case "all":
+		return slices.DeleteFunc(exp.FigureNames(), func(n string) bool { return slices.Contains(notInAll, n) })
+	case "tables":
+		return exp.TableNames()
+	}
+	return strings.Split(figs, ",")
+}
+
 // run parses args and renders the selected figures to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dasbench", flag.ExitOnError)
@@ -79,7 +96,8 @@ func run(args []string, stdout io.Writer) error {
 		explainSel  = fs.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
 
 		// Fault injection (DAS management path; all rates zero = perfect
-		// device). The -fig faults sweep varies these itself.
+		// device). The -fig faults sweep sets these itself, one class at
+		// a time with the others at zero.
 		faultWeak    = fs.Float64("fault-weak", 0, "fraction of fast-subarray rows that are weak (served at slow timing, never promoted into)")
 		faultMigFail = fs.Float64("fault-migfail", 0, "probability an in-flight migration fails and is retried")
 		faultTag     = fs.Float64("fault-tag", 0, "probability a tag-cache hit is parity-corrupt and re-fetched")
@@ -115,14 +133,7 @@ func run(args []string, stdout io.Writer) error {
 
 	// Expand the -fig aliases and check every name against the figure
 	// catalog now, so a bad one also fails before any output.
-	wanted := strings.Split(*figs, ",")
-	if *figs == "all" {
-		// energy is deliberately not part of "all": the committed
-		// results_*.txt goldens predate the energy model.
-		wanted = []string{"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"}
-	} else if *figs == "tables" {
-		wanted = []string{"table1", "table2", "area"}
-	}
+	wanted := figureList(*figs)
 	if *explainSel != "" && !set["fig"] {
 		wanted = nil // -explain alone skips the default tables
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,6 +88,20 @@ func TestBenchmarkAndMixListsAreTrimmed(t *testing.T) {
 		}
 		if _, err := os.Stat(outPath); !os.IsNotExist(err) {
 			t.Errorf("%v created the -out file (stat: %v)", c, err)
+		}
+	}
+}
+
+// TestFigureAliases pins the -fig aliases, which expand from the exp
+// catalog: all is every figure but energy and faults, and tables is
+// the entries that run nothing.
+func TestFigureAliases(t *testing.T) {
+	for alias, want := range map[string][]string{
+		"all":    {"table1", "table2", "area", "7a", "7b", "7c", "7d", "7e", "7f", "8", "9a", "9b", "9c", "9d", "power"},
+		"tables": {"table1", "table2", "area"},
+	} {
+		if got := figureList(alias); !slices.Equal(got, want) {
+			t.Errorf("-fig %s expands to %v, want %v", alias, got, want)
 		}
 	}
 }

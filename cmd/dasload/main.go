@@ -13,8 +13,9 @@
 // Observability checks ride along: every attempt's latency is recorded
 // and reported as p50/p95/p99 per outcome class (miss, hit, coalesced,
 // 429, 5xx, error); -follow subscribes to the first body's SSE progress
-// stream during the burst and asserts monotonic frames and a clean
-// close; -check-metrics scrapes /metrics and validates the Prometheus
+// stream during the burst and asserts monotonic frames, a clean close
+// and that GET /jobs/<key> reports the state the stream ended in;
+// -check-metrics scrapes /metrics and validates the Prometheus
 // exposition.
 //
 // Examples:
@@ -66,7 +67,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "jitter seed")
 		verify     = flag.Bool("verify", false, "after the burst, re-request each distinct body twice and assert cache hits return byte-identical responses")
 		assertHits = flag.Int("assert-hits", -1, "require the server's serve.cache.hits counter to be at least this (-1 = don't check)")
-		follow     = flag.Bool("follow", false, "subscribe to the first body's SSE progress stream during the burst and assert monotonic frames and a clean close")
+		follow     = flag.Bool("follow", false, "subscribe to the first body's SSE progress stream during the burst and assert monotonic frames, a clean close and a matching /jobs/<key> state")
 		followMin  = flag.Int("follow-min", 1, "with -follow, require at least this many progress frames")
 		checkMetr  = flag.Bool("check-metrics", false, "after the burst, scrape /metrics and validate the Prometheus exposition")
 	)
@@ -265,7 +266,8 @@ type progressFrame struct {
 // followStream learns body's canonical key from /key, subscribes to its
 // SSE progress stream (retrying 404 until the job is admitted), and
 // consumes frames until the server's done event, verifying the stream's
-// monotonicity contract along the way.
+// monotonicity contract along the way. Then it checks that /jobs/<key>
+// reports the stream's final state.
 func followStream(client *http.Client, base, body string) followResult {
 	resp, err := client.Post(base+"/key", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -339,6 +341,29 @@ func followStream(client *http.Client, base, body string) followResult {
 	}
 	if !clean {
 		res.err = fmt.Errorf("stream ended after %d frames without the done event", res.frames)
+		return res
+	}
+	// The stream and /jobs/<key> read one record, the job's span, so
+	// they must agree on how the job ended.
+	span, err := client.Get(base + "/jobs/" + keyResp.Key)
+	if err != nil {
+		res.err = err
+		return res
+	}
+	defer span.Body.Close()
+	if span.StatusCode != http.StatusOK {
+		res.err = fmt.Errorf("/jobs/%s: HTTP %d", keyResp.Key, span.StatusCode)
+		return res
+	}
+	var snap struct {
+		State string `json:"state"`
+	}
+	if err := json.NewDecoder(span.Body).Decode(&snap); err != nil {
+		res.err = fmt.Errorf("/jobs/%s: %w", keyResp.Key, err)
+		return res
+	}
+	if snap.State != res.state {
+		res.err = fmt.Errorf("/jobs/%s reports state %q but the stream ended %q", keyResp.Key, snap.State, res.state)
 	}
 	return res
 }

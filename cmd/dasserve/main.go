@@ -6,9 +6,9 @@
 //
 // Robustness is the point of the binary: a bounded worker pool and
 // admission queue (full queue → 429 + Retry-After, never unbounded
-// memory), per-job deadlines, a no-progress watchdog, panic isolation
-// (a crashing job is a structured 500; its siblings and the server
-// survive), and graceful drain on SIGINT/SIGTERM.
+// memory), per-job deadlines, panic isolation (a crashing job is a
+// structured 500; its siblings and the server survive), and graceful
+// drain on SIGINT/SIGTERM.
 //
 // Examples:
 //
@@ -44,30 +44,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dasserve: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// settings is dasserve's command line: the server's options, and where
+// to listen, publish telemetry and how long to drain.
+type settings struct {
+	opts                    serve.Options
+	addr, addrFile, debugAt string
+	drainTO                 time.Duration
+}
+
+// parse reads the command line into settings.
+func parse(args []string) (settings, error) {
+	var st settings
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&st.addr, "addr", ":8077", "listen address (host:0 picks a free port)")
+	fs.StringVar(&st.addrFile, "addr-file", "", "write the actual listen address to this file (for scripts using :0)")
+	fs.IntVar(&st.opts.Workers, "workers", serve.DefaultWorkers, "concurrent simulation jobs")
+	fs.IntVar(&st.opts.QueueDepth, "queue", serve.DefaultQueueDepth, "admission queue depth; beyond it requests are shed with 429")
+	fs.DurationVar(&st.opts.JobTimeout, "job-timeout", serve.DefaultJobTimeout, "per-job deadline (0 = none)")
+	fs.DurationVar(&st.opts.RetryAfter, "retry-after", serve.DefaultRetryAfter, "Retry-After hint attached to shed responses")
+	fs.DurationVar(&st.drainTO, "drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight jobs before cancelling them")
+	fs.StringVar(&st.debugAt, "debug", "", "also serve the telemetry debug endpoint (/metrics, /debug/pprof) on this address")
 	var (
-		addr     = flag.String("addr", ":8077", "listen address (host:0 picks a free port)")
-		addrFile = flag.String("addr-file", "", "write the actual listen address to this file (for scripts using :0)")
-		workers  = flag.Int("workers", serve.DefaultWorkers, "concurrent simulation jobs")
-		queue    = flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth; beyond it requests are shed with 429")
-		jobTO    = flag.Duration("job-timeout", serve.DefaultJobTimeout, "per-job deadline (0 = none)")
-		watchdog = flag.Duration("watchdog", serve.DefaultWatchdogWindow, "cancel a job after this long without simulation progress (0 = off)")
-		retryAft = flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint attached to shed responses")
-		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight jobs before cancelling them")
-		cfgPath  = flag.String("config", "", "JSON base config requests layer over (default: episode-scaled Table 1)")
-		fullScal = flag.Bool("full-scale", false, "use the full 8 GB Table 1 memory as the base config")
-		instr    = flag.Uint64("instr", 0, "base instructions per core (0 = config default)")
-		seed     = flag.Uint64("seed", 0, "base workload seed override")
-		debugAt  = flag.String("debug", "", "also serve the telemetry debug endpoint (/metrics, /debug/pprof) on this address")
-		logJSON  = flag.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
-		poolMB   = flag.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget, <0 = pooling off)")
+		cfgPath  = fs.String("config", "", "JSON base config requests layer over (default: episode-scaled Table 1)")
+		fullScal = fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory as the base config")
+		instr    = fs.Uint64("instr", 0, "base instructions per core (0 = config default)")
+		seed     = fs.Uint64("seed", 0, "base workload seed override")
+		logJSON  = fs.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
+		poolMB   = fs.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget, <0 = pooling off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return st, err
+	}
 
 	cfg := config.Scaled()
 	if *fullScal {
@@ -76,7 +88,7 @@ func run() error {
 	if *cfgPath != "" {
 		c, err := config.Load(*cfgPath)
 		if err != nil {
-			return err
+			return st, err
 		}
 		cfg = c
 	}
@@ -87,26 +99,22 @@ func run() error {
 		cfg.Seed = *seed
 	}
 	if err := cfg.Validate(); err != nil {
-		return err
+		return st, err
 	}
-
-	opts := serve.Options{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		JobTimeout:     *jobTO,
-		WatchdogWindow: *watchdog,
-		RetryAfter:     *retryAft,
-		Base:           cfg,
-		Logf:           log.Printf,
-	}
+	st.opts.Base = cfg
 	switch {
 	case *poolMB < 0:
-		opts.PoolBytes = -1
+		st.opts.PoolBytes = -1
 	case *poolMB > 0:
-		opts.PoolBytes = *poolMB << 20
+		st.opts.PoolBytes = *poolMB << 20
+	}
+	st.opts.Log = func(ev serve.LogEvent) {
+		if line := textLine(ev); line != "" {
+			log.Print(line)
+		}
 	}
 	if *logJSON {
-		opts.Log = func(ev serve.LogEvent) {
+		st.opts.Log = func(ev serve.LogEvent) {
 			line, err := json.Marshal(ev)
 			if err != nil {
 				log.Printf("log-json: %v", err)
@@ -115,25 +123,51 @@ func run() error {
 			log.Print(string(line))
 		}
 	}
-	srv := serve.New(opts)
+	return st, nil
+}
+
+// textLine renders a job transition as a free-text log line. Only the
+// terminal transitions (done, failed, shed) have one, so plain-text logs
+// stay quiet; admitted and start return "".
+func textLine(ev serve.LogEvent) string {
+	ms := func(v float64) time.Duration {
+		return time.Duration(v * float64(time.Millisecond)).Round(time.Millisecond)
+	}
+	switch ev.Event {
+	case "done":
+		return fmt.Sprintf("job %s done in %v (queued %v, %d bytes)", ev.Key, ms(ev.RunMS), ms(ev.QueueMS), ev.Bytes)
+	case "failed":
+		return fmt.Sprintf("job %s failed after %v (queued %v): %s", ev.Key, ms(ev.RunMS), ms(ev.QueueMS), ev.Error)
+	case "shed":
+		return fmt.Sprintf("shed %s (queue full)", ev.Key)
+	}
+	return ""
+}
+
+func run(args []string) error {
+	st, err := parse(args)
+	if err != nil {
+		return err
+	}
+	srv := serve.New(st.opts)
 
 	var pub *telemetry.Publisher
-	if *debugAt != "" {
+	if st.debugAt != "" {
 		pub = telemetry.NewPublisher()
-		dbgAddr, err := pub.Serve(*debugAt)
+		dbgAddr, err := pub.Serve(st.debugAt)
 		if err != nil {
 			return err
 		}
 		log.Printf("debug endpoint on http://%s/metrics", dbgAddr)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", st.addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("listening on %s (%d workers, queue %d)", ln.Addr(), *workers, *queue)
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	log.Printf("listening on %s (%d workers, queue %d)", ln.Addr(), st.opts.Workers, st.opts.QueueDepth)
+	if st.addrFile != "" {
+		if err := os.WriteFile(st.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			return err
 		}
 	}
@@ -154,8 +188,8 @@ func run() error {
 	// Drain: stop admitting, let jobs finish inside the deadline, then
 	// cancel cooperatively; only then tear down the HTTP listener so
 	// waiting clients get their (possibly cancelled) responses.
-	log.Printf("signal received; draining (deadline %v)", *drainTO)
-	dctx, dcancel := context.WithTimeout(context.Background(), *drainTO)
+	log.Printf("signal received; draining (deadline %v)", st.drainTO)
+	dctx, dcancel := context.WithTimeout(context.Background(), st.drainTO)
 	defer dcancel()
 	drainErr := srv.Shutdown(dctx)
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)

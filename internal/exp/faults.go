@@ -26,17 +26,24 @@ var (
 
 // faultColumns are the fault sweep's grid columns: the Standard
 // baseline, then DAS at every point of the MigFailSweepRates,
-// WeakRowSweepRates and CorruptSweepRates sweeps, in that order. The
-// sweeps share their rate-0 point, the session config, which therefore
-// runs once.
+// WeakRowSweepRates and CorruptSweepRates sweeps, in that order. Every
+// point zeroes the session's fault rates before it sets its own class,
+// so the sweeps share their rate-0 point, which therefore runs once.
+// The baseline keeps the session's rates, which Standard DRAM ignores.
 func faultColumns(s *Session) []column {
 	rate := func(class string) func(config.Config, float64) string {
 		return func(_ config.Config, r float64) string { return fmt.Sprintf("%s %v", class, r) }
 	}
+	only := func(set func(*config.Config, float64)) func(*config.Config, float64) {
+		return func(c *config.Config, r float64) {
+			c.MigFailRate, c.WeakRowRate, c.TagCorruptRate, c.TableCorruptRate = 0, 0, 0, 0
+			set(c, r)
+		}
+	}
 	return slices.Concat(
-		sweep(MigFailSweepRates, func(c *config.Config, r float64) { c.MigFailRate = r }, rate("mig-fail"))(s),
-		sweep(WeakRowSweepRates, func(c *config.Config, r float64) { c.WeakRowRate = r }, rate("weak-row"))(s)[1:],
-		sweep(CorruptSweepRates, func(c *config.Config, r float64) { c.TagCorruptRate, c.TableCorruptRate = r, r },
+		sweep(MigFailSweepRates, only(func(c *config.Config, r float64) { c.MigFailRate = r }), rate("mig-fail"))(s),
+		sweep(WeakRowSweepRates, only(func(c *config.Config, r float64) { c.WeakRowRate = r }), rate("weak-row"))(s)[1:],
+		sweep(CorruptSweepRates, only(func(c *config.Config, r float64) { c.TagCorruptRate, c.TableCorruptRate = r, r }),
 			rate("corruption"))(s)[1:])
 }
 

@@ -152,6 +152,18 @@ func FigureNames() []string {
 	return names
 }
 
+// TableNames lists the catalog entries that run nothing (the static
+// tables), in presentation order.
+func TableNames() []string {
+	var names []string
+	for _, e := range catalog {
+		if e.rows == nil {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
 // lookup returns the catalog entry of a figure name, nil if none.
 func lookup(name string) *figureEntry {
 	for i := range catalog {

@@ -103,3 +103,27 @@ func TestGoldenFaultSweep(t *testing.T) {
 	}
 	goldenCompare(t, "golden_faults.txt", fig.Render())
 }
+
+// TestFaultSweepIgnoresSessionFaults: each fault sweep varies its own
+// class with the other rates at zero, so a session's fault rates change
+// no byte of the sweep.
+func TestFaultSweepIgnoresSessionFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault sweep skipped in -short")
+	}
+	render := func(weak float64) string {
+		cfg := tinyConfig()
+		cfg.InstrPerCore = 50_000
+		cfg.WeakRowRate = weak
+		s := NewSession(cfg)
+		s.Benchmarks = []string{"mcf"}
+		fig, err := s.Figure("faults")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig.Render()
+	}
+	if faulty, clean := render(0.5), render(0); faulty != clean {
+		t.Errorf("a weak-row rate of 0.5 in the session changes the fault sweep:\n%s\nwant:\n%s", faulty, clean)
+	}
+}

@@ -24,7 +24,6 @@ const (
 	KindShed       = "shed"        // admission queue full, retry later (429)
 	KindDraining   = "draining"    // server shutting down (503)
 	KindTimeout    = "timeout"     // per-job deadline exceeded (504)
-	KindStalled    = "stalled"     // no-progress watchdog fired (504)
 	KindPanic      = "panic"       // job panicked; server survived (500)
 	KindInternal   = "internal"    // simulation returned an error (500)
 )

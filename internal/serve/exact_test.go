@@ -45,7 +45,7 @@ func TestServedBytesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := simRunner(0, nil)(context.Background(), spec)
+	fresh, err := simRunner(nil)(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRealRunCancelsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = simRunner(0, nil)(ctx, spec)
+	_, err = simRunner(nil)(ctx, spec)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")

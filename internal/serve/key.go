@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
@@ -114,7 +115,7 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 			return nil, fmt.Errorf("request: design runs need a benchmarks list")
 		}
 	default:
-		if !validFigure(figure) {
+		if !slices.Contains(exp.FigureNames(), figure) {
 			return nil, fmt.Errorf("request: unknown figure %q (want one of %s)",
 				figure, strings.Join(exp.FigureNames(), ", "))
 		}
@@ -144,14 +145,4 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 	h.Write([]byte(j.Key))
 	j.Hash = h.Sum64()
 	return j, nil
-}
-
-// validFigure reports whether name is a dispatchable figure.
-func validFigure(name string) bool {
-	for _, n := range exp.FigureNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

@@ -1,12 +1,10 @@
 package serve
 
-import "time"
-
-// LogEvent is one job transition, emitted to Options.Log when set. The
-// dasserve -log-json flag marshals these as one JSON object per line;
-// the legacy Logf path keeps its historical free-text formats for the
-// terminal transitions only (done, failed, shed), so plain-text logs do
-// not get noisier.
+// LogEvent is one job transition, emitted to Options.Log when set.
+// dasserve prints the terminal transitions (done, failed, shed) as text
+// lines, or with -log-json every transition as one JSON object per line.
+// QueueMS and RunMS are read from the job's span: its queue phase, and
+// its run and render phases.
 //
 // Events, in lifecycle order: "admitted" (a fresh job entered the
 // queue), "start" (a worker dequeued it), then exactly one of "done",
@@ -22,23 +20,9 @@ type LogEvent struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// emit routes one transition to the structured sink when configured,
-// else falls back to Logf with the historical line formats.
+// emit hands one transition to Options.Log, when set.
 func (s *Server) emit(ev LogEvent) {
 	if s.opt.Log != nil {
 		s.opt.Log(ev)
-		return
-	}
-	switch ev.Event {
-	case "done":
-		s.logf("job %s done in %v (queued %v, %d bytes)", ev.Key,
-			time.Duration(ev.RunMS*float64(time.Millisecond)).Round(time.Millisecond),
-			time.Duration(ev.QueueMS*float64(time.Millisecond)).Round(time.Millisecond), ev.Bytes)
-	case "failed":
-		s.logf("job %s failed after %v (queued %v): %s", ev.Key,
-			time.Duration(ev.RunMS*float64(time.Millisecond)).Round(time.Millisecond),
-			time.Duration(ev.QueueMS*float64(time.Millisecond)).Round(time.Millisecond), ev.Error)
-	case "shed":
-		s.logf("shed %s (queue full)", ev.Key)
 	}
 }

@@ -2,7 +2,8 @@ package serve
 
 import (
 	"sync/atomic"
-	"time"
+
+	"repro/internal/telemetry/jobtrace"
 )
 
 // ProgressSource is what a running job exposes for streaming progress:
@@ -15,41 +16,15 @@ type ProgressSource interface {
 	LiveSimNS() float64
 }
 
-// Job states, in lifecycle order.
-const (
-	stateQueued int32 = iota
-	stateRunning
-	stateDone
-	stateFailed
-)
-
-func stateName(st int32) string {
-	switch st {
-	case stateQueued:
-		return "queued"
-	case stateRunning:
-		return "running"
-	case stateDone:
-		return "done"
-	default:
-		return "failed"
-	}
-}
-
-// Progress is one job's live progress: a state machine driven by the
-// server (queued → running → done/failed) plus a counter source bound
-// by the runner once its session exists. All fields are atomics — the
-// producer is the simulation's host loop, the consumers are SSE
-// handler goroutines.
+// Progress carries a job's live counters to SSE subscribers: the
+// counter source and ETA horizon the runner binds once its session
+// exists. Both are atomics — the producer is the simulation's host
+// loop, the consumers are SSE handler goroutines. The job's state and
+// clock are its span's.
 type Progress struct {
-	created time.Time
-	state   atomic.Int32
-	started atomic.Int64 // unix ns when the job began running
 	horizon atomic.Uint64
 	src     atomic.Value // ProgressSource
 }
-
-func newProgress() *Progress { return &Progress{created: time.Now()} }
 
 // Bind attaches the job's counter source and ETA horizon (0 = unknown).
 // Called by the runner after it builds the session; nil-safe so runners
@@ -62,20 +37,10 @@ func (p *Progress) Bind(src ProgressSource, horizonInstrs uint64) {
 	p.src.Store(&src)
 }
 
-func (p *Progress) setState(st int32) {
-	if p == nil {
-		return
-	}
-	if st == stateRunning {
-		p.started.Store(time.Now().UnixNano())
-	}
-	p.state.Store(st)
-}
-
 // ProgressFrame is one SSE data payload. Every numeric field is
 // monotonic over a stream's lifetime except eta_ms, which is a
 // re-estimate. sim_ns is simulated time; elapsed_ms is wall time since
-// the job entered the server.
+// the server received the job's request.
 type ProgressFrame struct {
 	Seq       int     `json:"seq"`
 	State     string  `json:"state"`
@@ -87,16 +52,11 @@ type ProgressFrame struct {
 	ETAMS     float64 `json:"eta_ms,omitempty"`
 }
 
-// frame samples the current progress. seq is the subscriber's frame
-// counter (each subscriber numbers its own stream).
-func (p *Progress) frame(seq int) ProgressFrame {
-	f := ProgressFrame{Seq: seq, State: "queued"}
-	if p == nil {
-		return f
-	}
-	st := p.state.Load()
-	f.State = stateName(st)
-	f.ElapsedMS = float64(time.Since(p.created).Nanoseconds()) / 1e6
+// frame samples the current progress of the job whose span reads sp.
+// seq is the subscriber's frame counter (each subscriber numbers its own
+// stream).
+func (p *Progress) frame(seq int, sp jobtrace.Snapshot) ProgressFrame {
+	f := ProgressFrame{Seq: seq, State: frameState(sp.State), ElapsedMS: sp.TotalUS / 1e3}
 	if v := p.src.Load(); v != nil {
 		src := *v.(*ProgressSource)
 		f.Events = src.LiveEvents()
@@ -104,12 +64,28 @@ func (p *Progress) frame(seq int) ProgressFrame {
 		f.SimNS = src.LiveSimNS()
 	}
 	f.Horizon = p.horizon.Load()
-	if st == stateRunning && f.Horizon > 0 && f.Instrs > 0 {
-		runNS := time.Now().UnixNano() - p.started.Load()
-		if runNS > 0 && f.Instrs < f.Horizon {
-			rate := float64(f.Instrs) / float64(runNS) // instrs per wall ns
-			f.ETAMS = float64(f.Horizon-f.Instrs) / rate / 1e6
+	if f.State == "running" && f.Horizon > 0 && f.Instrs > 0 {
+		// A live span's total runs to now, so what its finished phases
+		// leave over is the time since a worker took the job.
+		runUS := sp.TotalUS - sp.CanonicalizeUS - sp.ProbeUS - sp.QueueUS
+		if runUS > 0 && f.Instrs < f.Horizon {
+			rate := float64(f.Instrs) / runUS // instrs per wall µs
+			f.ETAMS = float64(f.Horizon-f.Instrs) / rate / 1e3
 		}
 	}
 	return f
+}
+
+// frameState maps a span state to the stream's four states: the phases
+// before a worker takes the job read queued, and rendering reads
+// running.
+func frameState(span string) string {
+	switch span {
+	case "running", "rendering":
+		return "running"
+	case "done", "failed":
+		return span
+	default:
+		return "queued"
+	}
 }

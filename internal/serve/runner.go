@@ -2,28 +2,23 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/exp"
-	"repro/internal/sim"
 )
 
 // simRunner returns the production Runner: one fresh exp.Session per
 // job (sessions memoize baselines internally, but the exact-result
 // cache lives above the runner, so sharing sessions across jobs would
-// only add lock contention for no extra hits), with the session's
-// cooperative-cancellation context wired in and the PR 1 no-progress
-// watchdog re-armed against wall-clock time. Sessions share the
-// server's machine pool so consecutive jobs over one machine shape
-// reuse built systems (nil pool = every run builds fresh).
-func simRunner(window time.Duration, pool *exp.SystemPool) Runner {
+// only add lock contention for no extra hits), with the job's context
+// as the session's cooperative cancellation. A run that stalls fails
+// on its own: exp.System's watchdog and deadlock checks return an
+// error. Sessions share the server's machine pool so consecutive jobs
+// over one machine shape reuse built systems (nil pool = every run
+// builds fresh).
+func simRunner(pool *exp.SystemPool) Runner {
 	return func(ctx context.Context, spec *Job) ([]byte, error) {
-		cctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
 		sess := exp.NewSession(spec.Cfg)
-		sess.Ctx = cctx
+		sess.Ctx = ctx
 		if pool != nil {
 			sess.Pool = pool
 		} else {
@@ -45,10 +40,6 @@ func simRunner(window time.Duration, pool *exp.SystemPool) Runner {
 			horizon = sess.InstrHorizon(spec.Figure)
 		}
 		spec.Prog.Bind(sess, horizon)
-		if window > 0 {
-			stop := watchSession(sess, window, cancel)
-			defer close(stop)
-		}
 		var fig *exp.Figure
 		var err error
 		if spec.HasDesign {
@@ -62,43 +53,4 @@ func simRunner(window time.Duration, pool *exp.SystemPool) Runner {
 		spec.Trace.StampRun() // simulation over; what follows is rendering
 		return []byte(fig.Render()), nil
 	}
-}
-
-// watchSession arms a sim.Watchdog over the session's live progress
-// counters, driven by wall-clock time: if no engine events execute and
-// no instructions retire for a full window while the job runs, the job
-// context is cancelled with a structured "stalled" cause. The live
-// counters advance at the observation stride, mid-run — so a healthy
-// long run can never be mistaken for a stall the way the old
-// end-of-run counters allowed. The profiling prepass of static designs
-// retires no engine events and stays invisible; the window must still
-// comfortably exceed it. The returned channel stops the watcher when
-// closed.
-func watchSession(sess *exp.Session, window time.Duration, cancel context.CancelCauseFunc) chan struct{} {
-	stop := make(chan struct{})
-	wd := sim.NewWatchdog(
-		sim.FromNS(float64(window.Nanoseconds())),
-		func() int { return 1 }, // the job is always "outstanding" while it runs
-		func() uint64 { return sess.LiveEvents() + sess.LiveInstrs() },
-		nil,
-	)
-	start := time.Now()
-	tick := time.NewTicker(window / 4)
-	go func() {
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				now := sim.FromNS(float64(time.Since(start).Nanoseconds()))
-				if err := wd.Observe(now); err != nil {
-					cancel(&Error{Status: http.StatusGatewayTimeout, Kind: KindStalled,
-						Msg: fmt.Sprintf("no simulation progress for %v: %v", window, err)})
-					return
-				}
-			}
-		}
-	}()
-	return stop
 }

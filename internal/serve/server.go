@@ -24,7 +24,7 @@ import (
 type Runner func(ctx context.Context, job *Job) ([]byte, error)
 
 // Options configures a Server. The zero value of every field selects a
-// sensible default (see New).
+// sensible default (see New); a zero JobTimeout sets no deadline.
 type Options struct {
 	// Workers bounds concurrent simulations; each job runs its
 	// simulations one after another.
@@ -32,15 +32,8 @@ type Options struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// 429 + Retry-After instead of growing memory without bound.
 	QueueDepth int
-	// JobTimeout is the per-job deadline (0 = DefaultJobTimeout; <0 =
-	// none).
+	// JobTimeout is the per-job deadline (<= 0 = none).
 	JobTimeout time.Duration
-	// WatchdogWindow is the no-progress window of the per-job watchdog:
-	// a running job whose session executes no engine events for this
-	// long is cancelled as stalled (0 = DefaultWatchdogWindow; <0 =
-	// off). It must comfortably exceed the profiling prepass of static
-	// designs, which retires no engine events.
-	WatchdogWindow time.Duration
 	// RetryAfter is the advisory client backoff attached to shed
 	// responses (0 = DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -50,11 +43,7 @@ type Options struct {
 	// Runner overrides the simulation runner (tests only; nil = real
 	// simulations).
 	Runner Runner
-	// Logf, when non-nil, receives one line per admitted job completion
-	// and per shed/panic event.
-	Logf func(format string, args ...any)
-	// Log, when non-nil, receives one structured LogEvent per job
-	// transition and supersedes Logf (dasserve -log-json).
+	// Log, when non-nil, receives one LogEvent per job transition.
 	Log func(LogEvent)
 	// ProgressInterval is the SSE frame period of /jobs/<key>/events
 	// (0 = DefaultProgressInterval).
@@ -67,13 +56,12 @@ type Options struct {
 	PoolBytes int64
 }
 
-// Defaults for the zero Options values.
+// Defaults for the zero Options values, and dasserve's -job-timeout.
 const (
-	DefaultWorkers        = 2
-	DefaultQueueDepth     = 16
-	DefaultJobTimeout     = 10 * time.Minute
-	DefaultWatchdogWindow = 30 * time.Second
-	DefaultRetryAfter     = 1 * time.Second
+	DefaultWorkers    = 2
+	DefaultQueueDepth = 16
+	DefaultJobTimeout = 10 * time.Minute
+	DefaultRetryAfter = 1 * time.Second
 )
 
 // Server runs simulation jobs on a bounded worker pool with
@@ -92,7 +80,7 @@ type Server struct {
 	cDone      *telemetry.Counter // jobs finished successfully
 	cFailed    *telemetry.Counter // jobs finished with any error
 	cShed      *telemetry.Counter // requests rejected 429 (queue full)
-	cCancelled *telemetry.Counter // jobs killed by deadline/watchdog/drain
+	cCancelled *telemetry.Counter // jobs killed by deadline/drain
 	cPanicked  *telemetry.Counter // jobs that panicked (server survived)
 	cHits      *telemetry.Counter // responses served from the cache
 	cCoalesced *telemetry.Counter // requests joined to an in-flight twin
@@ -140,13 +128,15 @@ type entry struct {
 	body []byte
 	err  *Error
 	hash uint64
-	prog *Progress // live progress for SSE subscribers; never nil for admitted jobs
+	// span is the job's one record: its state, its clock and what
+	// /jobs/<key> reports.
+	span *jobtrace.Span
+	prog Progress // live counters for SSE subscribers
 }
 
 type job struct {
-	spec     *Job
-	e        *entry
-	enqueued time.Time
+	spec *Job
+	e    *entry
 }
 
 // New builds a server and starts its worker pool. Callers must
@@ -157,12 +147,6 @@ func New(opt Options) *Server {
 	}
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = DefaultQueueDepth
-	}
-	if opt.JobTimeout == 0 {
-		opt.JobTimeout = DefaultJobTimeout
-	}
-	if opt.WatchdogWindow == 0 {
-		opt.WatchdogWindow = DefaultWatchdogWindow
 	}
 	if opt.RetryAfter <= 0 {
 		opt.RetryAfter = DefaultRetryAfter
@@ -187,7 +171,7 @@ func New(opt Options) *Server {
 		s.pool = exp.NewSystemPool(bytes)
 	}
 	if s.runner == nil {
-		s.runner = simRunner(opt.WatchdogWindow, s.pool)
+		s.runner = simRunner(s.pool)
 	}
 	s.cAdmitted = s.reg.Counter("serve.jobs.admitted")
 	s.cDone = s.reg.Counter("serve.jobs.done")
@@ -213,12 +197,6 @@ func New(opt Options) *Server {
 		go s.worker()
 	}
 	return s
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.opt.Logf != nil {
-		s.opt.Logf(format, args...)
-	}
 }
 
 // Draining reports whether Shutdown has begun.
@@ -249,12 +227,12 @@ func (s *Server) submit(spec *Job) (*entry, string, *Error) {
 			return e, "coalesced", nil
 		}
 	}
-	e := &entry{done: make(chan struct{}), hash: spec.Hash, prog: newProgress()}
-	spec.Prog = e.prog
+	e := &entry{done: make(chan struct{}), hash: spec.Hash, span: spec.Trace}
+	spec.Prog = &e.prog
 	// Admission is decided before the queue send so the span's queue
 	// phase cannot start after a worker has already stamped dequeue.
 	spec.Trace.StampAdmit()
-	jb := &job{spec: spec, e: e, enqueued: time.Now()}
+	jb := &job{spec: spec, e: e}
 	select {
 	case s.queue <- jb:
 		s.cache[spec.Key] = e
@@ -295,16 +273,15 @@ func (s *Server) worker() {
 // execute runs one dequeued job with deadline, panic isolation and
 // structured failure mapping, then resolves its entry.
 func (s *Server) execute(jb *job) {
-	wait := time.Since(jb.enqueued)
-	jb.spec.Trace.StampStart()
-	jb.e.prog.setState(stateRunning)
+	sp := jb.e.span
+	sp.StampStart()
+	waitUS := sp.Snapshot().QueueUS
 	s.tmu.Lock()
 	s.gQueued.Add(-1)
 	s.gRunning.Add(1)
-	s.hQueueWait.Observe(uint64(wait.Microseconds()))
+	s.hQueueWait.Observe(uint64(waitUS))
 	s.tmu.Unlock()
-	s.emit(LogEvent{Event: "start", Key: jb.spec.KeyHex(), Kind: jb.spec.KindString(),
-		QueueMS: float64(wait.Nanoseconds()) / 1e6})
+	s.emit(LogEvent{Event: "start", Key: jb.spec.KeyHex(), Kind: jb.spec.KindString(), QueueMS: waitUS / 1e3})
 
 	ctx := s.jobCtx
 	var cancel context.CancelFunc
@@ -313,32 +290,29 @@ func (s *Server) execute(jb *job) {
 			&Error{Status: http.StatusGatewayTimeout, Kind: KindTimeout,
 				Msg: fmt.Sprintf("job exceeded the %v deadline", s.opt.JobTimeout)})
 	}
-	start := time.Now()
 	body, err := s.runIsolated(ctx, jb.spec)
 	if cancel != nil {
 		cancel()
 	}
-	elapsed := time.Since(start)
 
 	var se *Error
 	if err != nil {
 		se = asError(err)
 	}
-	// State, span and job counters resolve before done closes: a
+	// The span and job counters resolve before done closes: a
 	// subscriber woken by the close observes the terminal state, and a
 	// client holding its response finds its own job in /jobs and
 	// /metrics (channel close is the happens-before edge).
 	outcome := "done"
 	if se != nil {
 		outcome = "failed"
-		jb.e.prog.setState(stateFailed)
-	} else {
-		jb.e.prog.setState(stateDone)
 	}
-	jb.spec.Trace.Finish(outcome, len(body))
+	sp.Finish(outcome, len(body))
+	ph := sp.Snapshot()
+	runUS := ph.RunUS + ph.RenderUS
 	s.tmu.Lock()
 	s.gRunning.Add(-1)
-	s.hRun.Observe(uint64(elapsed.Microseconds()))
+	s.hRun.Observe(uint64(runUS))
 	if se == nil {
 		s.cDone.Inc()
 	} else {
@@ -346,7 +320,7 @@ func (s *Server) execute(jb *job) {
 		switch se.Kind {
 		case KindPanic:
 			s.cPanicked.Inc()
-		case KindTimeout, KindStalled, KindDraining:
+		case KindTimeout, KindDraining:
 			s.cCancelled.Inc()
 		}
 	}
@@ -361,8 +335,7 @@ func (s *Server) execute(jb *job) {
 	close(jb.e.done)
 	s.mu.Unlock()
 	ev := LogEvent{Event: outcome, Key: jb.spec.KeyHex(), Kind: jb.spec.KindString(),
-		QueueMS: float64(wait.Nanoseconds()) / 1e6, RunMS: float64(elapsed.Nanoseconds()) / 1e6,
-		Bytes: len(jb.e.body)}
+		QueueMS: ph.QueueUS / 1e3, RunMS: runUS / 1e3, Bytes: len(jb.e.body)}
 	if se != nil {
 		ev.Error = se.Error()
 	}
@@ -455,29 +428,34 @@ func (s *Server) Handler() http.Handler {
 // maxRequestBytes bounds request bodies; configs are a few KB.
 const maxRequestBytes = 1 << 20
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	sp := s.jt.Begin()
+// readJob decodes and canonicalizes the JSON request POSTed to /run or
+// /key.
+func (s *Server) readJob(r *http.Request) (*Job, *Error) {
 	if r.Method != http.MethodPost {
-		sp.Drop()
-		writeError(w, &Error{Status: http.StatusMethodNotAllowed, Kind: KindBadRequest, Msg: "POST a JSON request to /run"})
-		return
+		return nil, &Error{Status: http.StatusMethodNotAllowed, Kind: KindBadRequest, Msg: "POST a JSON request to " + r.URL.Path}
 	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
 	if err != nil {
-		sp.Drop()
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()})
-		return
+		return nil, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()}
 	}
 	var req Request
 	if err := json.Unmarshal(raw, &req); err != nil {
-		sp.Drop()
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: fmt.Sprintf("request: %v", err)})
-		return
+		return nil, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: fmt.Sprintf("request: %v", err)}
 	}
 	spec, err := Canonicalize(req, s.opt.Base)
 	if err != nil {
-		sp.Drop()
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()})
+		return nil, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()}
+	}
+	return spec, nil
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	// A request that does not decode leaves its span unfinished; nothing
+	// indexes a live span, so it is simply dropped.
+	sp := s.jt.Begin()
+	spec, serr := s.readJob(r)
+	if serr != nil {
+		writeError(w, serr)
 		return
 	}
 	sp.StampCanon(spec.KeyHex(), spec.KindString())
@@ -505,7 +483,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The client gave up; the job keeps running for its other
 		// waiters and the cache (results are deterministic — the work is
 		// never wasted).
-		sp.Drop()
 		return
 	}
 	sp.StampRun()

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry/jobtrace"
 )
 
 // fakeSrc is an injected ProgressSource: behavior tests drive the
@@ -354,6 +356,114 @@ func TestStructuredLogEvents(t *testing.T) {
 	}
 }
 
+// getSpan reads GET /jobs/<key>.
+func getSpan(t *testing.T, ts *httptest.Server, key string) jobtrace.Snapshot {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/jobs/%s: HTTP %d", key, resp.StatusCode)
+	}
+	var snap jobtrace.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestJobTimesAreSpanPhases: a served miss's queue wait and run time —
+// in its log events and in both histograms — are its span's phases. A
+// fake clock that steps 1 ms per read makes every phase exact and
+// distinguishes the span's clock from any other.
+func TestJobTimesAreSpanPhases(t *testing.T) {
+	var mu sync.Mutex
+	var evs []LogEvent
+	s, ts := newTestServer(t, Options{
+		Workers: 1,
+		Log: func(ev LogEvent) {
+			mu.Lock()
+			evs = append(evs, ev)
+			mu.Unlock()
+		},
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			spec.Trace.StampRun()
+			return []byte("ok"), nil
+		},
+	})
+	var cmu sync.Mutex
+	now := time.Unix(1_000_000, 0)
+	s.jt.SetClock(func() time.Time {
+		cmu.Lock()
+		defer cmu.Unlock()
+		now = now.Add(time.Millisecond)
+		return now
+	})
+	resp, _ := postRun(t, ts, `{"figure": "table2"}`)
+	key := resp.Header.Get("X-Key")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(evs)
+		mu.Unlock()
+		if n >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("got %d log events, want admitted, start and done", n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	snap := getSpan(t, ts, key)
+	queueMS, runMS := snap.QueueUS/1e3, (snap.RunUS+snap.RenderUS)/1e3
+	if snap.State != "done" || queueMS <= 0 || runMS <= 0 {
+		t.Fatalf("span %+v: want a done job with queue and run phases", snap)
+	}
+	mu.Lock()
+	start, done := evs[1], evs[2]
+	mu.Unlock()
+	if start.Event != "start" || start.QueueMS != queueMS {
+		t.Errorf("start event %+v, want queue_ms %v", start, queueMS)
+	}
+	if done.Event != "done" || done.QueueMS != queueMS || done.RunMS != runMS {
+		t.Errorf("done event %+v, want queue_ms %v and run_ms %v", done, queueMS, runMS)
+	}
+	s.tmu.Lock()
+	wait, run := s.hQueueWait.Sum(), s.hRun.Sum()
+	n := s.hQueueWait.Count() + s.hRun.Count()
+	s.tmu.Unlock()
+	if n != 2 || wait != uint64(snap.QueueUS) || run != uint64(snap.RunUS+snap.RenderUS) {
+		t.Errorf("histograms hold %d samples, wait %d us and run %d us; want 2, %v and %v",
+			n, wait, run, snap.QueueUS, snap.RunUS+snap.RenderUS)
+	}
+}
+
+// TestJobSpanOutlivesHits: GET /jobs/<key> reports the job, not the
+// latest request for its key, so a cache hit leaves the job's done span
+// in place (the hit's own span is in /jobs/trace).
+func TestJobSpanOutlivesHits(t *testing.T) {
+	_, ts := newTestServer(t, Options{
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			spec.Trace.StampRun()
+			return []byte("ok"), nil
+		},
+	})
+	body := `{"figure": "table2"}`
+	resp, _ := postRun(t, ts, body)
+	key := resp.Header.Get("X-Key")
+	job := getSpan(t, ts, key)
+	if resp, _ := postRun(t, ts, body); resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("second request X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
+	}
+	after := getSpan(t, ts, key)
+	if after.State != "done" || after.Recv != job.Recv || after.RunUS != job.RunUS {
+		t.Fatalf("after a hit /jobs/%s = %+v, want the job's span %+v", key, after, job)
+	}
+}
+
 // TestStreamedRunBytesExact is the perturbation-free gate at service
 // scale: a real simulation with a live SSE subscriber produces bytes
 // identical to an independent unwatched run of the same canonical job.
@@ -391,7 +501,7 @@ func TestStreamedRunBytesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := simRunner(0, nil)(context.Background(), spec)
+	fresh, err := simRunner(nil)(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/jobtrace"
 )
 
 // DefaultProgressInterval is the SSE frame period when Options leaves it
@@ -33,23 +33,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // and get back the key a run would have, so clients can subscribe to
 // /jobs/<key>/events before (or while) submitting the job itself.
 func (s *Server) handleKey(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &Error{Status: http.StatusMethodNotAllowed, Kind: KindBadRequest, Msg: "POST a JSON request to /key"})
-		return
-	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()})
-		return
-	}
-	var req Request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: fmt.Sprintf("request: %v", err)})
-		return
-	}
-	spec, err := Canonicalize(req, s.opt.Base)
-	if err != nil {
-		writeError(w, &Error{Status: http.StatusBadRequest, Kind: KindBadRequest, Msg: err.Error()})
+	spec, serr := s.readJob(r)
+	if serr != nil {
+		writeError(w, serr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -60,7 +46,7 @@ func (s *Server) handleKey(w http.ResponseWriter, r *http.Request) {
 // dump, a single span snapshot, and the SSE progress stream.
 //
 //	GET /jobs/trace         completed spans as trace-event JSON
-//	GET /jobs/<key>         lifecycle span snapshot (live or last)
+//	GET /jobs/<key>         the job's lifecycle span snapshot
 //	GET /jobs/<key>/events  SSE progress stream
 func (s *Server) handleJobsPath(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
@@ -81,8 +67,17 @@ func (s *Server) handleJobsPath(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleJobSpan reports the span of the job a cached or in-flight entry
+// holds; a failed job has left the cache, so its span is found in the
+// recorder's completed ring while it is there.
 func (s *Server) handleJobSpan(w http.ResponseWriter, key string) {
-	snap, ok := s.jt.Lookup(key)
+	var snap jobtrace.Snapshot
+	ok := true
+	if e := s.lookupEntry(key); e != nil {
+		snap = e.span.Snapshot()
+	} else {
+		snap, ok = s.jt.Lookup(key)
+	}
 	if !ok {
 		writeError(w, &Error{Status: http.StatusNotFound, Kind: KindBadRequest,
 			Msg: fmt.Sprintf("no span recorded for key %q", key)})
@@ -149,7 +144,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, key str
 	}
 	seq := 0
 	send := func() bool {
-		f := e.prog.frame(seq)
+		f := e.prog.frame(seq, e.span.Snapshot())
 		seq++
 		data, err := json.Marshal(f)
 		if err != nil {

@@ -28,9 +28,10 @@ import (
 // when given a non-positive depth.
 const DefaultDepth = 256
 
-// Recorder owns every live and recently-completed span. All methods are
-// safe for concurrent use and safe on a nil receiver (the disabled
-// state: Begin returns a nil *Span whose stamps are no-ops).
+// Recorder stamps spans and keeps the recently completed ones; a live
+// span belongs to whoever holds it. All methods are safe for concurrent
+// use and safe on a nil receiver (the disabled state: Begin returns a
+// nil *Span whose stamps are no-ops).
 type Recorder struct {
 	mu    sync.Mutex
 	clock func() time.Time
@@ -38,9 +39,7 @@ type Recorder struct {
 	depth int
 	seq   uint64
 
-	live map[string]*Span // first live span per key hash
-	last map[string]*Span // most recent completed span per key hash
-	done []*Span          // completed ring, oldest first, len <= depth
+	done []*Span // completed ring, oldest first, len <= depth
 
 	ledger telemetry.Ledger // completed spans' phases in ns; only Violations is read
 }
@@ -56,8 +55,6 @@ func NewRecorder(depth int) *Recorder {
 		clock: time.Now,
 		epoch: now,
 		depth: depth,
-		live:  make(map[string]*Span),
-		last:  make(map[string]*Span),
 	}
 }
 
@@ -85,8 +82,8 @@ func (r *Recorder) Violations() uint64 {
 	return r.ledger.Violations()
 }
 
-// Begin starts a span at the moment the request was received. The span
-// is invisible to Lookup until StampCanon names it.
+// Begin starts a span at the moment the request was received. Lookup
+// finds it once it is finished.
 func (r *Recorder) Begin() *Span {
 	if r == nil {
 		return nil
@@ -119,8 +116,8 @@ type Span struct {
 	bytes   int
 }
 
-// StampCanon marks canonicalization complete and names the span; from
-// here it is visible to Lookup under key (typically the %016x key hash).
+// StampCanon marks canonicalization complete and names the span with
+// its key (typically the %016x key hash).
 func (s *Span) StampCanon(key, kind string) {
 	if s == nil {
 		return
@@ -128,9 +125,6 @@ func (s *Span) StampCanon(key, kind string) {
 	s.r.mu.Lock()
 	s.canon = s.r.clock()
 	s.key, s.kind = key, kind
-	if _, ok := s.r.live[key]; !ok {
-		s.r.live[key] = s
-	}
 	s.r.mu.Unlock()
 }
 
@@ -179,29 +173,10 @@ func (s *Span) Finish(outcome string, bytes int) {
 		ns[i] = int64(d)
 	}
 	r.ledger.Add(int(s.seq), ns[:], int64(s.done.Sub(s.recv)))
-	if r.live[s.key] == s {
-		delete(r.live, s.key)
-	}
-	if s.key != "" {
-		r.last[s.key] = s
-	}
 	r.done = append(r.done, s)
 	if len(r.done) > r.depth {
 		r.done = r.done[len(r.done)-r.depth:]
 	}
-}
-
-// Drop abandons a span that never became a job (parse/validation
-// failures): it is removed from the live index and not retired.
-func (s *Span) Drop() {
-	if s == nil {
-		return
-	}
-	s.r.mu.Lock()
-	if s.r.live[s.key] == s {
-		delete(s.r.live, s.key)
-	}
-	s.r.mu.Unlock()
 }
 
 // phases returns the five phase durations in order: canonicalize,
@@ -278,19 +253,29 @@ func (s *Span) snapshotLocked(now time.Time) Snapshot {
 	}
 }
 
-// Lookup returns the span snapshot for key: the live span if one is in
-// flight, otherwise the most recently completed one.
+// Snapshot returns the span's current view. A live span's state is its
+// latest stamp, and its total runs to now.
+func (s *Span) Snapshot() Snapshot {
+	if s == nil {
+		return Snapshot{}
+	}
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	return s.snapshotLocked(s.r.clock())
+}
+
+// Lookup returns the snapshot of the newest completed span with key
+// still in the ring.
 func (r *Recorder) Lookup(key string) (Snapshot, bool) {
 	if r == nil {
 		return Snapshot{}, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.live[key]; ok {
-		return s.snapshotLocked(r.clock()), true
-	}
-	if s, ok := r.last[key]; ok {
-		return s.snapshotLocked(r.clock()), true
+	for i := len(r.done) - 1; i >= 0; i-- {
+		if s := r.done[i]; s.key == key {
+			return s.snapshotLocked(r.clock()), true
+		}
 	}
 	return Snapshot{}, false
 }

@@ -3,6 +3,7 @@ package jobtrace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -86,24 +87,28 @@ func TestLiveLookupAndStates(t *testing.T) {
 	r.SetClock(newFakeClock(time.Millisecond).Now)
 	sp := r.Begin()
 	sp.StampCanon("k2", "design:das")
-	if snap, ok := r.Lookup("k2"); !ok || snap.State != "canonicalizing" {
-		t.Fatalf("want live canonicalizing span, got %+v ok=%v", snap, ok)
+	if snap := sp.Snapshot(); snap.State != "canonicalizing" || snap.Key != "k2" {
+		t.Fatalf("want a live canonicalizing span k2, got %+v", snap)
 	}
-	sp.StampAdmit()
-	if snap, _ := r.Lookup("k2"); snap.State != "queued" {
-		t.Fatalf("want queued, got %q", snap.State)
+	if _, ok := r.Lookup("k2"); ok {
+		t.Fatal("Lookup found a live span; only its holder can read it")
 	}
-	sp.StampStart()
-	if snap, _ := r.Lookup("k2"); snap.State != "running" {
-		t.Fatalf("want running, got %q", snap.State)
+	for _, c := range []struct {
+		stamp func()
+		want  string
+	}{
+		{sp.StampAdmit, "queued"},
+		{sp.StampStart, "running"},
+		{sp.StampRun, "rendering"},
+		{func() { sp.Finish("done", 1) }, "done"},
+	} {
+		c.stamp()
+		if snap := sp.Snapshot(); snap.State != c.want {
+			t.Fatalf("want %s, got %q", c.want, snap.State)
+		}
 	}
-	sp.StampRun()
-	if snap, _ := r.Lookup("k2"); snap.State != "rendering" {
-		t.Fatalf("want rendering, got %q", snap.State)
-	}
-	sp.Finish("done", 1)
-	if snap, _ := r.Lookup("k2"); snap.State != "done" {
-		t.Fatalf("want done, got %q", snap.State)
+	if snap, ok := r.Lookup("k2"); !ok || snap.State != "done" {
+		t.Fatalf("want the finished span by key, got %+v ok=%v", snap, ok)
 	}
 }
 
@@ -126,6 +131,26 @@ func TestRingBoundedAndOrdered(t *testing.T) {
 	}
 }
 
+// TestLookupForgetsEvictedKeys: Lookup indexes only the ring, so after
+// twice the ring depth of other keys the oldest key is gone rather than
+// kept forever.
+func TestLookupForgetsEvictedKeys(t *testing.T) {
+	const depth = 4
+	r := NewRecorder(depth)
+	r.SetClock(newFakeClock(time.Microsecond).Now)
+	for i := 0; i < 2*depth; i++ {
+		sp := r.Begin()
+		sp.StampCanon(fmt.Sprintf("k%d", i), "figure:7a")
+		sp.Finish("done", i)
+	}
+	if _, ok := r.Lookup("k0"); ok {
+		t.Fatal("the oldest key is still found after leaving the ring")
+	}
+	if snap, ok := r.Lookup(fmt.Sprintf("k%d", 2*depth-1)); !ok || snap.Bytes != 2*depth-1 {
+		t.Fatalf("newest key: %+v ok=%v", snap, ok)
+	}
+}
+
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	sp := r.Begin()
@@ -134,7 +159,9 @@ func TestNilRecorderSafe(t *testing.T) {
 	sp.StampStart()
 	sp.StampRun()
 	sp.Finish("done", 0)
-	sp.Drop()
+	if snap := sp.Snapshot(); snap != (Snapshot{}) {
+		t.Fatalf("nil span snapshot = %+v", snap)
+	}
 	if _, ok := r.Lookup("k"); ok {
 		t.Fatal("nil recorder should find nothing")
 	}
@@ -147,19 +174,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	if buf.String() != "[]\n" {
 		t.Fatalf("nil trace = %q", buf.String())
-	}
-}
-
-func TestDropRemovesLive(t *testing.T) {
-	r := NewRecorder(4)
-	sp := r.Begin()
-	sp.StampCanon("k3", "figure:7a")
-	sp.Drop()
-	if _, ok := r.Lookup("k3"); ok {
-		t.Fatal("dropped span still visible")
-	}
-	if len(r.Completed()) != 0 {
-		t.Fatal("dropped span retired into ring")
 	}
 }
 
