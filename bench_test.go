@@ -138,10 +138,11 @@ func BenchmarkFig7a(b *testing.B) {
 // state of the machine pool: a warm-up sweep outside the timer fills a
 // private pool, so every timed iteration checks machines out and
 // rewinds them in place (System.Reset) instead of building. The gap
-// between this benchmark's allocs/op and a -nopool run is the
-// tentpole's win; pool-hit-rate ~1.0 confirms the iterations really
-// ran pooled. Paper-shape metrics are reported by BenchmarkFig7a and
-// must be bit-identical here (the byte-identity suite gates that).
+// between this benchmark's allocs/op and runs on a pool too small to
+// keep a machine is the pool's win; pool-hit-rate ~1.0 confirms the
+// iterations really ran pooled. Paper-shape metrics are reported by
+// BenchmarkFig7a and must be bit-identical here (the byte-identity
+// suite gates that).
 func BenchmarkFig7aPooledSweep(b *testing.B) {
 	cfg := benchConfig()
 	pool := exp.NewSystemPool(0)

@@ -79,7 +79,6 @@ func run(args []string, stdout io.Writer) error {
 		csvDir   = fs.String("csv-dir", "", "also write each figure's tables as CSV files (plus perf.csv) into this directory")
 		benchSel = fs.String("benchmarks", "", "comma-separated benchmark subset for single-programmed figures")
 		mixSel   = fs.String("mixes", "", "comma-separated mix subset (M1..M8) for multi-programmed figures")
-		nopool   = fs.Bool("nopool", false, "build a fresh machine per run instead of reusing pooled ones (output is byte-identical either way; this flag exists so scripts can prove it)")
 
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile (pprof) covering all selected figures to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile (pprof) taken after all figures to this file")
@@ -234,7 +233,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	s := exp.NewSession(cfg)
-	s.DisablePool = *nopool
 	s.Benchmarks, s.Mixes = benchmarks, mixes
 	var explainA, explainB core.Design
 	if *explainSel != "" {

@@ -75,7 +75,7 @@ func parse(args []string) (settings, error) {
 		instr    = fs.Uint64("instr", 0, "base instructions per core (0 = config default)")
 		seed     = fs.Uint64("seed", 0, "base workload seed override")
 		logJSON  = fs.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
-		poolMB   = fs.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget, <0 = pooling off)")
+		poolMB   = fs.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return st, err
@@ -102,12 +102,10 @@ func parse(args []string) (settings, error) {
 		return st, err
 	}
 	st.opts.Base = cfg
-	switch {
-	case *poolMB < 0:
-		st.opts.PoolBytes = -1
-	case *poolMB > 0:
-		st.opts.PoolBytes = *poolMB << 20
+	if *poolMB < 0 {
+		return st, fmt.Errorf("-pool-mb %d: want a budget >= 0 MB (0 = default)", *poolMB)
 	}
+	st.opts.PoolBytes = *poolMB << 20
 	st.opts.Log = func(ev serve.LogEvent) {
 		if line := textLine(ev); line != "" {
 			log.Print(line)

@@ -71,3 +71,21 @@ func TestTextLog(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolMBFlag: -pool-mb sets the pool budget in MB, 0 keeps the
+// default, and a negative budget is refused (the pool cannot be turned
+// off).
+func TestPoolMBFlag(t *testing.T) {
+	for _, c := range []struct {
+		arg  string
+		want int64
+	}{{"0", 0}, {"64", 64 << 20}} {
+		st, err := parse([]string{"-pool-mb", c.arg})
+		if err != nil || st.opts.PoolBytes != c.want {
+			t.Errorf("-pool-mb %s: PoolBytes %d, err %v; want %d", c.arg, st.opts.PoolBytes, err, c.want)
+		}
+	}
+	if _, err := parse([]string{"-pool-mb", "-1"}); err == nil {
+		t.Error("-pool-mb -1 accepted")
+	}
+}

@@ -6,6 +6,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/cache"
@@ -124,7 +125,9 @@ func (c *Config) MemoryScale() float64 {
 	return float64(c.Geometry().Capacity()) / float64(8<<30)
 }
 
-// Validate checks cross-field consistency.
+// Validate checks cross-field consistency, and runs the checks of every
+// component configuration it derives, so a config it accepts builds
+// every design.
 func (c *Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("config: cores must be positive")
@@ -135,15 +138,9 @@ func (c *Config) Validate() error {
 	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
 		return fmt.Errorf("config: warmup_frac must be in [0,1)")
 	}
-	if _, err := core.ParseReplacement(c.Replacement); err != nil {
-		return err
-	}
 	fc := c.FaultConfig()
 	if err := fc.Validate(); err != nil {
 		return err
-	}
-	if c.MigRetries < 0 {
-		return fmt.Errorf("config: fault_mig_retries must be non-negative")
 	}
 	if err := c.Geometry().Validate(); err != nil {
 		return err
@@ -153,7 +150,33 @@ func (c *Config) Validate() error {
 	if !(c.CPUGHz > 0 && c.CPUGHz <= 1000) {
 		return fmt.Errorf("config: cpu_ghz must be in (0, 1000], got %v", c.CPUGHz)
 	}
-	return c.validateCaches()
+	if err := c.validateCaches(); err != nil {
+		return err
+	}
+	ctl := c.ControllerConfig()
+	if err := ctl.Validate(); err != nil {
+		return err
+	}
+	cc := c.CPUConfig()
+	if err := cc.Validate(); err != nil {
+		return err
+	}
+	// The dynamic designs use every management knob, and their layout
+	// must tile each bank.
+	mgr, err := c.ManagerConfig(core.DAS)
+	if err != nil {
+		return err
+	}
+	if err := mgr.Validate(); err != nil {
+		return err
+	}
+	if _, err := core.NewLayout(c.Geometry(), c.GroupSize, c.FastDenom); err != nil {
+		return err
+	}
+	if !(c.MigrationLatencyNS >= 0) || math.IsInf(c.MigrationLatencyNS, 1) {
+		return fmt.Errorf("config: migration_latency_ns must be finite and non-negative, got %v", c.MigrationLatencyNS)
+	}
+	return nil
 }
 
 // validateCaches checks each cache level's organization and that its

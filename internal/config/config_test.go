@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -111,6 +112,13 @@ func TestValidationRejects(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
+	for _, ns := range []float64{math.Inf(1), math.NaN()} {
+		c = Default()
+		c.MigrationLatencyNS = ns
+		if err := c.Validate(); err == nil {
+			t.Fatalf("migration latency %v accepted", ns)
+		}
+	}
 }
 
 // TestValidateRejectsUntaggedMemory checks the cache tag bound: a
@@ -195,5 +203,34 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("invalid config loaded")
+	}
+}
+
+// TestParseRejectsUnbuildable: each input names a value that some
+// design's components refuse (the controller, the core, the DAS
+// manager, the DAS layout or the device), so Parse must refuse it too,
+// instead of leaving the failure to the first run.
+func TestParseRejectsUnbuildable(t *testing.T) {
+	for _, in := range []string{
+		`{"window_size":0}`,
+		`{"write_low":40}`,
+		`{"starvation_limit_ns":0}`,
+		`{"rob":2}`,
+		`{"store_buffer":0}`,
+		`{"group_size":512}`,
+		`{"group_size":7}`,
+		`{"fast_denom":1}`,
+		`{"fast_denom":3}`,
+		`{"tag_cache_assoc":0}`,
+		`{"tag_cache_assoc":3}`,
+		`{"filter_threshold":0}`,
+		`{"filter_counters":0}`,
+		`{"migration_latency_ns":-5}`,
+		`{"fault_mig_retries":-1}`,
+		`{"replacement":"fifo"}`,
+	} {
+		if _, err := Parse([]byte(in)); err == nil {
+			t.Errorf("Parse(%s) accepted", in)
+		}
 	}
 }

@@ -124,8 +124,8 @@ func (c *Config) Validate() error {
 	if c.GroupSize <= 0 || c.GroupSize > 256 {
 		return fmt.Errorf("core: group size must be in 1..256")
 	}
-	if c.TagCacheBytes <= 0 || c.TagCacheAssoc <= 0 {
-		return fmt.Errorf("core: tag cache parameters must be positive")
+	if _, _, err := tagSets(c.TagCacheBytes, c.TagCacheAssoc); err != nil {
+		return err
 	}
 	if c.FilterThreshold < 1 || c.FilterCounters <= 0 {
 		return fmt.Errorf("core: filter parameters invalid")

@@ -34,18 +34,27 @@ type tagLine struct {
 	lru uint64 // recency stamp; 0 = invalid
 }
 
+// tagSets returns the entry count of a tag cache of capacityBytes and
+// its associativity (assoc, capped at the entry count), or an error if
+// the entries cannot form such sets.
+func tagSets(capacityBytes, assoc int) (entries, ways int, err error) {
+	if capacityBytes <= 0 || assoc <= 0 {
+		return 0, 0, fmt.Errorf("core: tag cache capacity and associativity must be positive")
+	}
+	entries = capacityBytes / tagEntryBytes
+	ways = min(assoc, entries)
+	if entries == 0 || entries%ways != 0 {
+		return 0, 0, fmt.Errorf("core: tag cache of %d B cannot form %d-way sets", capacityBytes, ways)
+	}
+	return entries, ways, nil
+}
+
 // NewTagCache builds a cache of capacityBytes with the given
 // associativity over per-row entries.
 func NewTagCache(capacityBytes, assoc int) (*TagCache, error) {
-	if capacityBytes <= 0 || assoc <= 0 {
-		return nil, fmt.Errorf("core: tag cache capacity and associativity must be positive")
-	}
-	entries := capacityBytes / tagEntryBytes
-	if entries < assoc {
-		assoc = entries
-	}
-	if entries == 0 || entries%assoc != 0 {
-		return nil, fmt.Errorf("core: tag cache of %d B cannot form %d-way sets", capacityBytes, assoc)
+	entries, assoc, err := tagSets(capacityBytes, assoc)
+	if err != nil {
+		return nil, err
 	}
 	nsets := entries / assoc
 	// Round the set count down to a power of two so the index is a mask

@@ -45,15 +45,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// robEntry is one in-flight instruction.
-type robEntry struct {
-	done      bool
-	load      bool
-	dependent bool
-	issued    bool
-	addr      uint64
-}
-
 // Stats are per-core measurement-window counters.
 type Stats struct {
 	Retired   uint64
@@ -81,7 +72,7 @@ type Core struct {
 	gen   workload.Generator
 	l1    mem.Component
 
-	rob      []robEntry
+	rob      []bool        // ring of in-flight instructions' done flags
 	loadReqs []mem.Request // per-ROB-slot load requests, Done bound once
 	head     int
 	count    int
@@ -136,7 +127,7 @@ func New(id int, cfg Config, eng *sim.Engine, gen workload.Generator, l1 mem.Com
 		clock: sim.NewClockHz(cfg.ClockHz),
 		gen:   gen,
 		l1:    l1,
-		rob:   make([]robEntry, cfg.ROB),
+		rob:   make([]bool, cfg.ROB),
 	}
 	// One request per ROB slot with its completion bound once: a slot is
 	// only reused after its previous instruction retired, which requires
@@ -160,9 +151,7 @@ func New(id int, cfg Config, eng *sim.Engine, gen workload.Generator, l1 mem.Com
 // in-flight completion would otherwise fire against the rewound state.
 func (c *Core) Reset(gen workload.Generator) {
 	c.gen = gen
-	for i := range c.rob {
-		c.rob[i] = robEntry{}
-	}
+	clear(c.rob)
 	for i := range c.loadReqs {
 		c.loadReqs[i].Trace = nil
 	}
@@ -273,7 +262,7 @@ func (c *Core) tick() {
 	}
 
 	// Retire up to Width completed instructions from the ROB head.
-	for r := 0; r < c.cfg.Width && c.count > 0 && c.rob[c.head].done; r++ {
+	for r := 0; r < c.cfg.Width && c.count > 0 && c.rob[c.head]; r++ {
 		c.head++
 		if c.head == len(c.rob) {
 			c.head = 0
@@ -302,11 +291,11 @@ func (c *Core) tick() {
 			idx -= len(c.rob)
 		}
 		c.count++
-		e := &c.rob[idx]
-		*e = robEntry{}
 		progress = true
+		// Only loads wait in the ROB; everything else retires in order
+		// as soon as it reaches the head.
+		c.rob[idx] = !in.Mem || in.Write
 		if !in.Mem {
-			e.done = true
 			continue
 		}
 		if c.measuring {
@@ -319,7 +308,6 @@ func (c *Core) tick() {
 			}
 			// Stores retire immediately through the store buffer and
 			// drain to the cache asynchronously.
-			e.done = true
 			c.sbInFlight++
 			s := c.newStore()
 			s.req.Addr = in.Addr
@@ -330,10 +318,8 @@ func (c *Core) tick() {
 		if c.measuring {
 			c.Stats.Loads++
 		}
-		e.load = true
-		e.addr = in.Addr
+		c.loadReqs[idx].Addr = in.Addr
 		if in.Dependent && c.outstandingLoads > 0 {
-			e.dependent = true
 			c.depQueue = append(c.depQueue, idx)
 		} else {
 			c.issueLoad(idx)
@@ -346,13 +332,11 @@ func (c *Core) tick() {
 	}
 }
 
-// issueLoad sends the load at ROB index idx into the hierarchy, reusing
-// the slot's preallocated request.
+// issueLoad sends the load at ROB index idx into the hierarchy through
+// the slot's preallocated request, whose address dispatch wrote.
 func (c *Core) issueLoad(idx int) {
-	c.rob[idx].issued = true
 	c.outstandingLoads++
 	req := &c.loadReqs[idx]
-	req.Addr = c.rob[idx].addr
 	req.Core = c.id
 	req.Issued = c.eng.Now()
 	if c.rt != nil && c.measuring {
@@ -370,7 +354,7 @@ func (c *Core) loadReturned(idx int) {
 		c.rt.Finish(req.Trace, c.eng.Now())
 		req.Trace = nil
 	}
-	c.rob[idx].done = true
+	c.rob[idx] = true
 	c.outstandingLoads--
 	c.wake()
 }

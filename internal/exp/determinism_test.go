@@ -26,11 +26,11 @@ func renderFig7a(t *testing.T) string {
 	return fig.Render()
 }
 
-// explainStandardDAS renders Explain(Standard, DAS) over two benchmarks,
-// which runs its four runs concurrently up to par at a time, then Fig 7b,
-// which draws on the DAS runs made there. The session must trace
-// requests (Observe.ReqTraceN > 0).
-func explainStandardDAS(t *testing.T, s *Session, par int) string {
+// explainThen7a renders Explain(Standard, DAS) over two benchmarks,
+// which runs its four runs up to par at a time, then Fig 7a, which
+// reuses those and runs the other four designs' eight up to par at a
+// time. The session must trace requests (Observe.ReqTraceN > 0).
+func explainThen7a(t *testing.T, s *Session, par int) string {
 	t.Helper()
 	s.Parallelism = par
 	s.Benchmarks = []string{"mcf", "libquantum"}
@@ -38,7 +38,7 @@ func explainStandardDAS(t *testing.T, s *Session, par int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := s.Figure("7b")
+	fig, err := s.Figure("7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	render := func(par int) string {
 		s := NewSession(tinyConfig())
 		s.Observe = &ObserveOptions{ReqTraceN: 3}
-		return explainStandardDAS(t, s, par)
+		return explainThen7a(t, s, par)
 	}
 	serial, wide := render(1), render(max(2, runtime.GOMAXPROCS(0)))
 	if serial != wide {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -114,11 +115,11 @@ func TestSessionCachedMemoizes(t *testing.T) {
 
 func TestRunsAreDeterministic(t *testing.T) {
 	cfg := tinyConfig()
-	r1, err := NewSession(cfg).Run(cfg, core.DAS, []string{"omnetpp"})
+	r1, err := NewSession(cfg).Cached(cfg, core.DAS, []string{"omnetpp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewSession(cfg).Run(cfg, core.DAS, []string{"omnetpp"})
+	r2, err := NewSession(cfg).Cached(cfg, core.DAS, []string{"omnetpp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +128,46 @@ func TestRunsAreDeterministic(t *testing.T) {
 		r1.Access != r2.Access ||
 		r1.Events != r2.Events {
 		t.Fatalf("nondeterministic runs:\n%+v\n%+v", r1, r2)
+	}
+}
+
+// panicCtx is a context whose Err panics. A run polls its context at
+// the observation stride, so the panic is raised inside the simulation,
+// on the goroutine fetch runs the grid cell on.
+type panicCtx struct{ context.Context }
+
+func (panicCtx) Err() error { panic("fault inside a run") }
+
+// recovered calls f and returns what it panicked with (nil if nothing).
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// TestCellPanicReachesCaller: a simulation that panics in a grid cell
+// panics again in the goroutine that asked for the figure, carrying the
+// cell's own stack, at every parallelism, so a caller's recover (the
+// server's panic isolation) sees it. The memo entry records the panic:
+// a later caller of the same run panics too rather than reading a nil
+// result.
+func TestCellPanicReachesCaller(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		s := NewSession(tinyConfig())
+		s.Ctx = panicCtx{context.Background()}
+		s.Parallelism = par
+		s.Benchmarks = []string{"mcf", "libquantum"}
+		p := recovered(func() { s.Figure("7a") })
+		rp, ok := p.(*runPanic)
+		if !ok {
+			t.Fatalf("parallelism %d: Figure raised %v (%T), want the cell's *runPanic", par, p, p)
+		}
+		if rp.value != "fault inside a run" || !strings.Contains(string(rp.stack), "RunContext") {
+			t.Fatalf("parallelism %d: panic lost its cause or the cell's stack: %v", par, rp)
+		}
+		if p := recovered(func() { s.Baseline([]string{"mcf"}) }); p != rp {
+			t.Fatalf("parallelism %d: the panicked run's memo entry raised %v, want its recorded panic", par, p)
+		}
 	}
 }
 
@@ -255,6 +296,43 @@ func TestMixRunAllDesigns(t *testing.T) {
 		}
 		if len(res.PerCore) != 4 {
 			t.Fatalf("%v: %d cores", d, len(res.PerCore))
+		}
+	}
+}
+
+// TestParsedConfigsBuildEveryDesign: every config Parse accepts builds
+// all six designs. The inputs sit on both sides of the controller,
+// core, DAS-manager, tag-cache, layout and device limits; Parse refuses
+// the unbuildable ones, and the rest, with Default and Scaled, must
+// build.
+func TestParsedConfigsBuildEveryDesign(t *testing.T) {
+	cfgs := map[string]config.Config{"Default()": config.Default(), "Scaled()": config.Scaled()}
+	for _, in := range []string{
+		`{"window_size":0}`, `{"window_size":1}`,
+		`{"write_low":40}`, `{"write_low":0}`, `{"write_low":31}`,
+		`{"starvation_limit_ns":0}`, `{"starvation_limit_ns":0.001}`,
+		`{"rob":2}`, `{"rob":4}`,
+		`{"store_buffer":0}`, `{"store_buffer":1}`,
+		`{"group_size":512}`, `{"group_size":7}`, `{"group_size":256}`, `{"group_size":8}`,
+		`{"fast_denom":1}`, `{"fast_denom":3}`, `{"fast_denom":2}`, `{"fast_denom":32}`,
+		`{"tag_cache_assoc":0}`, `{"tag_cache_assoc":3}`, `{"tag_cache_assoc":1}`, `{"tag_cache_assoc":4}`,
+		`{"filter_threshold":0}`, `{"filter_threshold":2}`,
+		`{"filter_counters":0}`, `{"filter_counters":1}`,
+		`{"migration_latency_ns":-5}`, `{"migration_latency_ns":0}`,
+	} {
+		if c, err := config.Parse([]byte(in)); err == nil {
+			cfgs[in] = c
+		}
+	}
+	for in, cfg := range cfgs {
+		static := core.BuildStaticAssignment(core.NewRowProfile(), cfg.Geometry(), cfg.FastDenom)
+		for _, d := range core.AllDesigns() {
+			sys, _, err := Build(cfg, d, []string{"mcf"}, static, false)
+			if err != nil {
+				t.Errorf("%s: Parse accepts it, but %v does not build: %v", in, d, err)
+				continue
+			}
+			sys.free()
 		}
 	}
 }

@@ -23,43 +23,32 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	if s.Observe == nil || s.Observe.ReqTraceN <= 0 {
 		return nil, fmt.Errorf("exp: Explain requires Observe.ReqTraceN > 0 (request tracing off)")
 	}
-	sets, names, _ := s.singleSets()
+	return s.render(&figureEntry{rows: (*Session).singleSets, cols: designs(a, b), draw: drawExplain})
+}
 
-	// Run both designs over every workload in parallel (memoized, so
-	// figures already computed this session are reused).
-	var jobs []job
-	for _, set := range sets {
-		for _, d := range []core.Design{a, b} {
-			set, d := set, d
-			jobs = append(jobs, func() error {
-				_, err := s.Cached(s.Cfg, d, set)
-				return err
-			})
-		}
+// recorder returns cell (i, col)'s request recorder, failing if its
+// run predates tracing or any traced request broke an attribution
+// ledger.
+func (g *grid) recorder(i, col int) (*reqtrace.Recorder, error) {
+	obs := g.runs[i][col].obs
+	if obs == nil || obs.Req == nil {
+		return nil, fmt.Errorf("exp: no request-trace recorder for %s/%s (run predates tracing?)", g.names[i], g.cols[col].label)
 	}
-	if err := s.runAll(jobs); err != nil {
-		return nil, err
+	if l := obs.Req.Latency(); l.Violations() > 0 {
+		return nil, fmt.Errorf("exp: %s: %d attribution invariant violation(s); first: %s",
+			obs.Label, l.Violations(), l.FirstViolation())
 	}
+	if l := obs.Req.Energy(); l.Violations() > 0 {
+		return nil, fmt.Errorf("exp: %s: %d energy attribution violation(s); first: %s",
+			obs.Label, l.Violations(), l.FirstViolation())
+	}
+	return obs.Req, nil
+}
 
-	// Look each run's recorder up by its result key.
-	recorder := func(d core.Design, set []string) (*reqtrace.Recorder, error) {
-		_, key := s.memoKey(s.Cfg, d, set)
-		for _, o := range s.Observers() {
-			if o.Label == key && o.Req != nil {
-				if l := o.Req.Latency(); l.Violations() > 0 {
-					return nil, fmt.Errorf("exp: %s: %d attribution invariant violation(s); first: %s",
-						key, l.Violations(), l.FirstViolation())
-				}
-				if l := o.Req.Energy(); l.Violations() > 0 {
-					return nil, fmt.Errorf("exp: %s: %d energy attribution violation(s); first: %s",
-						key, l.Violations(), l.FirstViolation())
-				}
-				return o.Req, nil
-			}
-		}
-		return nil, fmt.Errorf("exp: no request-trace recorder for %s (run predates tracing?)", key)
-	}
-
+// drawExplain draws Explain's report from its grid: design a in column
+// 0 and design b in column 1, over every single-programmed workload.
+func drawExplain(s *Session, g *grid) (*Figure, error) {
+	a, b := g.cols[0].design, g.cols[1].design
 	waterfall := &stats.Table{
 		Title:  fmt.Sprintf("Mean per-request latency attribution (ns): %v vs %v", a, b),
 		Header: []string{"workload", "design", "requests", "total", "cache", "xlat", "queue", "refresh", "migration", "conflict", "service", "fill"},
@@ -84,27 +73,27 @@ func (s *Session) Explain(a, b core.Design) (*Figure, error) {
 	}
 	var aggA, aggB reqtrace.Aggregate
 	da, db := fmt.Sprintf("%v", a), fmt.Sprintf("%v", b)
-	for i, set := range sets {
-		ra, err := recorder(a, set)
+	for i := range g.runs {
+		ra, err := g.recorder(i, 0)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := recorder(b, set)
+		rb, err := g.recorder(i, 1)
 		if err != nil {
 			return nil, err
 		}
 		la, lb, ea, eb := ra.Latency(), rb.Latency(), ra.Energy(), rb.Energy()
-		waterfall.AddRow(meanRow("%.1f", la, nil, latencyComps, names[i], da, fmt.Sprintf("%d", la.Count()))...)
-		waterfall.AddRow(meanRow("%.1f", lb, nil, latencyComps, names[i], db, fmt.Sprintf("%d", lb.Count()))...)
-		waterfall.AddRow(meanRow("%+.1f", lb, la, latencyComps, names[i], "Δ", "")...)
-		ewaterfall.AddRow(meanRow("%.1f", ea, nil, energyComps, names[i], da)...)
-		ewaterfall.AddRow(meanRow("%.1f", eb, nil, energyComps, names[i], db)...)
-		ewaterfall.AddRow(meanRow("%+.1f", eb, ea, energyComps, names[i], "Δ")...)
+		waterfall.AddRow(meanRow("%.1f", la, nil, latencyComps, g.names[i], da, fmt.Sprintf("%d", la.Count()))...)
+		waterfall.AddRow(meanRow("%.1f", lb, nil, latencyComps, g.names[i], db, fmt.Sprintf("%d", lb.Count()))...)
+		waterfall.AddRow(meanRow("%+.1f", lb, la, latencyComps, g.names[i], "Δ", "")...)
+		ewaterfall.AddRow(meanRow("%.1f", ea, nil, energyComps, g.names[i], da)...)
+		ewaterfall.AddRow(meanRow("%.1f", eb, nil, energyComps, g.names[i], db)...)
+		ewaterfall.AddRow(meanRow("%+.1f", eb, ea, energyComps, g.names[i], "Δ")...)
 		ra.AddTo(&aggA)
 		rb.AddTo(&aggB)
-		quantiles.AddRow(names[i], da,
+		quantiles.AddRow(g.names[i], da,
 			fmt.Sprintf("%d", la.Quantile(0.50)), fmt.Sprintf("%d", la.Quantile(0.95)), fmt.Sprintf("%d", la.Quantile(0.99)))
-		quantiles.AddRow(names[i], db,
+		quantiles.AddRow(g.names[i], db,
 			fmt.Sprintf("%d", lb.Quantile(0.50)), fmt.Sprintf("%d", lb.Quantile(0.95)), fmt.Sprintf("%d", lb.Quantile(0.99)))
 	}
 	waterfall.Caption = fmt.Sprintf(

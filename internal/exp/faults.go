@@ -80,8 +80,8 @@ func drawFaults(_ *Session, g *grid) (*Figure, error) {
 			// Sum the point's fault activity over the workload sets.
 			var f core.FaultStats
 			var proms uint64
-			for _, row := range g.res {
-				r := row[col]
+			for _, row := range g.runs {
+				r := row[col].res
 				proms += r.Promotions
 				f.MigFailures += r.Faults.MigFailures
 				f.MigRetries += r.Faults.MigRetries

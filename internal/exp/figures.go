@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/area"
 	"repro/internal/config"
@@ -86,7 +88,7 @@ type grid struct {
 	sets  [][]string
 	names []string // row labels
 	cols  []column
-	res   [][]*Result // res[row][col], filled by fetch
+	runs  [][]*run // runs[row][col], filled by fetch
 }
 
 // figureEntry states one figure once: the rows and columns of its run
@@ -235,18 +237,47 @@ func (s *Session) render(e *figureEntry) (*Figure, error) {
 	return e.draw(s, g)
 }
 
-// fetch runs the grid row by row through the run memo, so a run the
-// grid repeats, or an earlier figure made, runs once.
+// fetch runs the grid's cells through the run memo, so a run the grid
+// repeats, or an earlier figure made, runs once. Cells start in grid
+// order with at most Parallelism in flight. Once a cell fails no further
+// cell starts, and the error names the first failing cell in grid
+// order: every cell before it has started, so which one that is does
+// not depend on host scheduling. A cell that panicked fails too, and
+// if it is the first, its panic is raised again here, in the caller's
+// goroutine.
 func (s *Session) fetch(g *grid) error {
-	g.res = make([][]*Result, len(g.sets))
-	for i, set := range g.sets {
-		for _, c := range g.cols {
-			res, err := s.Cached(c.cfg, c.design, set)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", g.names[i], c.label, err)
-			}
-			g.res[i] = append(g.res[i], res)
+	n := len(g.cols)
+	runs := make([]*run, len(g.sets)*n)
+	sem := make(chan struct{}, max(1, s.Parallelism))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i := range runs {
+		sem <- struct{}{}
+		if failed.Load() {
+			break
 		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			c := g.cols[i%n]
+			runs[i] = s.cached(c.cfg, c.design, g.sets[i/n])
+			if runs[i].err != nil {
+				failed.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if r == nil {
+			break // not started: an earlier cell failed
+		}
+		if _, err := r.result(); err != nil {
+			return fmt.Errorf("%s/%s: %w", g.names[i/n], g.cols[i%n].label, err)
+		}
+	}
+	g.runs = make([][]*run, len(g.sets))
+	for i := range g.runs {
+		g.runs[i] = runs[i*n : (i+1)*n]
 	}
 	return nil
 }
@@ -306,10 +337,10 @@ func (g *grid) table(title string, cell func(r, base *Result) string) *stats.Tab
 	for _, c := range g.cols[1:] {
 		tbl.Header = append(tbl.Header, c.label)
 	}
-	for i, row := range g.res {
+	for i, row := range g.runs {
 		cells := []string{g.names[i]}
 		for _, r := range row[1:] {
-			cells = append(cells, cell(r, row[0]))
+			cells = append(cells, cell(r.res, row[0].res))
 		}
 		tbl.AddRow(cells...)
 	}
@@ -319,9 +350,9 @@ func (g *grid) table(title string, cell func(r, base *Result) string) *stats.Tab
 // gmean returns column col's gmean improvement (%) over the baseline
 // across the workload sets.
 func (g *grid) gmean(col int) (float64, error) {
-	ratios := make([]float64, len(g.res))
-	for i, row := range g.res {
-		ratios[i] = row[col].Speedup(row[0])
+	ratios := make([]float64, len(g.runs))
+	for i, row := range g.runs {
+		ratios[i] = row[col].res.Speedup(row[0].res)
 	}
 	imp, err := stats.GmeanImprovementErr(ratios)
 	if err != nil {
@@ -369,14 +400,14 @@ func drawBehaviour(id, title string) func(*Session, *grid) (*Figure, error) {
 			Title:  title,
 			Header: []string{"workload", "MPKI", "PPKM", "footprint(MB)"},
 		}
-		for i, row := range g.res {
+		for i, row := range g.runs {
 			var mpki, ppkm, fp float64
-			for _, c := range row[0].PerCore {
+			for _, c := range row[0].res.PerCore {
 				mpki += c.MPKI
 				ppkm += c.PPKM
 				fp += c.FootprintMB
 			}
-			n := float64(len(row[0].PerCore))
+			n := float64(len(row[0].res.PerCore))
 			tbl.AddRow(g.names[i], fmt.Sprintf("%.1f", mpki/n), fmt.Sprintf("%.1f", ppkm/n),
 				fmt.Sprintf("%.0f", fp))
 		}
@@ -396,9 +427,9 @@ func drawLocations(id, title string) func(*Session, *grid) (*Figure, error) {
 				"static rb", "static fast", "static slow",
 				"dynamic rb", "dynamic fast", "dynamic slow"},
 		}
-		for i, row := range g.res {
-			srb, sf, ss := row[0].Access.Fractions()
-			drb, df, ds := row[1].Access.Fractions()
+		for i, row := range g.runs {
+			srb, sf, ss := row[0].res.Access.Fractions()
+			drb, df, ds := row[1].res.Access.Fractions()
 			tbl.AddRow(g.names[i],
 				stats.Percent(srb), stats.Percent(sf), stats.Percent(ss),
 				stats.Percent(drb), stats.Percent(df), stats.Percent(ds))
@@ -458,11 +489,12 @@ func drawEnergy(_ *Session, g *grid) (*Figure, error) {
 	// decomposition table.
 	sumE := make([]energy.Breakdown, len(g.cols))
 	sumInstr := make([]uint64, len(g.cols))
-	for i, row := range g.res {
-		base := row[0]
+	for i, row := range g.runs {
+		base := row[0].res
 		baseEDP := float64(base.Energy.TotalPJ()) * base.SimulatedNS
 		pRow, eRow := []string{g.names[i]}, []string{g.names[i]}
-		for d, res := range row {
+		for d, r := range row {
+			res := r.res
 			uj := float64(res.Energy.TotalPJ()) / 1e6
 			perUJ := 0.0
 			if uj > 0 {
@@ -544,7 +576,7 @@ func accumulateBreakdown(dst *energy.Breakdown, b energy.Breakdown) {
 // drawDesign draws DesignFigure: per-core IPC of the design (column 1)
 // against the Standard baseline (column 0) over one benchmark set.
 func drawDesign(_ *Session, g *grid) (*Figure, error) {
-	base, res, design := g.res[0][0], g.res[0][1], g.cols[1].design
+	base, res, design := g.runs[0][0].res, g.runs[0][1].res, g.cols[1].design
 	tbl := &stats.Table{
 		Title:  fmt.Sprintf("%v over %s", design, g.names[0]),
 		Header: []string{"core", "benchmark", "IPC", "improvement", "rb", "fast", "slow"},

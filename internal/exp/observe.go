@@ -2,7 +2,7 @@ package exp
 
 import (
 	"io"
-	"sync"
+	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -140,28 +140,19 @@ func (s *System) AttachObserver(obs *Observer) {
 	}
 }
 
-// observerSet collects completed observers across a session's parallel
-// runs and renders the merged sinks.
-type observerSet struct {
-	mu   sync.Mutex
-	list []*Observer
-}
-
-func (os *observerSet) add(o *Observer) {
-	if o == nil {
-		return
-	}
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	os.list = append(os.list, o)
-}
-
-// Observers returns the completed observers of this session's fresh
-// runs, in completion order (sinks sort by label themselves).
+// Observers returns the observers of this session's successfully
+// completed runs, in label order; runs still in flight are left out.
 func (s *Session) Observers() []*Observer {
-	s.observers.mu.Lock()
-	defer s.observers.mu.Unlock()
-	return append([]*Observer(nil), s.observers.list...)
+	var obs []*Observer
+	s.mu.Lock()
+	for _, r := range s.results {
+		if r.err == nil && r.obs != nil { // both set as the run completes
+			obs = append(obs, r.obs)
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(obs, func(i, j int) bool { return obs[i].Label < obs[j].Label })
+	return obs
 }
 
 // timelines extracts the non-nil timelines.

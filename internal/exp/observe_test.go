@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // observedFig7a renders a two-benchmark Fig7a with telemetry fully
@@ -50,15 +51,39 @@ func TestTelemetryDoesNotPerturbFigures(t *testing.T) {
 	}
 }
 
-// TestTelemetrySinksDeterministic renders Explain(Standard, DAS) with
-// telemetry fully enabled, serially and with concurrent runs: merged
-// sink output sorts by run label, so neither the figure bytes nor the
-// sink bytes may depend on host scheduling or completion order.
+// TestTelemetrySinksDeterministic renders Explain(Standard, DAS) and
+// Fig 7a with telemetry fully enabled, serially and with concurrent
+// runs: merged sink output sorts by run label, so neither the figure
+// bytes nor the sink bytes may depend on host scheduling or completion
+// order. Observers is polled while the runs are in flight and must list
+// completed runs in label order.
 func TestTelemetrySinksDeterministic(t *testing.T) {
 	observed := func(par int) (fig, csv, trace string) {
 		s := NewSession(tinyConfig())
 		s.Observe = &ObserveOptions{Metrics: true, Trace: true, ReqTraceN: 3}
-		fig = explainStandardDAS(t, s, par)
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+				obs := s.Observers()
+				for i := 1; i < len(obs); i++ {
+					if obs[i-1].Label >= obs[i].Label {
+						t.Errorf("Observers out of label order: %q before %q", obs[i-1].Label, obs[i].Label)
+						return
+					}
+				}
+			}
+		}()
+		fig = explainThen7a(t, s, par)
+		close(stop)
+		<-polled
 		csv, trace = sinkBytes(t, s)
 		return fig, csv, trace
 	}

@@ -59,7 +59,7 @@ func footprintBytes(cfg *config.Config, design core.Design) int64 {
 	const (
 		lineBytes  = 8         // cache.line: 32-bit tag and LRU stamp
 		bankBytes  = 256       // dram.Bank counters + rank share
-		robBytes   = 96        // robEntry + preallocated load request
+		robBytes   = 96        // ROB done flag + preallocated load request
 		coreBytes  = 160 << 10 // workload row permutation and page bitmap
 		rowBytes   = 6         // dynamic designs: ~240 B per touched 32-row group
 		tagBytes   = 8         // dynamic designs: a 16-byte tagLine per modeled 2-byte entry

@@ -126,9 +126,9 @@ func TestResetRejectsShapeChange(t *testing.T) {
 }
 
 // TestPooledFigureBytesMatchFresh pins the user-facing observable:
-// Figure 7a rendered by pool-disabled sessions and by two sessions
-// sharing one pool (the second running entirely on recycled machines)
-// must produce identical bytes.
+// Figure 7a rendered on fresh machines (a pool too small to keep one)
+// and by two sessions sharing one pool (the second running entirely on
+// recycled machines) must produce identical bytes.
 func TestPooledFigureBytesMatchFresh(t *testing.T) {
 	// Two benchmarks keep the three renders affordable under -race; the
 	// full-matrix stream digests above cover the remaining designs.
@@ -141,7 +141,7 @@ func TestPooledFigureBytesMatchFresh(t *testing.T) {
 		return fig.Render()
 	}
 	fresh := NewSession(tinyConfig())
-	fresh.DisablePool = true
+	fresh.Pool = NewSystemPool(1)
 	want := render(fresh)
 
 	pool := NewSystemPool(0)
@@ -180,7 +180,7 @@ func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 		return csvBuf.String(), traceBuf.String()
 	}
 	fresh := NewSession(tinyConfig())
-	fresh.DisablePool = true
+	fresh.Pool = NewSystemPool(1)
 	wantCSV, wantTrace := run(fresh)
 
 	pool := NewSystemPool(0)
@@ -262,13 +262,11 @@ func TestPooledPublishMatchesFinalEpoch(t *testing.T) {
 // misses, and runs still succeed by building fresh.
 func TestPoolCapFallback(t *testing.T) {
 	pool := NewSystemPool(1) // smaller than any machine's footprint
-	s := NewSession(tinyConfig())
-	s.Pool = pool
-
-	cfg := s.Cfg
 	var results [2]string
 	for i := range results {
-		res, err := s.Run(cfg, core.DAS, []string{"mcf"})
+		s := NewSession(tinyConfig())
+		s.Pool = pool
+		res, err := s.Cached(s.Cfg, core.DAS, []string{"mcf"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,21 +284,6 @@ func TestPoolCapFallback(t *testing.T) {
 	}
 	if st.HitRate() != 0 {
 		t.Errorf("HitRate = %v, want 0", st.HitRate())
-	}
-}
-
-// TestPoolDisabled pins that DisablePool wins over an explicit Pool:
-// the session must never touch it.
-func TestPoolDisabled(t *testing.T) {
-	pool := NewSystemPool(0)
-	s := NewSession(tinyConfig())
-	s.Pool = pool
-	s.DisablePool = true
-	if _, err := s.Run(s.Cfg, core.DAS, []string{"mcf"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := pool.Stats(); st != (PoolStats{}) {
-		t.Errorf("disabled session touched the pool: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,9 @@ import (
 // need.
 type Session struct {
 	Cfg config.Config
-	// Parallelism bounds concurrent runs (defaults to GOMAXPROCS).
+	// Parallelism bounds the runs a figure's grid has in flight at once
+	// (defaults to GOMAXPROCS; below 1 means 1). Rendered bytes do not
+	// depend on it.
 	Parallelism int
 	// Benchmarks restricts the single-programmed figures to a subset of
 	// the Table 2 catalog (empty = all ten).
@@ -29,36 +32,33 @@ type Session struct {
 	Mixes []string
 
 	// Observe, when non-nil, makes every fresh run record telemetry
-	// (metrics timeline and/or Chrome trace) into a per-run Observer;
-	// completed observers are collected for the session sinks (see
+	// (metrics timeline and/or Chrome trace) into a per-run Observer,
+	// which the run's memo entry keeps for the session sinks (see
 	// WriteTimelineCSV, WriteTrace). Nil (the default) builds fully
 	// uninstrumented systems. Set before the first run.
 	Observe *ObserveOptions
 
 	// Pool overrides the machine pool fresh runs check out of (nil = the
-	// package-level DefaultPool). A pooled run reuses a previously built
+	// package-level DefaultPool). A run reuses a previously built
 	// machine of the same shape via System.Reset — byte-identical to a
-	// fresh Build — and returns it afterwards. Set before the first run.
+	// fresh Build — and returns it afterwards; a pool too small to keep
+	// a machine (NewSystemPool(1)) makes every run build fresh. Set
+	// before the first run.
 	Pool *SystemPool
 
-	// DisablePool forces every run to build a fresh machine and release
-	// its storage afterwards (the pre-pool lifecycle). The byte-identity
-	// suite and the benchmark harness's fresh-build reference use it.
-	DisablePool bool
-
 	// Ctx, when non-nil, is polled cooperatively by every run this
-	// session performs (at the run loop's observation stride and between
-	// parallel jobs), so cancelling it stops in-flight work promptly.
+	// session performs (at the run loop's observation stride), so
+	// cancelling it stops in-flight work promptly, and a grid starts no
+	// further run once one has failed.
 	// Set before the first run; nil means context.Background(). Note
 	// that memoized entries record a cancellation error like any other
 	// failure — a cancelled session is finished, not resumable, which is
 	// exactly the service-core contract (one Session per job).
 	Ctx context.Context
 
-	mu        sync.Mutex
-	profiles  map[string]*profileEntry
-	results   map[string]*resultEntry
-	observers observerSet
+	mu       sync.Mutex
+	profiles map[string]*profileEntry
+	results  map[string]*run
 
 	// events totals engine events executed by this session's fresh runs
 	// (cache hits add nothing), feeding the per-figure events/sec
@@ -83,11 +83,37 @@ type Session struct {
 	live liveProgress
 }
 
-type resultEntry struct {
+// run is one memoized simulation and the session's one record of it:
+// its result, its error and the observer that recorded it (nil when the
+// session observes nothing). A run that panicked records the panic as
+// its error (see runPanic).
+type run struct {
 	once sync.Once
 	res  *Result
 	err  error
+	obs  *Observer
 }
+
+// result returns the run's result and error, raising a panic the run
+// recorded again in the calling goroutine.
+func (r *run) result() (*Result, error) {
+	if p, ok := r.err.(*runPanic); ok {
+		panic(p)
+	}
+	return r.res, r.err
+}
+
+// runPanic is a panic raised inside a run, kept with the stack it was
+// raised on. A grid runs its cells in goroutines of its own, so the
+// panic is carried back and raised again in the goroutine that asked
+// for the run, where its caller's recover (dasserve's panic isolation)
+// can see it.
+type runPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *runPanic) Error() string { return fmt.Sprintf("run panicked: %v\n%s", p.value, p.stack) }
 
 // profileEntry is a benchmark set's row profile and the static
 // assignments built from it.
@@ -106,7 +132,7 @@ func NewSession(cfg config.Config) *Session {
 		Cfg:         cfg,
 		Parallelism: runtime.GOMAXPROCS(0),
 		profiles:    make(map[string]*profileEntry),
-		results:     make(map[string]*resultEntry),
+		results:     make(map[string]*run),
 	}
 }
 
@@ -159,56 +185,41 @@ func (s *Session) countRun(res *Result) {
 	s.energyPJ.Add(res.Energy.TotalPJ())
 }
 
-// machinePool returns the pool fresh runs check out of (nil = off).
-func (s *Session) machinePool() *SystemPool {
-	if s.DisablePool {
-		return nil
-	}
-	if s.Pool != nil {
-		return s.Pool
-	}
-	return DefaultPool
-}
-
-// build acquires a machine for one run: a pooled machine of matching
-// shape rewound in place when available, a fresh Build otherwise. The
-// returned system is marked for checkin — pass it to finishRun once the
-// run completes.
+// build checks a machine out of the session's pool for one run: a
+// pooled machine of matching shape rewound in place when available, a
+// fresh Build otherwise. Pass it to finishRun once the run completes.
 func (s *Session) build(cfg config.Config, design core.Design, benchmarks []string, static *core.StaticAssignment) (*System, error) {
-	p := s.machinePool()
-	if p != nil {
-		if sys := p.Get(&cfg, design); sys != nil {
-			if err := sys.Reset(cfg, design, benchmarks, static); err == nil {
-				return sys, nil
-			}
-			// A rejected cfg or benchmark list must not re-pool a
-			// half-reset machine; recycle its storage and let the fresh
-			// path report the error.
-			sys.free()
+	p := s.Pool
+	if p == nil {
+		p = DefaultPool
+	}
+	if sys := p.Get(&cfg, design); sys != nil {
+		if err := sys.Reset(cfg, design, benchmarks, static); err == nil {
+			return sys, nil
 		}
+		// A rejected cfg or benchmark list must not re-pool a
+		// half-reset machine; recycle its storage and let the fresh
+		// path report the error.
+		sys.free()
 	}
 	sys, _, err := Build(cfg, design, benchmarks, static, false)
 	if err != nil {
 		return nil, err
 	}
-	if p != nil {
-		sys.pool = p
-	}
+	sys.pool = p
 	return sys, nil
 }
 
-// finishRun returns a pooled machine after its run: checked back in on
-// success, storage-recycled on failure (a failed run may have died
+// finishRun returns a machine to its pool after its run: checked back
+// in on success, storage-recycled on failure (a failed run may have died
 // mid-event with arbitrary in-flight state; rebuilding is cheaper than
 // proving such a machine rewindable).
-func (s *Session) finishRun(sys *System, err error) {
-	if p := sys.pool; p != nil {
-		if err != nil {
-			sys.free()
-			return
-		}
-		p.Put(sys)
+func finishRun(sys *System, err error) {
+	if err != nil {
+		sys.free()
+		return
 	}
+	sys.pool.Put(sys)
 }
 
 // Baseline returns the Standard run of the benchmark set, the run every
@@ -247,33 +258,31 @@ func (s *Session) StaticAssignment(benchmarks []string, fastDenom int) (*core.St
 	return a, nil
 }
 
-// Run executes one design over a benchmark set using cfg, which may be
-// a sweep variant of the session config. It does not memoize; Cached
-// does.
-func (s *Session) Run(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
+// simulate executes one design over a benchmark set using cfg, which
+// may be a sweep variant of the session config, on a pooled machine. Its
+// observer is labelled with the run's memo key. It does not memoize;
+// cached does.
+func (s *Session) simulate(cfg config.Config, design core.Design, benchmarks []string, key string) (*Result, *Observer, error) {
 	cfg.Cores = len(benchmarks)
 	var static *core.StaticAssignment
 	if design.Static() {
 		a, err := s.StaticAssignment(benchmarks, cfg.FastDenom)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		static = a
 	}
 	sys, err := s.build(cfg, design, benchmarks, static)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	obs := newObserver(resultKey(cfg, design, benchmarks), cfg.Seed, s.Observe)
+	obs := newObserver(key, cfg.Seed, s.Observe)
 	sys.AttachObserver(obs)
 	sys.attachLive(&s.live)
 	res, err := sys.RunContext(s.context())
-	if err == nil {
-		s.observers.add(obs)
-	}
-	s.finishRun(sys, err)
+	finishRun(sys, err)
 	s.countRun(res)
-	return res, err
+	return res, obs, err
 }
 
 // resultKey identifies a run by its design, benchmarks, and every
@@ -303,55 +312,34 @@ func (s *Session) memoKey(cfg config.Config, design core.Design, benchmarks []st
 // result, so figures sharing runs (e.g. 7a/7b/7c) reuse them. It is the
 // session's one run memo; see memoKey for the Standard baseline.
 func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
-	cfg, key := s.memoKey(cfg, design, benchmarks)
-	s.mu.Lock()
-	e, ok := s.results[key]
-	if !ok {
-		e = &resultEntry{}
-		s.results[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.res, e.err = s.Run(cfg, design, benchmarks) })
-	return e.res, e.err
+	return s.cached(cfg, design, benchmarks).result()
 }
 
-// job is one unit of parallel work.
-type job func() error
-
-// runAll executes jobs with bounded parallelism, returning the first
-// error.
-func (s *Session) runAll(jobs []job) error {
-	par := s.Parallelism
-	if par < 1 {
-		par = 1
+// cached returns the memo entry of design over benchmarks with cfg,
+// running it first unless another caller already has. A panic in the
+// run is recovered into the entry's error, so every caller of the entry
+// sees it (see run.result).
+func (s *Session) cached(cfg config.Config, design core.Design, benchmarks []string) *run {
+	cfg, key := s.memoKey(cfg, design, benchmarks)
+	s.mu.Lock()
+	r, ok := s.results[key]
+	if !ok {
+		r = &run{}
+		s.results[key] = r
 	}
-	sem := make(chan struct{}, par)
-	errc := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Cancellation check at the job boundary: once the session
-			// context dies, queued jobs fail fast instead of starting
-			// fresh runs (in-flight runs notice via RunContext).
-			if err := s.context().Err(); err != nil {
-				errc <- err
-				return
+	s.mu.Unlock()
+	r.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				s.mu.Lock()
+				r.err = &runPanic{p, debug.Stack()}
+				s.mu.Unlock()
 			}
-			if err := j(); err != nil {
-				errc <- err
-			}
-		}(j)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		if err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-	}
-	return nil
+		}()
+		res, obs, err := s.simulate(cfg, design, benchmarks, key)
+		s.mu.Lock()
+		r.res, r.obs, r.err = res, obs, err
+		s.mu.Unlock()
+	})
+	return r
 }

@@ -238,8 +238,7 @@ type shared struct {
 	filterRejects            uint64
 }
 
-// readShared reads the shared counters. Its ctl copy shares the live
-// PerCore array, which no window reads.
+// readShared reads the shared counters.
 func (s *System) readShared() shared {
 	r := shared{ctl: s.Ctl.Stats, dev: s.Dev.CollectStats(),
 		promotions: s.Mgr.Stats.Promotions, tableFetches: s.Mgr.Stats.TableFetches}

@@ -60,9 +60,6 @@ type Stats struct {
 	// ReadLatHist buckets demand-read latencies (ns): <50, <100, <200,
 	// <500, <1000, >=1000.
 	ReadLatHist [6]uint64
-	// PerCore breaks down demand accesses by service kind, indexed by
-	// core then ServiceKind.
-	PerCore [][3]uint64
 }
 
 // Controller is the multi-channel memory controller.
@@ -83,14 +80,11 @@ type Controller struct {
 	Stats Stats
 }
 
-// New builds a controller for dev with cores per-core stat slots: it
-// allocates the per-channel queues and bank indexes, and Reset sets
-// their run state.
-func New(cfg Config, eng *sim.Engine, dev *dram.Device, cores int) (*Controller, error) {
+// New builds a controller for dev: it allocates the per-channel queues
+// and bank indexes, and Reset sets their run state. The core count is
+// unused; the controller counts demand traffic for all cores together.
+func New(cfg Config, eng *sim.Engine, dev *dram.Device, _ int) (*Controller, error) {
 	c := &Controller{eng: eng, dev: dev}
-	if cores > 0 {
-		c.Stats.PerCore = make([][3]uint64, cores)
-	}
 	geo := dev.Geometry()
 	for i := 0; i < dev.Channels(); i++ {
 		c.chans = append(c.chans, &chanCtl{
@@ -126,8 +120,7 @@ func (c *Controller) Reset(cfg Config) error {
 	}
 	c.cfg = cfg
 	c.tel = nil
-	clear(c.Stats.PerCore)
-	c.Stats = Stats{PerCore: c.Stats.PerCore}
+	c.Stats = Stats{}
 	clock := sim.NewClock(c.dev.ClockPeriod())
 	c.initCtlSched(c.eng, clock)
 	for _, cc := range c.chans {
@@ -749,17 +742,13 @@ func (cc *chanCtl) account(req *Request, isWrite bool) {
 	} else {
 		s.Reads++
 	}
-	kind := cc.serviceKind(req)
-	switch kind {
+	switch cc.serviceKind(req) {
 	case ServiceRowBuffer:
 		s.ServedRowBuffer++
 	case ServiceFast:
 		s.ServedFast++
 	case ServiceSlow:
 		s.ServedSlow++
-	}
-	if req.Core >= 0 && req.Core < len(s.PerCore) {
-		s.PerCore[req.Core][kind]++
 	}
 }
 

@@ -184,16 +184,16 @@ func TestRefreshEventuallyIssued(t *testing.T) {
 func TestPerCoreServiceAccounting(t *testing.T) {
 	ctl, eng, _ := newMC(t, 0)
 	readSync(t, ctl, eng, dram.Coord{Row: 1}, dram.RowSlow)
+	if ctl.Stats.ServedSlow != 1 || ctl.Stats.ServedRowBuffer != 0 {
+		t.Fatalf("core 0's row miss: %+v", ctl.Stats)
+	}
 	done := false
 	ctl.Enqueue(&Request{Coord: dram.Coord{Row: 1, Column: 2}, Class: dram.RowSlow, Core: 1,
 		Done: func(ServiceKind) { done = true }})
 	for !done && eng.Step() {
 	}
-	if ctl.Stats.PerCore[0][ServiceSlow] != 1 {
-		t.Fatalf("core 0 accounting: %v", ctl.Stats.PerCore[0])
-	}
-	if ctl.Stats.PerCore[1][ServiceRowBuffer] != 1 {
-		t.Fatalf("core 1 accounting: %v", ctl.Stats.PerCore[1])
+	if ctl.Stats.ServedSlow != 1 || ctl.Stats.ServedRowBuffer != 1 {
+		t.Fatalf("core 1's row hit: %+v", ctl.Stats)
 	}
 }
 

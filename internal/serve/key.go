@@ -129,7 +129,7 @@ func Canonicalize(req Request, base config.Config) (*Job, error) {
 		return nil, err
 	}
 	if j.HasDesign {
-		// One core per benchmark, exactly like Session.Run.
+		// One core per benchmark, exactly like a session run.
 		j.Cfg.Cores = len(j.Benchmarks)
 	}
 	if err := j.Cfg.Validate(); err != nil {

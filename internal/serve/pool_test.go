@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-
-	"repro/internal/exp"
 )
 
 // TestJobsPoolStats pins the tentpole's service surface: a second job
@@ -65,32 +63,5 @@ func TestJobsPoolStats(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Errorf("Shutdown lost lifetime stats: %+v", st)
-	}
-}
-
-// TestJobsPoolDisabled pins the opt-out: PoolBytes < 0 serves fresh
-// builds only and /jobs omits the pool section.
-func TestJobsPoolDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Options{
-		PoolBytes: -1,
-		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
-			return []byte("ok"), nil
-		},
-	})
-	postRun(t, ts, `{"figure": "table2"}`)
-	resp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := out["pool"]; ok {
-		t.Error("/jobs carries a pool section with pooling disabled")
-	}
-	if st := s.PoolStats(); st != (exp.PoolStats{}) {
-		t.Errorf("disabled pool has stats: %+v", st)
 	}
 }

@@ -12,18 +12,16 @@ import (
 // only add lock contention for no extra hits), with the job's context
 // as the session's cooperative cancellation. A run that stalls fails
 // on its own: exp.System's watchdog and deadlock checks return an
-// error. Sessions share the server's machine pool so consecutive jobs
-// over one machine shape reuse built systems (nil pool = every run
-// builds fresh).
+// error. Each session runs its simulations one after another, so
+// Options.Workers bounds the server's concurrent simulations, and
+// sessions share the server's machine pool so consecutive jobs over
+// one machine shape reuse built systems.
 func simRunner(pool *exp.SystemPool) Runner {
 	return func(ctx context.Context, spec *Job) ([]byte, error) {
 		sess := exp.NewSession(spec.Cfg)
 		sess.Ctx = ctx
-		if pool != nil {
-			sess.Pool = pool
-		} else {
-			sess.DisablePool = true
-		}
+		sess.Parallelism = 1
+		sess.Pool = pool
 		if len(spec.Benchmarks) > 0 {
 			sess.Benchmarks = spec.Benchmarks
 		}

@@ -43,16 +43,18 @@ type Options struct {
 	// Runner overrides the simulation runner (tests only; nil = real
 	// simulations).
 	Runner Runner
-	// Log, when non-nil, receives one LogEvent per job transition.
+	// Log, when non-nil, receives one LogEvent per job transition. The
+	// admitted event is delivered with admission locked, so Log must not
+	// call back into the Server.
 	Log func(LogEvent)
 	// ProgressInterval is the SSE frame period of /jobs/<key>/events
 	// (0 = DefaultProgressInterval).
 	ProgressInterval time.Duration
 	// PoolBytes budgets the server's machine pool: simulation jobs check
 	// built systems out of it and back in, so sweeps over one machine
-	// shape stop paying per-point allocation (0 = exp.DefaultPoolBytes;
-	// <0 = pooling off, every run builds fresh). The pool drains on
-	// Shutdown.
+	// shape stop paying per-point allocation (<= 0 = exp.DefaultPoolBytes;
+	// a budget below one machine's footprint makes every run build
+	// fresh). The pool drains on Shutdown.
 	PoolBytes int64
 }
 
@@ -112,9 +114,8 @@ type Server struct {
 	jobCancel context.CancelCauseFunc
 	wg        sync.WaitGroup
 
-	// pool recycles simulation machines across this server's jobs (nil
-	// when Options.PoolBytes < 0: every run builds fresh). Internally
-	// locked; drained by Shutdown.
+	// pool recycles simulation machines across this server's jobs.
+	// Internally locked; drained by Shutdown.
 	pool *exp.SystemPool
 }
 
@@ -154,6 +155,9 @@ func New(opt Options) *Server {
 	if opt.Base.Cores == 0 {
 		opt.Base = config.Scaled()
 	}
+	if opt.PoolBytes <= 0 {
+		opt.PoolBytes = exp.DefaultPoolBytes
+	}
 	s := &Server{
 		opt:    opt,
 		runner: opt.Runner,
@@ -162,13 +166,7 @@ func New(opt Options) *Server {
 		cache:  make(map[string]*entry),
 		byHash: make(map[uint64]*entry),
 		queue:  make(chan *job, opt.QueueDepth),
-	}
-	if opt.PoolBytes >= 0 {
-		bytes := opt.PoolBytes
-		if bytes == 0 {
-			bytes = exp.DefaultPoolBytes
-		}
-		s.pool = exp.NewSystemPool(bytes)
+		pool:   exp.NewSystemPool(opt.PoolBytes),
 	}
 	if s.runner == nil {
 		s.runner = simRunner(s.pool)
@@ -227,25 +225,7 @@ func (s *Server) submit(spec *Job) (*entry, string, *Error) {
 			return e, "coalesced", nil
 		}
 	}
-	e := &entry{done: make(chan struct{}), hash: spec.Hash, span: spec.Trace}
-	spec.Prog = &e.prog
-	// Admission is decided before the queue send so the span's queue
-	// phase cannot start after a worker has already stamped dequeue.
-	spec.Trace.StampAdmit()
-	jb := &job{spec: spec, e: e}
-	select {
-	case s.queue <- jb:
-		s.cache[spec.Key] = e
-		s.byHash[spec.Hash] = e
-		s.mu.Unlock()
-		s.tmu.Lock()
-		s.cMisses.Inc()
-		s.cAdmitted.Inc()
-		s.gQueued.Add(1)
-		s.tmu.Unlock()
-		s.emit(LogEvent{Event: "admitted", Key: spec.KeyHex(), Kind: spec.KindString()})
-		return e, "miss", nil
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		s.count(s.cShed)
 		s.emit(LogEvent{Event: "shed", Key: spec.KeyHex(), Kind: spec.KindString()})
@@ -254,6 +234,24 @@ func (s *Server) submit(spec *Job) (*entry, string, *Error) {
 			Msg:           fmt.Sprintf("admission queue full (%d jobs); retry later", s.opt.QueueDepth),
 			RetryAfterSec: retry}
 	}
+	// The admission is recorded before the send, so a worker that
+	// dequeues the job at once finds its span admitted, the queued gauge
+	// counting it and its admitted event logged. Every send happens
+	// under s.mu and the queue has room, so the send cannot block.
+	e := &entry{done: make(chan struct{}), hash: spec.Hash, span: spec.Trace}
+	spec.Prog = &e.prog
+	spec.Trace.StampAdmit()
+	s.cache[spec.Key] = e
+	s.byHash[spec.Hash] = e
+	s.tmu.Lock()
+	s.cMisses.Inc()
+	s.cAdmitted.Inc()
+	s.gQueued.Add(1)
+	s.tmu.Unlock()
+	s.emit(LogEvent{Event: "admitted", Key: spec.KeyHex(), Kind: spec.KindString()})
+	s.queue <- &job{spec: spec, e: e}
+	s.mu.Unlock()
+	return e, "miss", nil
 }
 
 // count bumps one counter under the telemetry lock.
@@ -375,11 +373,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	// Once the workers exit, no job can touch the machine pool again;
 	// release its standing memory (lifetime stats survive for /jobs).
-	defer func() {
-		if s.pool != nil {
-			s.pool.Drain()
-		}
-	}()
+	defer s.pool.Drain()
 	select {
 	case <-done:
 		return nil
@@ -391,14 +385,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// PoolStats snapshots the machine pool's lifetime activity (zero stats
-// when pooling is disabled).
-func (s *Server) PoolStats() exp.PoolStats {
-	if s.pool == nil {
-		return exp.PoolStats{}
-	}
-	return s.pool.Stats()
-}
+// PoolStats snapshots the machine pool's lifetime activity.
+func (s *Server) PoolStats() exp.PoolStats { return s.pool.Stats() }
 
 // Handler returns the service mux: POST /run, POST /key, GET /healthz,
 // /readyz, /jobs, /jobs/<key>[/events], /jobs/trace and /metrics.
@@ -520,9 +508,8 @@ type jobsJSON struct {
 	// upper bounds). Map keys render sorted, so the document is
 	// deterministic for a given state.
 	Quantiles map[string]map[string]float64 `json:"quantiles"`
-	// Pool reports the machine pool's lifetime activity; absent when
-	// pooling is disabled (Options.PoolBytes < 0).
-	Pool *poolJSON `json:"pool,omitempty"`
+	// Pool reports the machine pool's lifetime activity.
+	Pool poolJSON `json:"pool"`
 }
 
 // poolJSON is the /jobs machine-pool section.
@@ -570,12 +557,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	if total := hits + out.Metrics["serve.cache.misses"]; total > 0 {
 		out.CacheHitRatio = hits / total
 	}
-	if s.pool != nil {
-		st := s.pool.Stats()
-		out.Pool = &poolJSON{
-			HitRate: st.HitRate(), Hits: st.Hits, Misses: st.Misses, Drops: st.Drops,
-			Machines: st.Machines, CurrentBytes: st.CurrentBytes, HighWaterBytes: st.HighWaterBytes,
-		}
+	st := s.pool.Stats()
+	out.Pool = poolJSON{
+		HitRate: st.HitRate(), Hits: st.Hits, Misses: st.Misses, Drops: st.Drops,
+		Machines: st.Machines, CurrentBytes: st.CurrentBytes, HighWaterBytes: st.HighWaterBytes,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -245,6 +245,43 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// panicCtx is a context whose Err panics. A simulation polls its
+// context at the observation stride, so the panic is raised inside a
+// real run, on the goroutine the session runs the grid cell on.
+type panicCtx struct{ context.Context }
+
+func (panicCtx) Err() error { panic("fault inside a simulation") }
+
+// TestSimulationPanicIsolation: a real simulation that panics inside a
+// grid cell reaches the worker's recover as a panic, so its job becomes
+// a structured 500 of kind panic and the server keeps serving.
+func TestSimulationPanicIsolation(t *testing.T) {
+	run := simRunner(nil)
+	s, ts := newTestServer(t, Options{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			if spec.HasDesign {
+				ctx = panicCtx{ctx}
+			}
+			return run(ctx, spec)
+		},
+	})
+	resp, data := postRun(t, ts, `{"design": "das", "benchmarks": ["mcf"]}`)
+	var e Error
+	if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusInternalServerError || e.Kind != KindPanic {
+		t.Fatalf("panicking simulation got HTTP %d %s (err %v), want 500 of kind %q", resp.StatusCode, data, err, KindPanic)
+	}
+	if !strings.Contains(e.Msg, "fault inside a simulation") || !strings.Contains(e.Msg, "RunContext") {
+		t.Fatalf("panic message lost the cause or the simulation's stack: %q", e.Msg)
+	}
+	if got := metric(t, s, "serve.jobs.panicked"); got != 1 {
+		t.Fatalf("serve.jobs.panicked = %v, want 1", got)
+	}
+	if resp, data := postRun(t, ts, `{"figure": "table2"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("job after the panic got HTTP %d %s", resp.StatusCode, data)
+	}
+}
+
 // TestErrorsNotCached: a transient failure must not poison the cache.
 func TestErrorsNotCached(t *testing.T) {
 	var calls atomic.Int64
@@ -369,21 +406,42 @@ func TestBadRequests(t *testing.T) {
 		Workers: 1,
 		Runner:  func(ctx context.Context, spec *Job) ([]byte, error) { return []byte("ok"), nil },
 	})
-	for _, body := range []string{
+	bodies := []string{
 		`{]`,
 		`{}`,
 		`{"figure": "nope"}`,
 		`{"figure": "7a", "design": "das"}`,
 		`{"design": "das"}`,
 		`{"figure": "7a", "config": {"rows_per_bank": -4}}`,
+	}
+	// Configs some design cannot build are refused up front, not run
+	// into a 500.
+	for _, cfg := range []string{
+		`{"window_size":0}`, `{"write_low":40}`, `{"starvation_limit_ns":0}`, `{"rob":2}`,
+		`{"store_buffer":0}`, `{"group_size":512}`, `{"group_size":7}`, `{"fast_denom":1}`,
+		`{"fast_denom":3}`, `{"tag_cache_assoc":0}`, `{"filter_threshold":0}`,
+		`{"filter_counters":0}`, `{"migration_latency_ns":-5}`,
 	} {
-		resp, data := postRun(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: HTTP %d, want 400", body, resp.StatusCode)
-		}
-		var e Error
-		if err := json.Unmarshal(data, &e); err != nil || e.Kind != KindBadRequest {
-			t.Fatalf("%s: body %s, want kind %q", body, data, KindBadRequest)
+		bodies = append(bodies, `{"design": "das", "benchmarks": ["mcf"], "config": `+cfg+`}`)
+	}
+	for _, body := range bodies {
+		for _, path := range []string{"/run", "/key"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: HTTP %d, want 400", path, body, resp.StatusCode)
+			}
+			var e Error
+			if err := json.Unmarshal(data, &e); err != nil || e.Kind != KindBadRequest {
+				t.Fatalf("%s %s: body %s, want kind %q", path, body, data, KindBadRequest)
+			}
 		}
 	}
 	resp, err := http.Get(ts.URL + "/run")
@@ -473,5 +531,66 @@ func TestJobCountedBeforeDone(t *testing.T) {
 	s.tmu.Unlock()
 	if done != 1 || running != 0 {
 		t.Fatalf("at done: serve.jobs.done = %d, serve.jobs.running = %d; want 1 and 0", done, running)
+	}
+}
+
+// TestAdmissionPrecedesStart pins submit's order: a job's admission is
+// recorded (the queued gauge, the admitted event) before the job is
+// sent to the queue, so however fast a worker picks it up, every key
+// logs admitted before start and the queued gauge never reads below
+// zero.
+func TestAdmissionPrecedesStart(t *testing.T) {
+	const jobs = 2000
+	var (
+		mu       sync.Mutex
+		admitted = make(map[string]bool)
+		early    int
+		negative int64
+	)
+	var s *Server
+	s, _ = newTestServer(t, Options{
+		Workers:    2,
+		QueueDepth: jobs,
+		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
+			return []byte("ok"), nil
+		},
+		Log: func(ev LogEvent) {
+			switch ev.Event {
+			case "admitted":
+				mu.Lock()
+				admitted[ev.Key] = true
+				mu.Unlock()
+			case "start":
+				s.tmu.Lock()
+				queued := s.gQueued.Value()
+				s.tmu.Unlock()
+				mu.Lock()
+				if !admitted[ev.Key] {
+					early++
+				}
+				negative = min(negative, queued)
+				mu.Unlock()
+			}
+		},
+	})
+	entries := make([]*entry, jobs)
+	for i := range entries {
+		spec := mustJob(t, Request{Figure: "table2", Config: json.RawMessage(fmt.Sprintf(`{"seed": %d}`, i+1))})
+		e, disp, serr := s.submit(spec)
+		if serr != nil || disp != "miss" {
+			t.Fatalf("job %d: disposition %q, error %v", i, disp, serr)
+		}
+		entries[i] = e
+	}
+	for _, e := range entries {
+		<-e.done
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if early != 0 {
+		t.Errorf("%d of %d jobs logged start before admitted", early, jobs)
+	}
+	if negative < 0 {
+		t.Errorf("serve.jobs.queued read %d at a job's start", negative)
 	}
 }

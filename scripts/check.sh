@@ -55,14 +55,16 @@ go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_quad" 
 go run -tags mc_polltick ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 >"$tmp_ref" 2>/dev/null
 cmp "$tmp_quad" "$tmp_ref"
 
-echo "== machine-pool byte identity: pooled vs fresh-build machines"
-# The baseline run above reused pooled machines (the default); the same
-# figure with -nopool builds every machine from scratch. Byte-equal
-# output is the System.Reset contract: a rewound machine is
-# indistinguishable from a new one. The command-stream digests behind
-# this are gated per design by TestPooledRunsByteIdentical.
-go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 -nopool >"$tmp_ref" 2>/dev/null
-cmp "$tmp_quad" "$tmp_ref"
+echo "== figure determinism: serial vs parallel session"
+# A session runs up to GOMAXPROCS of a figure's runs at once (the
+# Session.Parallelism default), each on its own engine and pooled
+# machine, and draws the figure in grid order: the same figures rendered
+# one run at a time and four at a time must be byte-equal. That pooled
+# machines match fresh builds is gated in process by
+# TestPooledRunsByteIdentical and TestPooledFigureBytesMatchFresh.
+GOMAXPROCS=1 go run ./cmd/dasbench -fig 7a,7d -benchmarks mcf,soplex -mixes M1 -instr 200000 >"$tmp_ref" 2>/dev/null
+GOMAXPROCS=4 go run ./cmd/dasbench -fig 7a,7d -benchmarks mcf,soplex -mixes M1 -instr 200000 >"$tmp_obs" 2>/dev/null
+cmp "$tmp_ref" "$tmp_obs"
 
 echo "== telemetry determinism: observed run renders identical figures"
 # Same figure with the full telemetry stack enabled (metrics timeline +
