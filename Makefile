@@ -18,10 +18,15 @@
 # decomposition across all six designs); regenerates the committed
 # results_energy.txt:
 #   make energy
+# Sweep figures (Figs 8 and 9a-9d) and multi-programmed figures (Figs
+# 7d-7f) at their committed lengths; regenerate the committed
+# results_sweeps.txt and results_multi.txt:
+#   make sweeps
+#   make multi
 
 GO ?= go
 
-.PHONY: build test check vet bench bench-compare explain energy clean
+.PHONY: build test check vet bench bench-compare explain energy sweeps multi clean
 
 build:
 	$(GO) build ./...
@@ -51,6 +56,14 @@ explain:
 energy:
 	$(GO) run ./cmd/dasbench -fig energy -benchmarks mcf,soplex \
 		-instr 200000 -out results_energy.txt
+
+sweeps:
+	$(GO) run ./cmd/dasbench -fig 8,9a,9c,9b,9d -benchmarks GemsFDTD,mcf,soplex \
+		-instr 3000000 -out results_sweeps.txt
+
+multi:
+	$(GO) run ./cmd/dasbench -fig 7d,7e,7f -mixes M1,M8 \
+		-instr 4000000 -out results_multi.txt
 
 clean:
 	$(GO) clean ./...

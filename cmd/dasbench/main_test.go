@@ -92,6 +92,24 @@ func TestBenchmarkAndMixListsAreTrimmed(t *testing.T) {
 	}
 }
 
+// TestNaNFaultRateRefused: a NaN fault rate fails every comparison, so
+// it once passed the [0,1] check and ran with fault injection silently
+// off. It must be refused before any output or the -out file.
+func TestNaNFaultRateRefused(t *testing.T) {
+	var out strings.Builder
+	outPath := filepath.Join(t.TempDir(), "out.txt")
+	err := run([]string{"-fig", "7a", "-benchmarks", "mcf", "-instr", "20000", "-fault-weak", "NaN", "-out", outPath}, &out)
+	if err == nil || !strings.Contains(err.Error(), "weak-row rate") {
+		t.Errorf("-fault-weak NaN: err = %v, want the weak-row rate refused", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-fault-weak NaN wrote %q before failing", out.String())
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Errorf("-fault-weak NaN created the -out file (stat: %v)", err)
+	}
+}
+
 // TestFigureAliases pins the -fig aliases, which expand from the exp
 // catalog: all is every figure but energy and faults, and tables is
 // the entries that run nothing.

@@ -135,7 +135,7 @@ func (c *Config) Validate() error {
 	if c.InstrPerCore == 0 {
 		return fmt.Errorf("config: instr_per_core must be positive")
 	}
-	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
+	if !(c.WarmupFrac >= 0 && c.WarmupFrac < 1) { // NaN fails too
 		return fmt.Errorf("config: warmup_frac must be in [0,1)")
 	}
 	fc := c.FaultConfig()

@@ -125,7 +125,8 @@ func TestValidationRejects(t *testing.T) {
 // level's 32-bit tags reach 2^32 times the bytes of one way, and a
 // memory larger than that is refused with the level's name. The
 // geometries grow the memory through the row count; 2^20 rows per bank
-// make a 256 GiB memory, 2^38 B.
+// make a 256 GiB memory, 2^38 B. The remaining cases check that a bad
+// field is refused by name.
 func TestValidateRejectsUntaggedMemory(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -154,6 +155,13 @@ func TestValidateRejectsUntaggedMemory(t *testing.T) {
 		}, "overflows"},
 		{"invalid LLC organization", func(c *Config) { c.LLCAssoc = 0 }, "LLC: sizes must be positive"},
 		{"zero CPU clock, which has no cycle latency", func(c *Config) { c.CPUGHz = 0 }, "cpu_ghz"},
+		// NaN fails every comparison, so a range check written as
+		// v < lo || v > hi would let it through.
+		{"NaN warm-up fraction", func(c *Config) { c.WarmupFrac = math.NaN() }, "warmup_frac"},
+		{"NaN weak-row rate", func(c *Config) { c.WeakRowRate = math.NaN() }, "weak-row rate"},
+		{"NaN migration-failure rate", func(c *Config) { c.MigFailRate = math.NaN() }, "migration-failure rate"},
+		{"NaN tag-corruption rate", func(c *Config) { c.TagCorruptRate = math.NaN() }, "tag-corruption rate"},
+		{"NaN table-corruption rate", func(c *Config) { c.TableCorruptRate = math.NaN() }, "table-corruption rate"},
 	}
 	for _, tc := range cases {
 		c := Default()

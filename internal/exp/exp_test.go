@@ -2,6 +2,9 @@ package exp
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +113,117 @@ func TestSessionCachedMemoizes(t *testing.T) {
 	d, _ := s.Cached(cfg, core.DAS, []string{"libquantum"})
 	if c == d {
 		t.Fatal("different group sizes shared a cache entry")
+	}
+}
+
+// TestRunIdentityIsWholeConfig: a session whose memo already holds mcf
+// is asked for Standard, DAS and SAS with one knob changed that no
+// catalog sweep varies. Each answer must be the run at that config, as
+// a fresh build makes it outside every memo (SAS with a profile taken at
+// that config), never the session-config run. With observation on,
+// every memo entry gets its own label, and Observers lists them in
+// strict label order.
+func TestRunIdentityIsWholeConfig(t *testing.T) {
+	cfg := tinyConfig()
+	set := []string{"mcf"}
+	designs := []core.Design{core.Standard, core.DAS, core.SAS}
+	s := NewSession(cfg)
+	s.Observe = &ObserveOptions{Metrics: true}
+	for _, d := range designs {
+		if _, err := s.Cached(cfg, d, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []struct {
+		name string
+		set  func(*config.Config)
+	}{
+		{"rob 96", func(c *config.Config) { c.ROB = 96 }},
+		{"seed 7", func(c *config.Config) { c.Seed = 7 }},
+		{"window 8", func(c *config.Config) { c.WindowSize = 8 }},
+		{"llc 1024 KB", func(c *config.Config) { c.LLCKB = 1024 }},
+	} {
+		vc := cfg
+		v.set(&vc)
+		for _, d := range designs {
+			got, err := s.Cached(vc, d, set)
+			if err != nil {
+				t.Fatalf("%s %v: %v", v.name, d, err)
+			}
+			sys, _, err := Build(vc, d, set, caseStatic(t, vc, streamCase{design: d, benchmarks: set}), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sys.Run()
+			if err != nil {
+				t.Fatalf("%s %v: fresh build: %v", v.name, d, err)
+			}
+			if g, w := fmt.Sprintf("%+v", *got), fmt.Sprintf("%+v", *want); g != w {
+				t.Errorf("%s %v: the session answered another run:\n got %s\nwant %s", v.name, d, g, w)
+			}
+		}
+	}
+	obs := s.Observers()
+	labels := make(map[string]bool)
+	for i, o := range obs {
+		labels[o.Label] = true
+		if i > 0 && obs[i-1].Label >= o.Label {
+			t.Errorf("Observers out of strict label order: %q before %q", obs[i-1].Label, o.Label)
+		}
+	}
+	if len(labels) != 15 || len(obs) != 15 {
+		t.Errorf("%d observers with %d distinct labels, want 15 of each (12 variants and 3 session-config runs)", len(obs), len(labels))
+	}
+}
+
+// TestSweepKnobsLeaveStandardUnchanged: a Standard run at any config a
+// catalog column asks for (the filter threshold, tag-cache capacity,
+// group size, fast-level ratio and replacement, and fault-rate sweeps)
+// must equal the session-config baseline, since Standard DRAM ignores
+// those knobs. That is why every sweep point of a figure may be
+// normalized to the one session-config baseline its grid asks for. The
+// test also pins the knobs the sweeps vary, so a sweep over a new knob
+// is checked here before it shares that baseline.
+func TestSweepKnobsLeaveStandardUnchanged(t *testing.T) {
+	cfg := tinyConfig()
+	set := []string{"mcf"}
+	s := NewSession(cfg)
+	base, err := s.Baseline(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%+v", *base)
+	seen := map[config.Config]bool{cfg: true}
+	var varied []string // the fields the columns change
+	ref := reflect.ValueOf(cfg)
+	for _, e := range catalog {
+		if e.cols == nil {
+			continue
+		}
+		for _, c := range e.cols(s) {
+			if seen[c.cfg] {
+				continue
+			}
+			seen[c.cfg] = true
+			v := reflect.ValueOf(c.cfg)
+			for i := range v.NumField() {
+				if name := v.Type().Field(i).Name; !v.Field(i).Equal(ref.Field(i)) && !slices.Contains(varied, name) {
+					varied = append(varied, name)
+				}
+			}
+			res, err := s.Cached(c.cfg, core.Standard, set)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.name, c.label, err)
+			}
+			if got := fmt.Sprintf("%+v", *res); got != want {
+				t.Errorf("%s %s: Standard differs from the session-config baseline:\n got %s\nwant %s", e.name, c.label, got, want)
+			}
+		}
+	}
+	slices.Sort(varied)
+	if knobs := []string{"FastDenom", "FilterThreshold", "GroupSize", "MigFailRate", "Replacement",
+		"TableCorruptRate", "TagCacheKB", "TagCorruptRate", "WeakRowRate"}; !slices.Equal(varied, knobs) {
+		t.Errorf("the catalog's sweeps vary %v, want %v", varied, knobs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -66,91 +65,105 @@ func MakeGenerator(cfg config.Config, name string, idx int) (workload.Generator,
 // static from dynamic management.
 const ProfileWindowFactor = 19
 
-// profileMemo caches ProfilePass results across sessions. The pass is
-// a pure function of (cfg, benchmarks) — the generators are seeded
-// deterministically from them — yet it replays ProfileWindowFactor
-// episodes of every benchmark, which makes it one of the most
-// expensive stages of a figure run; sweeps and benchmarks rebuild
-// sessions with identical workload configurations over and over. The
-// key over-approximates the inputs (the full config, though only
-// geometry/seed/footprint fields matter), so a collision can only mean
-// a redundant recompute, never a wrong profile. Profiles are immutable
-// after construction, so sharing the pointer is safe.
-var profileMemo = rowProfileMemo{maxBytes: profileMemoBytes}
+// statics is the process-wide memo of the static designs' fast-row
+// assignments, keyed by a run's config (Cores set to one per benchmark)
+// and benchmark set, of which the assignment is a pure function. Its
+// profile pass replays ProfileWindowFactor episodes of every benchmark,
+// one of the most expensive stages of a figure run, and sweeps,
+// benchmarks and dasserve jobs rebuild sessions with identical configs
+// over and over. The whole config over-approximates the pass's inputs,
+// so it can only cost a redundant pass, never a wrong assignment.
+var statics = staticMemo{maxBytes: staticMemoBytes}
 
-// profileMemoBytes bounds the bytes profileMemo retains: 64 profiles at
-// config.Scaled() (1 MiB of counts each), 8 at full scale (8 MiB each).
-// The key includes the seed, so a server running jobs with distinct
-// seeds or geometries would otherwise keep every profile it computed.
-const profileMemoBytes = 64 << 20
+// staticMemoBytes bounds the bytes statics retains: 512 assignments at
+// config.Scaled() (16 KiB each), 64 at full scale (128 KiB). The key
+// includes the seed, so a server running jobs with distinct seeds would
+// otherwise keep every assignment it built.
+const staticMemoBytes = 8 << 20
 
-// rowProfileMemo is a byte-budgeted memo of row profiles. When an
-// insertion would pass the budget it evicts the oldest entries first;
-// a profile larger than the whole budget is returned but not kept.
-type rowProfileMemo struct {
+// staticKey is an assignment's identity: a run's config and set.
+type staticKey struct {
+	cfg config.Config
+	set string
+}
+
+// staticEntry is one key's assignment, built once; shared, so immutable.
+type staticEntry struct {
+	once sync.Once
+	a    *core.StaticAssignment
+	err  error
+}
+
+// staticMemo is a byte-budgeted memo of static assignments. A key's
+// pass runs once however many runs ask at once. A new assignment evicts
+// the oldest to fit; one over the whole budget, or a failed pass, is
+// returned to its callers but not kept.
+type staticMemo struct {
 	mu       sync.Mutex
 	maxBytes int64
-	bytes    int64 // sum of the kept profiles' Bytes
-	m        map[string]*core.RowProfile
-	order    []string // kept keys, oldest first
+	bytes    int64 // sum of the kept assignments' sizes
+	m        map[staticKey]*staticEntry
+	order    []staticKey // kept keys, oldest first
 }
 
-// ProfilePass runs a functional (timing-free) pass of every benchmark's
-// generator over ProfileWindowFactor x the episode length, recording
-// per-row touch counts. This is the profile the static designs
-// (SAS-DRAM, CHARM) pre-assign from. Results are memoized per
-// (cfg, benchmarks).
-func ProfilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
-	return profileMemo.profile(cfg, benchmarks)
+// assignmentBytes is what a static assignment of cfg's memory retains:
+// one bit per row.
+func assignmentBytes(cfg *config.Config) int64 {
+	return int64((cfg.Geometry().TotalRows()+63)/64) * 8
 }
 
-// profile returns the memoized profile of (cfg, benchmarks), computing
-// and keeping it on a miss.
-func (c *rowProfileMemo) profile(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
-	key := fmt.Sprintf("%+v|%q", cfg, benchmarks)
+// assignment returns the fast-row assignment of benchmarks under cfg,
+// building it on a miss.
+func (c *staticMemo) assignment(cfg config.Config, benchmarks []string) (*core.StaticAssignment, error) {
+	key := staticKey{cfg, wkey(benchmarks)}
 	c.mu.Lock()
-	p, ok := c.m[key]
+	e, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[staticKey]*staticEntry)
+		}
+		e = &staticEntry{}
+		c.m[key] = e
+	}
 	c.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := profilePass(cfg, benchmarks)
-	if err != nil {
-		return nil, err
-	}
-	size := p.Bytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q, ok := c.m[key]; ok {
-		return q, nil // computed concurrently: share the kept copy
-	}
-	if size > c.maxBytes {
-		return p, nil
-	}
-	for c.bytes+size > c.maxBytes {
-		c.bytes -= c.m[c.order[0]].Bytes()
-		delete(c.m, c.order[0])
-		c.order = slices.Delete(c.order, 0, 1)
-	}
-	if c.m == nil {
-		c.m = make(map[string]*core.RowProfile)
-	}
-	c.m[key] = p
-	c.order = append(c.order, key)
-	c.bytes += size
-	return p, nil
+	e.once.Do(func() {
+		prof, err := ProfilePass(cfg, benchmarks)
+		if err == nil {
+			e.a = core.BuildStaticAssignment(prof, cfg.Geometry(), cfg.FastDenom)
+		}
+		e.err = err
+		size := assignmentBytes(&cfg)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if err != nil || size > c.maxBytes {
+			delete(c.m, key)
+			return
+		}
+		for c.bytes+size > c.maxBytes {
+			c.bytes -= assignmentBytes(&c.order[0].cfg)
+			delete(c.m, c.order[0])
+			c.order = slices.Delete(c.order, 0, 1)
+		}
+		c.order = append(c.order, key)
+		c.bytes += size
+	})
+	return e.a, e.err
 }
 
 // profileBlock is how many instructions the profiling pass draws from
 // a generator per Fill.
 const profileBlock = 256
 
-// profilePass counts every memory op of every benchmark's window by its
+// ProfilePass runs a functional (timing-free) pass of every benchmark's
+// generator over ProfileWindowFactor x the episode length, recording
+// per-row touch counts: the profile the static designs (SAS-DRAM,
+// CHARM) pre-assign from. It is not memoized; statics keeps the
+// assignments built from it. It counts every memory op of every benchmark's window by its
 // address's row bits, addr >> log2(RowBytes), masked to the row count:
 // RowID(Decode(addr)) depends on exactly those bits, so the count is
 // exact without decoding each access. Each touched row is decoded to
 // its global row id once, at the end.
-func profilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
+func ProfilePass(cfg config.Config, benchmarks []string) (*core.RowProfile, error) {
 	geom := cfg.Geometry()
 	shift := uint(bits.TrailingZeros64(geom.RowBytes()))
 	mask := geom.TotalRows() - 1

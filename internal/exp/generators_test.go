@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -150,56 +151,89 @@ func TestProfilePassMatchesReference(t *testing.T) {
 	}
 }
 
-// TestProfileMemoBoundedByBytes runs more distinct profiles (one per
-// seed) through a memo than its byte budget holds. The memo must keep
-// the newest ones, retain no more bytes than the budget, and account
-// exactly for the counts it keeps; a profile larger than the budget
-// is returned but not kept.
-func TestProfileMemoBoundedByBytes(t *testing.T) {
+// TestStaticMemoBoundedByBytes builds more distinct assignments (one
+// per seed) through a memo than its byte budget holds. The memo must
+// keep the newest ones, retain no more bytes than the budget, and
+// account exactly for the assignments it keeps; an assignment larger
+// than the budget is returned but not kept, and so is a failed pass.
+func TestStaticMemoBoundedByBytes(t *testing.T) {
 	cfg := config.Scaled()
 	cfg.InstrPerCore = 1000
-	profBytes := int64(cfg.Geometry().TotalRows()) * 8 // one dense count per row
+	size := int64(cfg.Geometry().TotalRows()) / 8 // one bit per row
 	const kept, runs = 3, 5
-	memo := rowProfileMemo{maxBytes: kept*profBytes + profBytes/2}
-	profiles := make([]*core.RowProfile, runs)
-	for i := range profiles {
+	memo := staticMemo{maxBytes: kept*size + size/2}
+	built := make([]*core.StaticAssignment, runs)
+	for i := range built {
 		cfg.Seed = uint64(i + 1)
-		p, err := memo.profile(cfg, []string{"mcf"})
+		a, err := memo.assignment(cfg, []string{"mcf"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiles[i] = p
+		built[i] = a
 		if memo.bytes > memo.maxBytes {
-			t.Fatalf("after %d profiles the memo retains %d B, over its %d B budget", i+1, memo.bytes, memo.maxBytes)
+			t.Fatalf("after %d assignments the memo retains %d B, over its %d B budget", i+1, memo.bytes, memo.maxBytes)
 		}
 	}
-	var sum int64
-	for _, p := range memo.m {
-		sum += p.Bytes()
+	if len(memo.m) != kept || len(memo.order) != kept || memo.bytes != kept*size {
+		t.Fatalf("memo keeps %d assignments (%d keys) and counts %d B; want %d assignments of %d B",
+			len(memo.m), len(memo.order), memo.bytes, kept, size)
 	}
-	if len(memo.m) != kept || len(memo.order) != kept || memo.bytes != sum || sum != kept*profBytes {
-		t.Fatalf("memo keeps %d profiles (%d keys) and counts %d B, holding %d B; want %d profiles of %d B",
-			len(memo.m), len(memo.order), memo.bytes, sum, kept, profBytes)
-	}
-	for i, want := range profiles {
+	for i, want := range built {
 		cfg.Seed = uint64(i + 1)
-		_, hit := memo.m[fmt.Sprintf("%+v|%q", cfg, []string{"mcf"})]
+		_, hit := memo.m[staticKey{cfg, "mcf"}]
 		if newest := i >= runs-kept; hit != newest {
 			t.Errorf("seed %d: kept %v, want %v (the newest %d are kept)", cfg.Seed, hit, newest, kept)
 		}
 		if hit {
-			if got, _ := memo.profile(cfg, []string{"mcf"}); got != want {
-				t.Errorf("seed %d: a kept profile was recomputed", cfg.Seed)
+			if got, _ := memo.assignment(cfg, []string{"mcf"}); got != want {
+				t.Errorf("seed %d: a kept assignment was rebuilt", cfg.Seed)
 			}
 		}
 	}
 
-	small := rowProfileMemo{maxBytes: profBytes - 1}
-	if _, err := small.profile(cfg, []string{"mcf"}); err != nil {
+	small := staticMemo{maxBytes: size - 1}
+	if _, err := small.assignment(cfg, []string{"mcf"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(small.m) != 0 || small.bytes != 0 {
-		t.Fatalf("a %d B memo kept a %d B profile (%d B counted)", small.maxBytes, profBytes, small.bytes)
+		t.Fatalf("a %d B memo kept a %d B assignment (%d B counted)", small.maxBytes, size, small.bytes)
+	}
+	before := memo.bytes
+	if _, err := memo.assignment(cfg, []string{"nosuchbench"}); err == nil {
+		t.Fatal("a pass over an unknown benchmark succeeded")
+	}
+	if len(memo.m) != kept || memo.bytes != before {
+		t.Fatalf("a failed pass was kept: %d entries, %d B", len(memo.m), memo.bytes)
+	}
+}
+
+// TestStaticMemoSharedByConcurrentCallers asks one cold memo for one
+// key from many goroutines at once, as a parallel grid's SAS and CHARM
+// cells do: they must all get the one assignment, kept once.
+func TestStaticMemoSharedByConcurrentCallers(t *testing.T) {
+	cfg := tinyConfig()
+	memo := staticMemo{maxBytes: staticMemoBytes}
+	got := make([]*core.StaticAssignment, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, err := memo.assignment(cfg, []string{"mcf", "soplex"})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = a
+		}()
+	}
+	wg.Wait()
+	for i, a := range got {
+		if a == nil || a != got[0] {
+			t.Fatalf("caller %d got assignment %p, caller 0 got %p", i, a, got[0])
+		}
+	}
+	if len(memo.order) != 1 || memo.bytes != assignmentBytes(&cfg) {
+		t.Fatalf("the memo kept %d entries of %d B in all", len(memo.order), memo.bytes)
 	}
 }
 
@@ -211,7 +245,7 @@ func BenchmarkProfilePass(b *testing.B) {
 	cfg.InstrPerCore = 1_000_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := profilePass(cfg, []string{"mcf"}); err != nil {
+		if _, err := ProfilePass(cfg, []string{"mcf"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ const DefaultIntervalPS = 100_000_000
 // Observer is one run's telemetry bundle. Runs execute in parallel
 // goroutines, so each owns a private registry/recorder/timeline; sinks
 // merge completed observers sorted by run label, which is unique per
-// (design, benchmarks, sweep-knobs) and keeps merged output independent
+// memo entry (see Session.label) and keeps merged output independent
 // of host scheduling.
 type Observer struct {
 	Label    string

@@ -94,12 +94,12 @@ func (s *Session) horizon(e *figureEntry) uint64 {
 	if err != nil {
 		return 0
 	}
-	seen := make(map[string]bool)
+	seen := make(map[runKey]bool)
 	var cores uint64
 	for _, set := range g.sets {
 		for _, c := range g.cols {
-			if _, key := s.memoKey(c.cfg, c.design, set); !seen[key] {
-				seen[key] = true
+			if k := keyOf(c.cfg, c.design, set); !seen[k] {
+				seen[k] = true
 				cores += uint64(len(set))
 			}
 		}

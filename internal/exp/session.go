@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -15,9 +16,9 @@ import (
 
 // Session memoizes runs, so that every figure drawing on a run shares
 // it, and every design and sweep point of a figure is normalized to the
-// same Standard-DRAM run of its workload set, as in the paper. It also
-// memoizes the row profiles and static assignments the static designs
-// need.
+// same Standard-DRAM run of its workload set, as in the paper. A run is
+// known by its whole config, design and benchmark set (runKey). The
+// static designs' assignments live in the process-wide statics memo.
 type Session struct {
 	Cfg config.Config
 	// Parallelism bounds the runs a figure's grid has in flight at once
@@ -56,9 +57,8 @@ type Session struct {
 	// exactly the service-core contract (one Session per job).
 	Ctx context.Context
 
-	mu       sync.Mutex
-	profiles map[string]*profileEntry
-	results  map[string]*run
+	mu      sync.Mutex
+	results map[runKey]*run
 
 	// events totals engine events executed by this session's fresh runs
 	// (cache hits add nothing), feeding the per-figure events/sec
@@ -115,15 +115,18 @@ type runPanic struct {
 
 func (p *runPanic) Error() string { return fmt.Sprintf("run panicked: %v\n%s", p.value, p.stack) }
 
-// profileEntry is a benchmark set's row profile and the static
-// assignments built from it.
-type profileEntry struct {
-	once    sync.Once
-	profile *core.RowProfile
-	err     error
+// runKey is a run's identity in the session memo: its whole config
+// (Cores set to one per benchmark), design and benchmark set.
+type runKey struct {
+	cfg    config.Config
+	design core.Design
+	set    string
+}
 
-	statics map[int]*core.StaticAssignment // keyed by fast denominator
-	staticM sync.Mutex
+// keyOf returns the memo key of design over benchmarks with cfg.
+func keyOf(cfg config.Config, design core.Design, benchmarks []string) runKey {
+	cfg.Cores = len(benchmarks)
+	return runKey{cfg, design, wkey(benchmarks)}
 }
 
 // NewSession creates a session over cfg.
@@ -131,8 +134,7 @@ func NewSession(cfg config.Config) *Session {
 	return &Session{
 		Cfg:         cfg,
 		Parallelism: runtime.GOMAXPROCS(0),
-		profiles:    make(map[string]*profileEntry),
-		results:     make(map[string]*run),
+		results:     make(map[runKey]*run),
 	}
 }
 
@@ -146,18 +148,6 @@ func (s *Session) context() context.Context {
 }
 
 func wkey(benchmarks []string) string { return strings.Join(benchmarks, "+") }
-
-// entry returns (creating once) the profile slot for a benchmark set.
-func (s *Session) entry(benchmarks []string) *profileEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.profiles[wkey(benchmarks)]
-	if !ok {
-		e = &profileEntry{statics: make(map[int]*core.StaticAssignment)}
-		s.profiles[wkey(benchmarks)] = e
-	}
-	return e
-}
 
 // EventsExecuted reports the total engine events executed by runs this
 // session performed (memoized results count once, when they ran).
@@ -228,55 +218,31 @@ func (s *Session) Baseline(benchmarks []string) (*Result, error) {
 	return s.Cached(s.Cfg, core.Standard, benchmarks)
 }
 
-// Profile returns (computing once) the offline long-window row profile
-// for the benchmark set.
-func (s *Session) Profile(benchmarks []string) (*core.RowProfile, error) {
-	e := s.entry(benchmarks)
-	e.once.Do(func() {
-		cfg := s.Cfg
-		cfg.Cores = len(benchmarks) // one core per benchmark
-		e.profile, e.err = ProfilePass(cfg, benchmarks)
-	})
-	return e.profile, e.err
-}
-
-// StaticAssignment returns (building once) the profiled fast-row set for
-// the benchmark set at the given fast-level denominator.
+// StaticAssignment returns the profiled fast-row set of the benchmark
+// set at fastDenom under the session config, the statics entry a static
+// run of the set at that config reads.
 func (s *Session) StaticAssignment(benchmarks []string, fastDenom int) (*core.StaticAssignment, error) {
-	prof, err := s.Profile(benchmarks)
-	if err != nil {
-		return nil, err
-	}
-	e := s.entry(benchmarks)
-	e.staticM.Lock()
-	defer e.staticM.Unlock()
-	if a, ok := e.statics[fastDenom]; ok {
-		return a, nil
-	}
-	a := core.BuildStaticAssignment(prof, s.Cfg.Geometry(), fastDenom)
-	e.statics[fastDenom] = a
-	return a, nil
+	cfg := s.Cfg
+	cfg.Cores, cfg.FastDenom = len(benchmarks), fastDenom
+	return statics.assignment(cfg, benchmarks)
 }
 
-// simulate executes one design over a benchmark set using cfg, which
-// may be a sweep variant of the session config, on a pooled machine. Its
-// observer is labelled with the run's memo key. It does not memoize;
-// cached does.
-func (s *Session) simulate(cfg config.Config, design core.Design, benchmarks []string, key string) (*Result, *Observer, error) {
-	cfg.Cores = len(benchmarks)
+// simulate executes run k on a pooled machine, a static design with the
+// assignment of the run's own config. It does not memoize; cached does.
+func (s *Session) simulate(k runKey, benchmarks []string) (*Result, *Observer, error) {
 	var static *core.StaticAssignment
-	if design.Static() {
-		a, err := s.StaticAssignment(benchmarks, cfg.FastDenom)
+	if k.design.Static() {
+		a, err := statics.assignment(k.cfg, benchmarks)
 		if err != nil {
 			return nil, nil, err
 		}
 		static = a
 	}
-	sys, err := s.build(cfg, design, benchmarks, static)
+	sys, err := s.build(k.cfg, k.design, benchmarks, static)
 	if err != nil {
 		return nil, nil, err
 	}
-	obs := newObserver(key, cfg.Seed, s.Observe)
+	obs := newObserver(s.label(k), k.cfg.Seed, s.Observe)
 	sys.AttachObserver(obs)
 	sys.attachLive(&s.live)
 	res, err := sys.RunContext(s.context())
@@ -285,32 +251,41 @@ func (s *Session) simulate(cfg config.Config, design core.Design, benchmarks []s
 	return res, obs, err
 }
 
-// resultKey identifies a run by its design, benchmarks, and every
-// configuration knob a sweep can vary (including the fault knobs the
-// robustness sweeps iterate).
-func resultKey(cfg config.Config, design core.Design, benchmarks []string) string {
-	return fmt.Sprintf("%v|%s|mig%v|fd%d|gs%d|tc%d|ft%d|rp%s|n%d|cp%v|fw%v|fm%v|fr%d|ftg%v|ftb%v|fs%d",
-		design, wkey(benchmarks), cfg.MigrationLatencyNS, cfg.FastDenom,
-		cfg.GroupSize, cfg.TagCacheKB, cfg.FilterThreshold, cfg.Replacement,
-		cfg.InstrPerCore, cfg.ClosedPage,
-		cfg.WeakRowRate, cfg.MigFailRate, cfg.MigRetries,
-		cfg.TagCorruptRate, cfg.TableCorruptRate, cfg.FaultSeed)
+// labelled are the config fields every run label prints, with the
+// prefix that names each.
+var labelled = []struct{ field, prefix string }{
+	{"MigrationLatencyNS", "mig"}, {"FastDenom", "fd"}, {"GroupSize", "gs"},
+	{"TagCacheKB", "tc"}, {"FilterThreshold", "ft"}, {"Replacement", "rp"},
+	{"InstrPerCore", "n"}, {"ClosedPage", "cp"}, {"WeakRowRate", "fw"},
+	{"MigFailRate", "fm"}, {"MigRetries", "fr"}, {"TagCorruptRate", "ftg"},
+	{"TableCorruptRate", "ftb"}, {"FaultSeed", "fs"},
 }
 
-// memoKey returns the config a run of design over benchmarks uses and
-// its key in the run memo. Standard DRAM ignores every sweep knob, so a
-// Standard run always takes the session config: each benchmark set has
-// one baseline, whatever sweep point asks for it.
-func (s *Session) memoKey(cfg config.Config, design core.Design, benchmarks []string) (config.Config, string) {
-	if design == core.Standard {
-		cfg = s.Cfg
+// label names run k for its observer and the sinks, which sort by it:
+// the design, the set and the labelled knobs, then |<json tag>=<value>
+// for each other field where the run's config differs from the session
+// config (Cores set to the set size), so distinct runs get distinct
+// labels. Labels are display only; the memo never reads one.
+func (s *Session) label(k runKey) string {
+	base := s.Cfg
+	base.Cores = k.cfg.Cores
+	cfg, ref := reflect.ValueOf(k.cfg), reflect.ValueOf(&base).Elem()
+	label := fmt.Sprintf("%v|%s", k.design, k.set)
+	for _, f := range labelled {
+		label += fmt.Sprintf("|%s%v", f.prefix, cfg.FieldByName(f.field))
+		ref.FieldByName(f.field).Set(cfg.FieldByName(f.field)) // printed: no suffix
 	}
-	return cfg, resultKey(cfg, design, benchmarks)
+	for i := range cfg.NumField() {
+		if !cfg.Field(i).Equal(ref.Field(i)) {
+			label += fmt.Sprintf("|%s=%v", cfg.Type().Field(i).Tag.Get("json"), cfg.Field(i))
+		}
+	}
+	return label
 }
 
 // Cached runs (once) a design over benchmarks with cfg and memoizes the
 // result, so figures sharing runs (e.g. 7a/7b/7c) reuse them. It is the
-// session's one run memo; see memoKey for the Standard baseline.
+// session's one run memo, keyed by runKey: any cfg gets its own run.
 func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []string) (*Result, error) {
 	return s.cached(cfg, design, benchmarks).result()
 }
@@ -320,12 +295,12 @@ func (s *Session) Cached(cfg config.Config, design core.Design, benchmarks []str
 // run is recovered into the entry's error, so every caller of the entry
 // sees it (see run.result).
 func (s *Session) cached(cfg config.Config, design core.Design, benchmarks []string) *run {
-	cfg, key := s.memoKey(cfg, design, benchmarks)
+	k := keyOf(cfg, design, benchmarks)
 	s.mu.Lock()
-	r, ok := s.results[key]
+	r, ok := s.results[k]
 	if !ok {
 		r = &run{}
-		s.results[key] = r
+		s.results[k] = r
 	}
 	s.mu.Unlock()
 	r.once.Do(func() {
@@ -336,7 +311,7 @@ func (s *Session) cached(cfg config.Config, design core.Design, benchmarks []str
 				s.mu.Unlock()
 			}
 		}()
-		res, obs, err := s.simulate(cfg, design, benchmarks, key)
+		res, obs, err := s.simulate(k, benchmarks)
 		s.mu.Lock()
 		r.res, r.obs, r.err = res, obs, err
 		s.mu.Unlock()

@@ -64,7 +64,7 @@ func (c *Config) Validate() error {
 		{"tag-corruption", c.TagCorruptRate},
 		{"table-corruption", c.TableCorruptRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails too
 			return fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.v)
 		}
 	}

@@ -146,6 +146,16 @@ echo "== explain report (dasbench -explain standard,das)"
 go run ./cmd/dasbench -explain standard,das -benchmarks mcf,soplex -instr 200000 -out "$tmp_ref" >/dev/null 2>&1
 cmp "$tmp_ref" results_explain.txt
 
+echo "== sweep and multi-programmed results (make sweeps, make multi)"
+# The committed results_sweeps.txt and results_multi.txt must regenerate
+# byte for byte from their make targets' commands. They hold the runs
+# the run memo keys by config (the DAS sweep points) and the 4-core SAS
+# and CHARM runs that read the static-assignment memo.
+go run ./cmd/dasbench -fig 8,9a,9c,9b,9d -benchmarks GemsFDTD,mcf,soplex -instr 3000000 -out "$tmp_ref" >/dev/null 2>&1
+cmp "$tmp_ref" results_sweeps.txt
+go run ./cmd/dasbench -fig 7d,7e,7f -mixes M1,M8 -instr 4000000 -out "$tmp_ref" >/dev/null 2>&1
+cmp "$tmp_ref" results_multi.txt
+
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzScheduleOrder -fuzztime 10s ./internal/sim
 go test -run '^$' -fuzz FuzzConfigJSON -fuzztime 10s ./internal/config
