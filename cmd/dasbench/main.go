@@ -86,12 +86,12 @@ func run(args []string, stdout io.Writer) error {
 
 		// Telemetry (off by default; enabling it never changes figure
 		// output — golden and determinism tests run with it on).
-		metricsOut  = fs.String("metrics-out", "", "write per-run epoch metric timelines to this file (.json = JSON, anything else = CSV)")
+		metricsOut  = fs.String("metrics-out", "", "write per-run epoch metric timelines to this file as CSV (run,epoch_ns,metric,value)")
 		timelineOut = fs.String("timeline", "", "write simulated DRAM/migration/fault events as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
 		epochMS     = fs.Float64("timeline-interval", 0.1, "metric snapshot epoch in simulated milliseconds")
-		httpAddr    = fs.String("http", "", "serve a debug endpoint (completed-run /metrics, /debug/vars, /debug/pprof) on this address, e.g. :8080")
+		httpAddr    = fs.String("http", "", "serve a debug endpoint (/debug/vars, /debug/pprof) on this address, e.g. :8080")
 		reqTraceN   = fs.Int("reqtrace", 0, "trace one in N measured demand loads per core through the hierarchy (0 = off; never changes figure output)")
-		reqTraceOut = fs.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file (.json = JSON, anything else = CSV)")
+		reqTraceOut = fs.String("reqtrace-out", "", "write per-run latency-attribution waterfalls to this file as CSV")
 		explainSel  = fs.String("explain", "", "two designs 'A,B' (e.g. standard,das): run both with request tracing and print a ranked why-A≠B attribution report")
 
 		// Fault injection (DAS management path; all rates zero = perfect
@@ -246,22 +246,21 @@ func run(args []string, stdout io.Writer) error {
 	if *explainSel != "" && traceEvery <= 0 {
 		traceEvery = 1 // -explain needs the flight recorder; default to every load
 	}
-	if *metricsOut != "" || *timelineOut != "" || *httpAddr != "" || traceEvery > 0 {
+	if *metricsOut != "" || *timelineOut != "" || traceEvery > 0 {
 		s.Observe = &exp.ObserveOptions{
-			Metrics:    *metricsOut != "" || *httpAddr != "",
+			Metrics:    *metricsOut != "",
 			Trace:      *timelineOut != "",
 			IntervalPS: int64(*epochMS * 1e9),
 			ReqTraceN:  traceEvery,
 		}
 	}
-	var pub *telemetry.Publisher
 	if *httpAddr != "" {
-		pub = telemetry.NewPublisher()
+		var pub telemetry.Publisher
 		addr, err := pub.Serve(*httpAddr)
 		if err != nil {
 			return err
 		}
-		log.Printf("debug endpoint: http://%s/", addr)
+		log.Printf("debug endpoint on http://%s", addr)
 		defer pub.Shutdown(context.Background())
 	}
 
@@ -280,7 +279,7 @@ func run(args []string, stdout io.Writer) error {
 	s.Ctx = ctx
 
 	// The figures render in order, then the -explain report; each goes
-	// through the same render, CSV, perf and publish steps.
+	// through the same render, CSV and perf steps.
 	type report struct {
 		name   string
 		render func() (*exp.Figure, error)
@@ -317,9 +316,6 @@ func run(args []string, stdout io.Writer) error {
 		perfCSV += fmt.Sprintf("%s,%.3f,%d,%.0f,%d,%d\n",
 			fig.ID, fig.Perf.Wall.Seconds(), fig.Perf.Events,
 			fig.Perf.EventsPerSec(), fig.Perf.AllocBytes, fig.Perf.AllocObjects)
-		if pub != nil {
-			s.PublishTo(pub)
-		}
 	}
 	if *csvDir != "" {
 		if err := os.WriteFile(filepath.Join(*csvDir, "perf.csv"), []byte(perfCSV), 0o644); err != nil {
@@ -327,22 +323,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *reqTraceOut != "" {
-		if err := writeSink(*reqTraceOut, func(w io.Writer) error {
-			if strings.HasSuffix(*reqTraceOut, ".json") {
-				return s.WriteReqTraceJSON(w)
-			}
-			return s.WriteReqTraceCSV(w)
-		}); err != nil {
+		if err := writeSink(*reqTraceOut, s.WriteReqTraceCSV); err != nil {
 			return fmt.Errorf("reqtrace-out: %w", err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeSink(*metricsOut, func(w io.Writer) error {
-			if strings.HasSuffix(*metricsOut, ".json") {
-				return s.WriteTimelineJSON(w)
-			}
-			return s.WriteTimelineCSV(w)
-		}); err != nil {
+		if err := writeSink(*metricsOut, s.WriteTimelineCSV); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
 	}

@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,7 +49,7 @@ func main() {
 }
 
 // settings is dasserve's command line: the server's options, and where
-// to listen, publish telemetry and how long to drain.
+// to listen, serve the debug endpoint and how long to drain.
 type settings struct {
 	opts                    serve.Options
 	addr, addrFile, debugAt string
@@ -68,13 +67,12 @@ func parse(args []string) (settings, error) {
 	fs.DurationVar(&st.opts.JobTimeout, "job-timeout", serve.DefaultJobTimeout, "per-job deadline (0 = none)")
 	fs.DurationVar(&st.opts.RetryAfter, "retry-after", serve.DefaultRetryAfter, "Retry-After hint attached to shed responses")
 	fs.DurationVar(&st.drainTO, "drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, wait this long for in-flight jobs before cancelling them")
-	fs.StringVar(&st.debugAt, "debug", "", "also serve the telemetry debug endpoint (/metrics, /debug/pprof) on this address")
+	fs.StringVar(&st.debugAt, "debug", "", "also serve the debug endpoint (/debug/vars, /debug/pprof) on this address")
 	var (
 		cfgPath  = fs.String("config", "", "JSON base config requests layer over (default: episode-scaled Table 1)")
 		fullScal = fs.Bool("full-scale", false, "use the full 8 GB Table 1 memory as the base config")
 		instr    = fs.Uint64("instr", 0, "base instructions per core (0 = config default)")
 		seed     = fs.Uint64("seed", 0, "base workload seed override")
-		logJSON  = fs.Bool("log-json", false, "log one JSON object per job transition (admitted/start/done/failed/shed) instead of free text")
 		poolMB   = fs.Int64("pool-mb", 0, "machine-pool byte budget in MB: jobs reuse built simulation machines up to this much standing memory (0 = default budget)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -111,22 +109,12 @@ func parse(args []string) (settings, error) {
 			log.Print(line)
 		}
 	}
-	if *logJSON {
-		st.opts.Log = func(ev serve.LogEvent) {
-			line, err := json.Marshal(ev)
-			if err != nil {
-				log.Printf("log-json: %v", err)
-				return
-			}
-			log.Print(string(line))
-		}
-	}
 	return st, nil
 }
 
-// textLine renders a job transition as a free-text log line. Only the
-// terminal transitions (done, failed, shed) have one, so plain-text logs
-// stay quiet; admitted and start return "".
+// textLine renders a job transition as a log line. Only the terminal
+// transitions (done, failed, shed) have one, so the log stays quiet;
+// admitted and start return "".
 func textLine(ev serve.LogEvent) string {
 	ms := func(v float64) time.Duration {
 		return time.Duration(v * float64(time.Millisecond)).Round(time.Millisecond)
@@ -142,6 +130,19 @@ func textLine(ev serve.LogEvent) string {
 	return ""
 }
 
+// serveDebug starts the debug endpoint on addr and announces it in the
+// log as "debug endpoint on http://<addr>"; scripts find the address
+// in that line, so nothing follows it.
+func serveDebug(addr string) (*telemetry.Publisher, error) {
+	pub := &telemetry.Publisher{}
+	at, err := pub.Serve(addr)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("debug endpoint on http://%s", at)
+	return pub, nil
+}
+
 func run(args []string) error {
 	st, err := parse(args)
 	if err != nil {
@@ -151,12 +152,9 @@ func run(args []string) error {
 
 	var pub *telemetry.Publisher
 	if st.debugAt != "" {
-		pub = telemetry.NewPublisher()
-		dbgAddr, err := pub.Serve(st.debugAt)
-		if err != nil {
+		if pub, err = serveDebug(st.debugAt); err != nil {
 			return err
 		}
-		log.Printf("debug endpoint on http://%s/metrics", dbgAddr)
 	}
 
 	ln, err := net.Listen("tcp", st.addr)
@@ -196,9 +194,7 @@ func run(args []string) error {
 		log.Printf("http shutdown: %v", err)
 	}
 
-	// Flush telemetry: publish the final server snapshot, then the
-	// idempotent Publisher.Shutdown (harmless when -debug is off).
-	pub.Publish("dasserve", srv.Snapshot())
+	// Publisher.Shutdown is a no-op when -debug is off.
 	if err := pub.Shutdown(context.Background()); err != nil {
 		log.Printf("debug shutdown: %v", err)
 	}

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -87,5 +92,54 @@ func TestPoolMBFlag(t *testing.T) {
 	}
 	if _, err := parse([]string{"-pool-mb", "-1"}); err == nil {
 		t.Error("-pool-mb -1 accepted")
+	}
+}
+
+// TestDebugEndpointContract pins what the repository benchmark
+// (bench/serve.go) reads from -debug: it finds the address in the
+// logged "debug endpoint on http://" line, stripping an optional
+// "/metrics", then reads /debug/vars for memstats and profiles through
+// /debug/pprof. The endpoint serves no /metrics of its own.
+func TestDebugEndpointContract(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	pub, err := serveDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Shutdown(context.Background())
+
+	_, rest, ok := strings.Cut(strings.TrimSpace(logged.String()), "debug endpoint on http://")
+	if !ok {
+		t.Fatalf("no debug announcement in log %q", logged.String())
+	}
+	addr := strings.TrimSuffix(rest, "/metrics")
+	if _, _, err := net.SplitHostPort(addr); err != nil {
+		t.Fatalf("announced %q, want a bare host:port: %v", rest, err)
+	}
+	base := "http://" + addr
+	get := func(path string) (int, []byte) {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		return resp.StatusCode, body.Bytes()
+	}
+	code, body := get("/debug/vars")
+	var vars struct {
+		Memstats *json.RawMessage `json:"memstats"`
+	}
+	if err := json.Unmarshal(body, &vars); code != http.StatusOK || err != nil || vars.Memstats == nil {
+		t.Errorf("/debug/vars: HTTP %d, err %v, memstats present %v", code, err, vars.Memstats != nil)
+	}
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/: HTTP %d, want 200", code)
+	}
+	if code, _ := get("/metrics"); code != http.StatusNotFound {
+		t.Errorf("/metrics: HTTP %d, want 404", code)
 	}
 }

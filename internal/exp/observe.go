@@ -155,26 +155,16 @@ func (s *Session) Observers() []*Observer {
 	return obs
 }
 
-// timelines extracts the non-nil timelines.
-func (s *Session) timelines() []*telemetry.Timeline {
+// WriteTimelineCSV writes the merged epoch timeline of every observed
+// run as long-form CSV (run,epoch_ns,metric,value).
+func (s *Session) WriteTimelineCSV(w io.Writer) error {
 	var ts []*telemetry.Timeline
 	for _, o := range s.Observers() {
 		if o.Timeline != nil {
 			ts = append(ts, o.Timeline)
 		}
 	}
-	return ts
-}
-
-// WriteTimelineCSV writes the merged epoch timeline of every observed
-// run as long-form CSV (run,epoch_ns,metric,value).
-func (s *Session) WriteTimelineCSV(w io.Writer) error {
-	return telemetry.EncodeTimelinesCSV(w, s.timelines())
-}
-
-// WriteTimelineJSON writes the merged epoch timeline as JSON.
-func (s *Session) WriteTimelineJSON(w io.Writer) error {
-	return telemetry.EncodeTimelinesJSON(w, s.timelines())
+	return telemetry.EncodeTimelinesCSV(w, ts)
 }
 
 // WriteTrace writes every observed run's events as one Chrome
@@ -189,38 +179,15 @@ func (s *Session) WriteTrace(w io.Writer) error {
 	return telemetry.EncodeTrace(w, recs)
 }
 
-// reqRecorders extracts the non-nil request-trace recorders.
-func (s *Session) reqRecorders() []*reqtrace.Recorder {
+// WriteReqTraceCSV writes every observed run's latency-attribution
+// waterfall as long-form CSV (run,component rows with sums, means,
+// shares and quantiles).
+func (s *Session) WriteReqTraceCSV(w io.Writer) error {
 	var recs []*reqtrace.Recorder
 	for _, o := range s.Observers() {
 		if o.Req != nil {
 			recs = append(recs, o.Req)
 		}
 	}
-	return recs
-}
-
-// WriteReqTraceCSV writes every observed run's latency-attribution
-// waterfall as long-form CSV (run,component rows with sums, means,
-// shares and quantiles).
-func (s *Session) WriteReqTraceCSV(w io.Writer) error {
-	return reqtrace.EncodeCSV(w, s.reqRecorders())
-}
-
-// WriteReqTraceJSON writes the attribution waterfalls as JSON.
-func (s *Session) WriteReqTraceJSON(w io.Writer) error {
-	return reqtrace.EncodeJSON(w, s.reqRecorders())
-}
-
-// PublishTo pushes every observed run's final snapshot into p (the
-// debug HTTP endpoint's store). The snapshot is the timeline's last
-// epoch, recorded when the run finished: re-polling the registry here
-// would read sampled values from a machine the pool may since have
-// rewound for another run.
-func (s *Session) PublishTo(p *telemetry.Publisher) {
-	for _, o := range s.Observers() {
-		if eps := o.Timeline.Epochs(); len(eps) > 0 {
-			p.Publish(o.Label, eps[len(eps)-1].Metrics)
-		}
-	}
+	return reqtrace.EncodeCSV(w, recs)
 }

@@ -2,16 +2,13 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 // The pooled-machine byte-identity suite: a machine checked out of a
@@ -200,61 +197,6 @@ func TestPooledTelemetryTimelineMatchesFresh(t *testing.T) {
 		t.Errorf("pooled trace JSON differs from fresh (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 	}
 	pool.Drain()
-}
-
-// TestPooledPublishMatchesFinalEpoch pins what the debug endpoint
-// (dasbench -http) serves for runs on recycled machines: every run's
-// published snapshot is its own final timeline epoch, even after the
-// pool rewound its machine for a later run. Sampled metrics read live
-// machine state, so re-polling them at publish time would report the
-// later run's numbers.
-func TestPooledPublishMatchesFinalEpoch(t *testing.T) {
-	s := NewSession(tinyConfig())
-	s.Parallelism = 1
-	s.Pool = NewSystemPool(0)
-	s.Observe = &ObserveOptions{Metrics: true}
-	for _, b := range []string{"mcf", "libquantum"} {
-		if _, err := s.Baseline([]string{b}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Pool.Stats(); st.Hits == 0 {
-		t.Fatalf("second run never reused the first run's machine: %+v", st)
-	}
-
-	pub := telemetry.NewPublisher()
-	s.PublishTo(pub)
-	rec := httptest.NewRecorder()
-	pub.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var runs []struct {
-		Run     string             `json:"run"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &runs); err != nil {
-		t.Fatalf("/metrics: %v\n%s", err, rec.Body.String())
-	}
-	published := make(map[string]map[string]float64)
-	for _, r := range runs {
-		published[r.Run] = r.Metrics
-	}
-	obs := s.Observers()
-	if len(obs) != 2 || len(published) != 2 {
-		t.Fatalf("%d observers, %d published runs; want 2 each", len(obs), len(published))
-	}
-	for _, o := range obs {
-		eps := o.Timeline.Epochs()
-		final := eps[len(eps)-1].Metrics
-		got := published[o.Label]
-		if len(got) != len(final) {
-			t.Errorf("%s: published %d metrics, final epoch holds %d", o.Label, len(got), len(final))
-		}
-		for _, m := range final {
-			if v, ok := got[m.Name]; !ok || v != m.Value {
-				t.Errorf("%s: published %s = %v, final epoch holds %v", o.Label, m.Name, v, m.Value)
-			}
-		}
-	}
-	s.Pool.Drain()
 }
 
 // TestPoolCapFallback pins the bounded-pool degradation path: with a

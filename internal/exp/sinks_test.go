@@ -17,11 +17,11 @@ import (
 )
 
 // TestGoldenObservedSinks pins every observation sink of one fully
-// observed session byte for byte: the metrics timeline (CSV and JSON),
-// the Chrome trace and the request-trace attribution CSV. The session
-// runs Fig7a on mcf with weak fast rows and migration failures injected,
-// so the pinned bytes cover the fault instants and the fault telemetry
-// as well as every DRAM command slice, energy sample and dram.* metric.
+// observed session byte for byte: the metrics timeline CSV, the Chrome
+// trace and the request-trace attribution CSV. The session runs Fig7a
+// on mcf with weak fast rows and migration failures injected, so the
+// pinned bytes cover the fault instants and the fault telemetry as well
+// as every DRAM command slice, energy sample and dram.* metric.
 // The figure goldens cannot see a sink change; this test can. Regenerate
 // deliberately with:
 //
@@ -42,7 +42,6 @@ func TestGoldenObservedSinks(t *testing.T) {
 		write func(io.Writer) error
 	}{
 		{"timeline.csv", s.WriteTimelineCSV},
-		{"timeline.json", s.WriteTimelineJSON},
 		{"trace.json", s.WriteTrace},
 		{"reqtrace.csv", s.WriteReqTraceCSV},
 	}

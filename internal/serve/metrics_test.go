@@ -103,8 +103,9 @@ func TestJobsQuantiles(t *testing.T) {
 	}
 }
 
-// TestJobsTraceEndpoint pins the Perfetto export: valid JSON with the
-// process-name metadata and one enclosing slice per completed job.
+// TestJobsTraceEndpoint pins the Perfetto export: one
+// {"traceEvents":[...]} document holding one enclosing slice per
+// completed job, on that job's own track, plus its non-zero phases.
 func TestJobsTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Runner: func(ctx context.Context, spec *Job) ([]byte, error) {
@@ -117,17 +118,24 @@ func TestJobsTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var evs []map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	var slices int
-	for _, e := range evs {
-		if e["ph"] == "X" && e["args"] != nil {
-			slices++
+	var jobs []map[string]any
+	for _, e := range doc.TraceEvents {
+		if e["ph"] == "X" && e["name"] == "table2 (done)" {
+			jobs = append(jobs, e)
 		}
 	}
-	if slices == 0 {
-		t.Fatalf("trace has no job slices: %v", evs)
+	if len(jobs) != 1 || jobs[0]["ts"] != 0.0 {
+		t.Fatalf("want one job slice at ts 0, got %v in %v", jobs, doc.TraceEvents)
+	}
+	for _, e := range doc.TraceEvents {
+		if e["ph"] == "X" && e["tid"] != jobs[0]["tid"] {
+			t.Errorf("slice %v is off its job's track", e)
+		}
 	}
 }

@@ -487,8 +487,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(e.body)
 }
 
-// Snapshot returns the server's telemetry snapshot (race-safe).
-func (s *Server) Snapshot() []telemetry.Metric {
+// snapshot returns the server's telemetry snapshot (race-safe).
+func (s *Server) snapshot() []telemetry.Metric {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	return s.reg.Snapshot(nil)
@@ -529,7 +529,7 @@ type poolJSON struct {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	out := jobsJSON{
 		Draining:  s.Draining(),
 		Workers:   s.opt.Workers,

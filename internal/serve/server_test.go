@@ -54,7 +54,7 @@ func postRun(t *testing.T, ts *httptest.Server, body string) (*http.Response, []
 
 func metric(t *testing.T, s *Server, name string) float64 {
 	t.Helper()
-	for _, m := range s.Snapshot() {
+	for _, m := range s.snapshot() {
 		if m.Name == name {
 			return m.Value
 		}

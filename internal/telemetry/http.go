@@ -2,89 +2,37 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 )
 
-// Publisher is the race-safe bridge between running simulations and the
-// debug HTTP endpoint: runs publish their final snapshots when they
-// complete, and the HTTP handler only ever reads published (immutable)
-// data under the lock. Live registries are never exposed — they belong
-// to the single-threaded simulator goroutines.
+// Publisher serves the debug endpoint: /debug/vars (expvar: cmdline
+// and memstats) and /debug/pprof/* (live profiling, the point of the
+// endpoint on long sweeps). Simulated-run metrics leave through
+// -metrics-out and service metrics through dasserve's Prometheus
+// /metrics, so the endpoint holds no run data of its own. The zero
+// value is ready to Serve.
 type Publisher struct {
-	mu   sync.Mutex
-	runs map[string][]Metric
-	srv  *http.Server
+	mu  sync.Mutex
+	srv *http.Server
 }
 
-// NewPublisher returns an empty publisher.
-func NewPublisher() *Publisher {
-	return &Publisher{runs: make(map[string][]Metric)}
-}
-
-// Publish stores a completed run's snapshot under its label.
-func (p *Publisher) Publish(label string, metrics []Metric) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.runs[label] = metrics
-}
-
-// snapshotJSON renders every published run, labels sorted.
-func (p *Publisher) snapshotJSON() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	labels := make([]string, 0, len(p.runs))
-	for l := range p.runs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	type runJSON struct {
-		Run     string             `json:"run"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	out := make([]runJSON, 0, len(labels))
-	for _, l := range labels {
-		m := make(map[string]float64, len(p.runs[l]))
-		for _, mt := range p.runs[l] {
-			m[mt.Name] = mt.Value
-		}
-		out = append(out, runJSON{Run: l, Metrics: m})
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// Handler returns the debug mux: /metrics (completed-run metric dumps),
-// /debug/vars (expvar: cmdline + memstats) and /debug/pprof/* (live
-// profiling, the point of the endpoint on long sweeps).
+// Handler returns the debug mux. Every path it does not name, /metrics
+// included, answers 404.
 func (p *Publisher) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		data, err := p.snapshotJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		w.Write([]byte("\n"))
-	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "dasbench debug endpoint\n  /metrics\n  /debug/vars\n  /debug/pprof/\n")
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, "debug endpoint\n  /debug/vars\n  /debug/pprof/\n")
 	})
 	return mux
 }

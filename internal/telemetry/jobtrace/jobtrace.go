@@ -15,7 +15,6 @@
 package jobtrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -35,7 +34,6 @@ const DefaultDepth = 256
 type Recorder struct {
 	mu    sync.Mutex
 	clock func() time.Time
-	epoch time.Time
 	depth int
 	seq   uint64
 
@@ -50,12 +48,7 @@ func NewRecorder(depth int) *Recorder {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	now := time.Now()
-	return &Recorder{
-		clock: time.Now,
-		epoch: now,
-		depth: depth,
-	}
+	return &Recorder{clock: time.Now, depth: depth}
 }
 
 // SetClock replaces the wall clock (tests inject a fake to make phase
@@ -66,7 +59,6 @@ func (r *Recorder) SetClock(fn func() time.Time) {
 	}
 	r.mu.Lock()
 	r.clock = fn
-	r.epoch = fn()
 	r.mu.Unlock()
 }
 
@@ -295,54 +287,35 @@ func (r *Recorder) Completed() []Snapshot {
 	return out
 }
 
-// EncodeTrace writes the completed spans as a Chrome/Perfetto
-// trace-event JSON array: one track (tid) per span, an enclosing slice
-// for the whole job and a child slice per non-zero phase. Timestamps
-// are microseconds since the recorder epoch, so concurrent jobs line up
-// on one shared timeline.
+// EncodeTrace writes the completed spans as one Perfetto trace-event
+// document through telemetry.EncodeTrace: one track per span, an
+// enclosing slice for the whole job and a child slice per non-zero
+// phase. Timestamps count from the oldest arrival in the ring, so
+// concurrent jobs line up on one shared timeline and the picosecond
+// clock cannot overflow however long the process has been up.
 func (r *Recorder) EncodeTrace(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	type ev struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Pid  int            `json:"pid"`
-		Tid  uint64         `json:"tid"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	us := func(t time.Time) float64 { return float64(t.Sub(r.epoch).Nanoseconds()) / 1e3 }
-	evs := []ev{{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "dasserve jobs"},
-	}}
-	for _, s := range r.done {
-		evs = append(evs, ev{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: s.seq,
-			Args: map[string]any{"name": fmt.Sprintf("job %s %s", s.key, s.kind)},
-		})
-		evs = append(evs, ev{
-			Name: fmt.Sprintf("%s (%s)", s.kind, s.outcome), Ph: "X", Pid: 1, Tid: s.seq,
-			Ts: us(s.recv), Dur: float64(s.done.Sub(s.recv).Nanoseconds()) / 1e3,
-			Args: map[string]any{"key": s.key, "outcome": s.outcome, "bytes": s.bytes},
-		})
-		ph := s.phases()
-		t := s.recv
-		for i, d := range ph {
-			if d > 0 {
-				evs = append(evs, ev{
-					Name: PhaseNames[i], Ph: "X", Pid: 1, Tid: s.seq,
-					Ts: us(t), Dur: float64(d.Nanoseconds()) / 1e3,
-				})
+	tr := telemetry.NewTraceRecorder("dasserve jobs")
+	if r != nil {
+		r.mu.Lock()
+		var base time.Time
+		for _, s := range r.done {
+			if base.IsZero() || s.recv.Before(base) {
+				base = s.recv
 			}
-			t = t.Add(d)
 		}
+		ps := func(d time.Duration) int64 { return d.Nanoseconds() * 1000 }
+		for _, s := range r.done {
+			tid := tr.Track(fmt.Sprintf("job %s %s", s.key, s.kind))
+			at := ps(s.recv.Sub(base))
+			tr.Duration(fmt.Sprintf("%s (%s)", s.kind, s.outcome), at, ps(s.done.Sub(s.recv)), tid, -1)
+			for i, d := range s.phases() {
+				if d > 0 {
+					tr.Duration(PhaseNames[i], at, ps(d), tid, -1)
+				}
+				at += ps(d)
+			}
+		}
+		r.mu.Unlock()
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(evs)
+	return telemetry.EncodeTrace(w, []*telemetry.TraceRecorder{tr})
 }

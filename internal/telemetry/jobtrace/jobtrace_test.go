@@ -168,13 +168,25 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Completed() != nil || r.Violations() != 0 {
 		t.Fatal("nil recorder should be empty")
 	}
+	if evs := decodeTrace(t, r); len(evs) != 1 || evs[0]["name"] != "process_name" {
+		t.Fatalf("nil trace = %v, want the process metadata alone", evs)
+	}
+}
+
+// decodeTrace encodes r and decodes the {"traceEvents":[...]} document.
+func decodeTrace(t *testing.T, r *Recorder) []map[string]any {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := r.EncodeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != "[]\n" {
-		t.Fatalf("nil trace = %q", buf.String())
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
 	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.Bytes())
+	}
+	return doc.TraceEvents
 }
 
 func TestEncodeTraceValidJSON(t *testing.T) {
@@ -188,26 +200,29 @@ func TestEncodeTraceValidJSON(t *testing.T) {
 		sp.StampRun()
 		sp.Finish("done", 100)
 	}
-	var buf bytes.Buffer
-	if err := r.EncodeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.Bytes())
-	}
-	var slices, meta int
-	for _, e := range evs {
+	var slices, jobs, meta int
+	first := -1.0
+	for _, e := range decodeTrace(t, r) {
 		switch e["ph"] {
 		case "X":
 			slices++
+			if e["name"] == "figure:7a (done)" {
+				jobs++
+				if first < 0 {
+					first = e["ts"].(float64)
+				}
+			}
 		case "M":
 			meta++
 		}
 	}
 	// 3 jobs x (1 enclosing + 5 phase slices), 1 process + 3 thread metas.
-	if slices != 18 || meta != 4 {
-		t.Fatalf("got %d slices %d metadata events, want 18 and 4", slices, meta)
+	if slices != 18 || jobs != 3 || meta != 4 {
+		t.Fatalf("got %d slices (%d jobs), %d metadata events; want 18 (3), 4", slices, jobs, meta)
+	}
+	// Timestamps count from the oldest arrival in the ring.
+	if first != 0 {
+		t.Fatalf("oldest job starts at %v us, want 0", first)
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -91,44 +90,6 @@ func EncodeTimelinesCSV(w io.Writer, ts []*Timeline) error {
 		}
 	}
 	return nil
-}
-
-// timelineJSON is the JSON shape of one run's timeline.
-type timelineJSON struct {
-	Run         string      `json:"run"`
-	IntervalNS  float64     `json:"interval_ns"`
-	EpochsCount int         `json:"epochs"`
-	Series      []epochJSON `json:"series"`
-}
-
-type epochJSON struct {
-	EpochNS float64            `json:"epoch_ns"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// EncodeTimelinesJSON writes merged timelines as indented JSON, runs
-// sorted by label. Metric maps marshal with sorted keys (encoding/json
-// guarantees it), so output is byte-deterministic.
-func EncodeTimelinesJSON(w io.Writer, ts []*Timeline) error {
-	out := make([]timelineJSON, 0, len(ts))
-	for _, t := range sortTimelines(ts) {
-		tj := timelineJSON{
-			Run:         t.Label,
-			IntervalNS:  float64(t.IntervalPS) / 1000,
-			EpochsCount: len(t.epochs),
-		}
-		for _, e := range t.epochs {
-			m := make(map[string]float64, len(e.Metrics))
-			for _, mt := range e.Metrics {
-				m[mt.Name] = mt.Value
-			}
-			tj.Series = append(tj.Series, epochJSON{EpochNS: float64(e.AtPS) / 1000, Metrics: m})
-		}
-		out = append(out, tj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // formatPSinNS renders picoseconds as a nanosecond decimal without

@@ -51,9 +51,9 @@ const (
 	phaseCounter   tracePhase = 'C' // counter sample (args:{value})
 )
 
-// traceEvent is one buffered event. Names must be static strings (the
-// recorder stores, never copies or concatenates, so recording does not
-// allocate beyond slice growth).
+// traceEvent is one buffered event. The recorder stores names, never
+// copies or concatenates them, so an emitter that passes static strings
+// (every simulation emitter does) allocates nothing beyond slice growth.
 type traceEvent struct {
 	name  string
 	ph    tracePhase
@@ -82,13 +82,13 @@ func (r *TraceRecorder) Track(name string) int {
 }
 
 // Duration records a complete event spanning [tsPS, tsPS+durPS) on
-// track tid. name must be a static string; row < 0 omits the argument.
+// track tid; row < 0 omits the argument.
 func (r *TraceRecorder) Duration(name string, tsPS, durPS int64, tid int, row int64) {
 	r.record(traceEvent{name: name, ph: phaseComplete, tsPS: tsPS, durPS: durPS, tid: tid, row: row})
 }
 
-// Instant records a point event on track tid. name must be a static
-// string; row < 0 omits the argument.
+// Instant records a point event on track tid; row < 0 omits the
+// argument.
 func (r *TraceRecorder) Instant(name string, tsPS int64, tid int, row int64) {
 	r.record(traceEvent{name: name, ph: phaseInstant, tsPS: tsPS, tid: tid, row: row})
 }
@@ -108,7 +108,7 @@ func (r *TraceRecorder) FlowEnd(name string, tsPS int64, tid int, id int64) {
 
 // Counter records a counter sample at tsPS on track tid: the Perfetto
 // UI renders the samples of one (name, tid) series as a filled area
-// chart over time. name must be a static string.
+// chart over time.
 func (r *TraceRecorder) Counter(name string, tsPS int64, tid int, value int64) {
 	r.record(traceEvent{name: name, ph: phaseCounter, tsPS: tsPS, tid: tid, row: value})
 }

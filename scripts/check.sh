@@ -28,8 +28,7 @@ go build ./...
 
 echo "== go test -race"
 # Full suite under the race detector; this is also the concurrency gate
-# for the telemetry publisher (concurrent Publish/snapshot/Shutdown),
-# the exp observer attach/flush paths, the machine pool's concurrent
+# for the exp observer attach/flush paths, the machine pool's concurrent
 # checkout cycle, and the dasserve core (internal/serve: singleflight,
 # shedding, drain, panic isolation). The explicit timeout is headroom
 # over go test's 10m default: the exp byte-identity suites near it
@@ -68,10 +67,11 @@ cmp "$tmp_ref" "$tmp_obs"
 
 echo "== telemetry determinism: observed run renders identical figures"
 # Same figure with the full telemetry stack enabled (metrics timeline +
-# trace export): the rendered figure must be byte-identical to the
-# uninstrumented run, proving observation never perturbs simulation.
-# The 0.01 ms epochs put several snapshots on each side of warm-up.
-go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 \
+# trace export + the -http debug endpoint): the rendered figure must be
+# byte-identical to the uninstrumented run, proving observation never
+# perturbs simulation. The 0.01 ms epochs put several snapshots on each
+# side of warm-up.
+go run ./cmd/dasbench -fig 7a -benchmarks mcf,soplex -instr 200000 -http 127.0.0.1:0 \
     -timeline-interval 0.01 -metrics-out "$tmp_sink" -timeline "$tmp_sink.trace" >"$tmp_obs" 2>/dev/null
 cmp "$tmp_quad" "$tmp_obs"
 test -s "$tmp_sink" && test -s "$tmp_sink.trace"
@@ -229,7 +229,7 @@ go build -race -o "$tmp_sink.serve" ./cmd/dasserve
 go build -o "$tmp_sink.load" ./cmd/dasload
 rm -f "$tmp_sink.addr"
 "$tmp_sink.serve" -addr 127.0.0.1:0 -addr-file "$tmp_sink.addr" \
-    -instr 200000 -workers 2 -log-json 2>/dev/null &
+    -instr 200000 -workers 2 2>/dev/null &
 serve_pid=$!
 for _ in $(seq 100); do test -s "$tmp_sink.addr" && break; sleep 0.1; done
 test -s "$tmp_sink.addr"
